@@ -29,6 +29,8 @@ import sys
 
 from . import __version__
 from .core import (
+    _block_tables,
+    _content_lines,
     all_subbiracks,
     classify,
     cycle_string,
@@ -61,14 +63,7 @@ def _write_matrix(b, out: str | None) -> None:
 
 def _load_candidate(path: str):
     with open(path, encoding="utf-8") as fh:
-        n, block = parse_matrix_text(fh.read())
-    for row in block:
-        for v in row:
-            if not 1 <= v <= n:
-                raise BirackError(f"entry {v} out of range 1..{n}")
-    b1 = [[block[y][x] - 1 for y in range(n)] for x in range(n)]
-    b2 = [[block[x][n + y] - 1 for y in range(n)] for x in range(n)]
-    return n, b1, b2
+        return _block_tables(*parse_matrix_text(fh.read()))
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +71,7 @@ def _load_candidate(path: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    n, b1, b2 = _load_candidate(args.path)
+    b1, b2 = _load_candidate(args.path)
     report = verify_axioms(b1, b2)
     if args.json:
         payload = {
@@ -117,10 +112,7 @@ def _cmd_make(args) -> int:
 
 def _read_cayley(path: str) -> list[list[int]]:
     with open(path, encoding="utf-8") as fh:
-        lines = [
-            ln.strip() for ln in fh
-            if ln.strip() and not ln.lstrip().startswith("#")
-        ]
+        lines = [ln.strip() for ln in _content_lines(fh)]
     if not lines:
         raise BirackError("empty Cayley table file")
     n = int(lines[0])
@@ -137,10 +129,7 @@ def _read_cayley(path: str) -> list[list[int]]:
 
 def _read_map(path: str, n: int) -> list[int]:
     with open(path, encoding="utf-8") as fh:
-        tokens = [
-            tok for ln in fh if not ln.lstrip().startswith("#")
-            for tok in ln.split()
-        ]
+        tokens = [tok for ln in _content_lines(fh) for tok in ln.split()]
     if len(tokens) != n:
         raise BirackError(f"map file {path} must list {n} images")
     return [int(tok) - 1 for tok in tokens]
@@ -232,9 +221,7 @@ def _cmd_invariant(args) -> int:
         jobs.append(("-", args.gauss))
     else:
         with open(args.batch, encoding="utf-8") as fh:
-            for ln in fh:
-                if not ln.strip() or ln.lstrip().startswith("#"):
-                    continue
+            for ln in _content_lines(fh):
                 name, _, code = ln.rstrip("\n").partition("\t")
                 jobs.append((name.strip(), code.strip()))
     results = []

@@ -464,6 +464,11 @@ def from_matrix(n: int, block) -> FiniteBirack:
     Raises AxiomViolation (with the first witness) if the tables fail any
     axiom, ValueError on malformed input.
     """
+    return FiniteBirack(*_block_tables(n, block))
+
+
+def _block_tables(n: int, block) -> tuple[list[list[int]], list[list[int]]]:
+    """The 0-indexed tables (B1, B2) of a [B1 | B2] block, axioms unchecked."""
     if n <= 0:
         raise ValueError("n must be positive")
     rows = [list(r) for r in block]
@@ -476,7 +481,7 @@ def from_matrix(n: int, block) -> FiniteBirack:
     # Left block: row i, col j = B1(x_j, x_i); right: row i, col j = B2(x_i, x_j).
     b1 = [[rows[y][x] - 1 for y in range(n)] for x in range(n)]
     b2 = [[rows[x][n + y] - 1 for y in range(n)] for x in range(n)]
-    return FiniteBirack(b1, b2)
+    return b1, b2
 
 
 def to_matrix(b: FiniteBirack) -> list[list[int]]:
@@ -497,12 +502,14 @@ def format_matrix(b: FiniteBirack) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _content_lines(lines) -> list[str]:
+    """The lines, unstripped, that are neither blank nor '#' comments."""
+    return [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
+
+
 def parse_matrix_text(text: str) -> tuple[int, list[list[int]]]:
     """Parse matrix file text -> (n, block rows); '#' lines are comments."""
-    lines = [
-        ln.strip() for ln in text.splitlines()
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    lines = [ln.strip() for ln in _content_lines(text.splitlines())]
     if not lines:
         raise ParseError("empty matrix file")
     try:

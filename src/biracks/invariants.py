@@ -24,6 +24,12 @@ and each element contributes s1^c1 s2^c2 t1^r1 t2^r2.  In matrix-block
 terms c_i(x) counts fixed points down column x of block i and r_i(x)
 counts occurrences of x along row x of block i.
 
+All four kinds, with their multiset forms and per-framing counts, come
+from one fold in compute_invariant; phi_* return its value.  The image
+and the subbirack polynomial depend on a labeling only through the set
+of labels it uses, so image and rho close each distinct label set once
+and compute one signature per distinct image.
+
 normalize() subtracts the same invariant of the crossing-free unlink
 with the same number of components, so unlinks normalize to zero.
 
@@ -33,6 +39,7 @@ multiset forms and per-framing counts deterministic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -49,26 +56,22 @@ KINDS = ("integral", "writhe", "image", "rho")
 # Birack polynomials
 # ---------------------------------------------------------------------------
 
-def _element_statistics(b: FiniteBirack, x: int) -> tuple[int, int, int, int]:
+def _statistics_sum(b: FiniteBirack, elements) -> MultiPoly:
     rng = range(b.n)
-    c1 = sum(1 for y in rng if b.b1[x][y] == y)
-    c2 = sum(1 for y in rng if b.b2[y][x] == y)
-    r1 = sum(1 for y in rng if b.b1[y][x] == x)
-    r2 = sum(1 for y in rng if b.b2[x][y] == x)
-    return c1, c2, r1, r2
-
-
-def _statistics_monomial(b: FiniteBirack, x: int) -> MultiPoly:
-    c1, c2, r1, r2 = _element_statistics(b, x)
-    return MultiPoly.monomial({"s1": c1, "s2": c2, "t1": r1, "t2": r2})
+    out = MultiPoly.zero()
+    for x in elements:
+        out = out + MultiPoly.monomial({
+            "s1": sum(1 for y in rng if b.b1[x][y] == y),
+            "s2": sum(1 for y in rng if b.b2[y][x] == y),
+            "t1": sum(1 for y in rng if b.b1[y][x] == x),
+            "t2": sum(1 for y in rng if b.b2[x][y] == x),
+        })
+    return out
 
 
 def birack_polynomial(b: FiniteBirack) -> MultiPoly:
     """Sum of s1^c1 s2^c2 t1^r1 t2^r2 over every element."""
-    out = MultiPoly.zero()
-    for x in range(b.n):
-        out = out + _statistics_monomial(b, x)
-    return out
+    return _statistics_sum(b, range(b.n))
 
 
 def subbirack_polynomial(b: FiniteBirack, subset) -> MultiPoly:
@@ -77,10 +80,7 @@ def subbirack_polynomial(b: FiniteBirack, subset) -> MultiPoly:
     sub = frozenset(subset)
     if not is_subbirack(b, sub):
         raise NotASubbirack(f"{sorted(sub)} is not closed under B and S")
-    out = MultiPoly.zero()
-    for x in sorted(sub):
-        out = out + _statistics_monomial(b, x)
-    return out
+    return _statistics_sum(b, sorted(sub))
 
 
 # ---------------------------------------------------------------------------
@@ -105,41 +105,22 @@ def labelings_by_framing(
 
 def phi_integral(d: Diagram, b: FiniteBirack) -> int:
     """Total labelings over one full framing period."""
-    return sum(len(labs) for _, labs in labelings_by_framing(d, b))
+    return compute_invariant(d, b, "integral").value
 
 
 def phi_writhe(d: Diagram, b: FiniteBirack) -> MultiPoly:
     """Sum of count(w) * q^w over the framing period."""
-    out = MultiPoly.zero()
-    for w, labs in labelings_by_framing(d, b):
-        if labs:
-            exps = {f"q{i + 1}": wi for i, wi in enumerate(w)}
-            out = out + MultiPoly.monomial(exps, len(labs))
-    return out
+    return compute_invariant(d, b, "writhe").value
 
 
 def phi_image(d: Diagram, b: FiniteBirack) -> MultiPoly:
     """Sum of z^(image size) over every labeling in the framing period."""
-    out = MultiPoly.zero()
-    for _, labs in labelings_by_framing(d, b):
-        for lab in labs:
-            out = out + MultiPoly.monomial({"z": len(labeling_image(lab, b))})
-    return out
+    return compute_invariant(d, b, "image").value
 
 
 def phi_rho(d: Diagram, b: FiniteBirack) -> NestedPoly:
     """Sum of z^(subbirack polynomial of the image) over every labeling."""
-    out = NestedPoly.zero()
-    cache: dict[frozenset[int], str] = {}
-    for _, labs in labelings_by_framing(d, b):
-        for lab in labs:
-            image = labeling_image(lab, b)
-            key = cache.get(image)
-            if key is None:
-                key = subbirack_polynomial(b, image).canonical_string()
-                cache[image] = key
-            out = out + NestedPoly.single(key)
-    return out
+    return compute_invariant(d, b, "rho").value
 
 
 # ---------------------------------------------------------------------------
@@ -173,55 +154,47 @@ class InvariantValue:
         return self.value.canonical_string()
 
 
-def _multiset_for(kind: str, surveys, b: FiniteBirack):
-    if kind == "integral":
-        total = sum(len(labs) for _, labs in surveys)
-        return ((tuple(), total),) if total else tuple()
-    if kind == "writhe":
-        return tuple((w, len(labs)) for w, labs in surveys if labs)
-    counts: dict[object, int] = {}
-    if kind == "image":
-        for _, labs in surveys:
-            for lab in labs:
-                k = len(labeling_image(lab, b))
-                counts[k] = counts.get(k, 0) + 1
-        return tuple(sorted(counts.items()))
-    if kind == "rho":
-        cache: dict[frozenset[int], str] = {}
-        for _, labs in surveys:
-            for lab in labs:
-                image = labeling_image(lab, b)
-                key = cache.get(image)
-                if key is None:
-                    key = subbirack_polynomial(b, image).canonical_string()
-                    cache[image] = key
-                counts[key] = counts.get(key, 0) + 1
-        return tuple(sorted(counts.items()))
-    raise KindMismatch(f"unknown invariant kind {kind!r}")
-
-
 def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
     """Compute one invariant with multiset and per-framing bookkeeping."""
     if kind not in KINDS:
         raise KindMismatch(f"unknown invariant kind {kind!r}")
     surveys = labelings_by_framing(d, b)
     per_framing = tuple((w, len(labs)) for w, labs in surveys)
-    multiset = _multiset_for(kind, surveys, b)
     value: int | MultiPoly | NestedPoly
     if kind == "integral":
-        value = sum(m for _, m in multiset)
+        value = sum(m for _, m in per_framing)
+        multiset = (((), value),) if value else ()
     elif kind == "writhe":
-        value = MultiPoly.zero()
-        for w, m in multiset:
-            value = value + MultiPoly.monomial(
-                {f"q{i + 1}": wi for i, wi in enumerate(w)}, m
-            )
-    elif kind == "image":
-        value = MultiPoly.zero()
-        for size, m in multiset:
-            value = value + MultiPoly.monomial({"z": size}, m)
+        multiset = tuple((w, m) for w, m in per_framing if m)
+        value = MultiPoly({
+            tuple((f"q{i + 1}", wi) for i, wi in enumerate(w)): m for w, m in multiset
+        })
     else:
-        value = NestedPoly({key: m for key, m in multiset})
+        # A labeling's image is the closure of the labels it uses, so each
+        # distinct label set is closed once and each distinct image gets
+        # one signature.
+        uses: Counter[frozenset[int]] = Counter()
+        sample: dict[frozenset[int], Labeling] = {}
+        for _, labs in surveys:
+            for lab in labs:
+                labels = frozenset(lab.assignment)
+                uses[labels] += 1
+                sample.setdefault(labels, lab)
+        signature: dict[frozenset[int], object] = {}
+        counts: Counter = Counter()
+        for labels, m in uses.items():
+            image = labeling_image(sample[labels], b)
+            if image not in signature:
+                signature[image] = (
+                    len(image) if kind == "image"
+                    else subbirack_polynomial(b, image).canonical_string()
+                )
+            counts[signature[image]] += m
+        multiset = tuple(sorted(counts.items()))
+        if kind == "image":
+            value = MultiPoly({(("z", size),): m for size, m in multiset})
+        else:
+            value = NestedPoly(dict(multiset))
     return InvariantValue(kind, value, multiset, per_framing)
 
 

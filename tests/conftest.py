@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's derived machinery:
 brute_force_labelings filters raw assignments through the bare crossing
-rule (forward B only), and rack_counting_oracle implements the classical
-arc-labeling rack count from scratch.  Acceptance and property tests
+rule (forward B only), rack_counting_oracle implements the classical
+arc-labeling rack count from scratch, and per_labeling_multiset closes
+every labeling's image separately, sharing nothing between labelings.  Acceptance and property tests
 compare the production code against these.
 """
 
@@ -18,7 +19,11 @@ from biracks import (
     Diagram,
     Pass,
     from_matrix,
+    labelings_by_framing,
+    subbirack_closure,
+    subbirack_polynomial,
     tsr_birack,
+    unlink,
 )
 
 # ---------------------------------------------------------------------------
@@ -152,6 +157,36 @@ def brute_force_labelings(d: Diagram, b: FiniteBirack) -> list[tuple[int, ...]]:
         if ok:
             out.append(assign)
     return out
+
+
+def per_labeling_multiset(d: Diagram, b: FiniteBirack, kind: str,
+                          normalized: bool = False) -> tuple:
+    """Image or rho multiset with each labeling's image closed on its own.
+
+    Every labeling of labelings_by_framing gets its own subbirack_closure
+    and signature (image size, or canonical subbirack polynomial string).
+    Plain multisets sort by signature; normalized ones subtract the
+    unlink's counts, drop zeros and sort by (repr(signature), count), the
+    order normalize documents.
+    """
+    counts = _per_labeling_counts(d, b, kind)
+    if not normalized:
+        return tuple(sorted(counts.items()))
+    for key, m in _per_labeling_counts(unlink(len(d.components)), b, kind).items():
+        counts[key] = counts.get(key, 0) - m
+    return tuple(sorted(((key, m) for key, m in counts.items() if m),
+                        key=lambda km: (repr(km[0]), km[1])))
+
+
+def _per_labeling_counts(d: Diagram, b: FiniteBirack, kind: str) -> dict:
+    counts: dict = {}
+    for _, labs in labelings_by_framing(d, b):
+        for lab in labs:
+            image = subbirack_closure(b, set(lab.assignment))
+            key = (len(image) if kind == "image"
+                   else subbirack_polynomial(b, image).canonical_string())
+            counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def rack_counting_oracle(d: Diagram, b: FiniteBirack) -> int:

@@ -232,3 +232,97 @@ class TestUsage:
 
     def test_missing_file(self, capsys):
         assert main(["rank", "/nonexistent/m.txt"]) == 1
+
+
+def _commented(text: str) -> str:
+    """text with a '#' line and a blank line before, between and after its lines."""
+    out = "# header comment\n\n"
+    for ln in text.splitlines():
+        out += f"{ln}\n   \n  # indented comment\n"
+    return out + "\n#\n"
+
+
+def _run(argv, capsys) -> tuple[int, str, str]:
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestCommentAndBlankLines:
+    @pytest.mark.parametrize("command", [
+        ["verify"], ["verify", "--json"], ["rank"], ["classify", "--json"],
+        ["subbiracks"], ["poly"],
+    ])
+    def test_matrix_file(self, two_orbit_file, tmp_path, capsys, command):
+        text = open(two_orbit_file, encoding="utf-8").read()
+        commented = tmp_path / "commented.txt"
+        commented.write_text(_commented(text))
+        argv = [command[0], two_orbit_file] + command[1:]
+        plain = _run(argv, capsys)
+        assert plain[0] == 0 and plain[1]
+        assert _run([command[0], str(commented)] + command[1:], capsys) == plain
+
+    def test_invariant_birack_file(self, two_orbit_file, tmp_path, capsys):
+        commented = tmp_path / "commented.txt"
+        commented.write_text(_commented(open(two_orbit_file, encoding="utf-8").read()))
+        rest = ["--gauss", HOPF, "--type", "rho", "--labelings"]
+        plain = _run(["invariant", "--birack", two_orbit_file] + rest, capsys)
+        assert plain[0] == 0
+        assert _run(["invariant", "--birack", str(commented)] + rest, capsys) == plain
+
+    def test_cayley_and_map_files(self, tmp_path, capsys):
+        files = {
+            "cayley": "4\n" + "\n".join(
+                " ".join(str((a + c) % 4 + 1) for c in range(4)) for a in range(4)
+            ) + "\n",
+            "tau": "1 4 3 2\n",
+            "sigma": "1 3\n1 3\n",
+            "rho": "1 4 3 2\n",
+        }
+        outputs = []
+        for variant, transform in (("plain", str), ("commented", _commented)):
+            argv = ["make", "tsrho"]
+            for key, text in files.items():
+                path = tmp_path / f"{variant}_{key}.txt"
+                path.write_text(transform(text))
+                argv += [f"--{key}", str(path)]
+            outputs.append(_run(argv, capsys))
+        assert outputs[0][0] == 0 and outputs[0][1]
+        assert outputs[1] == outputs[0]
+
+    @pytest.mark.parametrize("extra", [[], ["--json"], ["--labelings"]])
+    def test_batch_file(self, two_element_file, tmp_path, capsys, extra):
+        text = f"unknot\t\nhopf\t{HOPF}\ntrefoil\t{TREFOIL}\n"
+        outputs = []
+        for name, body in (("plain", text), ("commented", _commented(text))):
+            path = tmp_path / f"{name}_links.txt"
+            path.write_text(body)
+            outputs.append(_run(["invariant", "--birack", two_element_file,
+                                 "--batch", str(path), "--type", "image"] + extra,
+                                capsys))
+        assert outputs[0][0] == 0 and outputs[0][1]
+        assert outputs[1] == outputs[0]
+
+    def test_batch_tab_leading_line_keeps_empty_name(self, two_element_file,
+                                                     tmp_path, capsys):
+        path = tmp_path / "links.txt"
+        path.write_text(f"# comment\n\n\t{HOPF}\n")
+        assert main(["invariant", "--birack", two_element_file,
+                     "--batch", str(path), "--type", "integral"]) == 0
+        assert capsys.readouterr().out == "\tintegral\t4\n"
+
+
+class TestOutOfRangeEntry:
+    def test_verify_reports_entry_and_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "range.txt"
+        path.write_text(
+            "4\n"
+            "2 2 2 2 1 1 1 1\n"
+            "1 1 1 1 2 2 2 2\n"
+            "3 3 3 3 4 4 5 4\n"
+            "4 4 4 4 3 3 3 3\n"
+        )
+        assert main(["verify", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: entry 5 out of range 1..4\n"

@@ -25,6 +25,7 @@ from conftest import (
     KNOT_CODES,
     TREFOIL,
     UNKNOT,
+    per_labeling_multiset,
     rack_counting_oracle,
 )
 
@@ -200,6 +201,32 @@ class TestInvariantValueBook:
             v = compute_invariant(d, two_orbit4, kind)
             total = sum(m for _, m in v.multiset)
             assert total == phi_integral(d, two_orbit4)
+
+
+class TestPerLabelingOracle:
+    """image/rho multisets match closing every labeling's image separately."""
+
+    DIAGRAMS = {
+        "unknot": lambda: parse_gauss(UNKNOT),
+        "trefoil": lambda: parse_gauss(TREFOIL),
+        "figure_eight": lambda: parse_gauss(FIGURE_EIGHT),
+        "hopf": lambda: parse_gauss(HOPF),
+        "unlink2": lambda: unlink(2),
+        "unlink3": lambda: unlink(3),
+    }
+
+    @pytest.mark.parametrize("diagram", sorted(DIAGRAMS))
+    @pytest.mark.parametrize("birack", [
+        "two_element", "two_orbit4", "tsr3122", "tsr4323", "ts_rack_z4", "dihedral3",
+    ])
+    def test_multisets(self, birack, diagram, test_biracks):
+        b = test_biracks[birack]
+        d = self.DIAGRAMS[diagram]()
+        for kind in ("image", "rho"):
+            v = compute_invariant(d, b, kind)
+            assert v.multiset == per_labeling_multiset(d, b, kind)
+            assert normalize(v, d, b).multiset == per_labeling_multiset(
+                d, b, kind, normalized=True)
 
 
 class TestRackAgreement:

@@ -69,6 +69,8 @@ stevedore = parse_gauss(
 print("10-element birack (rank 1):")
 print("  phi_Z(cinquefoil):", phi_integral(cinquefoil, b10))
 print("  phi_Z(stevedore): ", phi_integral(stevedore, b10))
-print("  phi_rho(cinquefoil):", phi_rho(cinquefoil, b10))
-print("  phi_rho(stevedore): ", phi_rho(stevedore, b10))
-print("  distinguished:", phi_rho(cinquefoil, b10) != phi_rho(stevedore, b10))
+rho_cinquefoil = phi_rho(cinquefoil, b10)
+rho_stevedore = phi_rho(stevedore, b10)
+print("  phi_rho(cinquefoil):", rho_cinquefoil)
+print("  phi_rho(stevedore): ", rho_stevedore)
+print("  distinguished:", rho_cinquefoil != rho_stevedore)

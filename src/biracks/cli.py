@@ -11,9 +11,10 @@ Subcommands:
   invariant ...               counting invariants of Gauss codes
   enumerate --n N             list all biracks on N elements (N <= 3)
 
-Exit codes: 0 success, 1 domain error (axiom violation, parse failure),
-2 usage error.  All output is deterministic: two runs on the same inputs
-are byte-identical, and --json payloads are schema-stable.
+Exit codes: 0 success, 1 domain error (axiom violation, parse failure)
+or a computation that ran out of stack or memory, 2 usage error.  All
+output is deterministic: two runs on the same inputs are byte-identical,
+and --json payloads are schema-stable.
 
 File formats are documented in the README: matrix files carry the
 element count on line 1 and then the n x 2n block [B1 | B2] (1-indexed);
@@ -371,7 +372,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (BirackError, ValueError, OSError) as exc:
+    except (BirackError, ValueError, OSError, RecursionError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

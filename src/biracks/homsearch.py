@@ -21,14 +21,23 @@ then drive propagation:
     (w, y) known -> (z, x) = S^-1(w, y)
 
 The aliased pairs (x, w) and (y, z) do not determine the rest and only
-get checked once more slots fill in.  The search branches on the
-smallest-index unassigned semiarc with values in increasing order, which
-yields labelings in lexicographic order of the assignment vector.
+get checked once more slots fill in.
+
+Before searching, a plan of branch semiarcs is built once per diagram:
+greedily, the semiarc whose closure under the four determinations grows
+the most, ties to the lowest index (the fail-first order of Haralick and
+Elliott, 1980).  Branching along a strand would mostly fill aliased
+pairs, which propagate nothing; the plan instead closes crossings early,
+so wrong values fail near the root.  The search tries the values of each
+plan semiarc in increasing order on an explicit stack, so its depth is
+not bounded by the interpreter's recursion limit, and the labelings are
+sorted into lexicographic order of the assignment vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .core import FiniteBirack, subbirack_closure
 from .diagram import Diagram
@@ -58,14 +67,73 @@ def _crossing_quads(d: Diagram) -> list[tuple[int, int, int, int]]:
     return quads
 
 
-def enumerate_labelings(d: Diagram, b: FiniteBirack) -> list[Labeling]:
-    """All labelings of d by b, duplicate-free, in lexicographic order."""
+def _plan(quads: list[tuple[int, int, int, int]],
+          touching: list[list[int]]) -> list[int]:
+    """Branch semiarcs, greedily picking the one whose closure grows most.
+
+    A semiarc's closure is itself plus every semiarc the four
+    determinations then fix, given what earlier picks already fixed.
+    Ties go to the lowest index.  A candidate's closure can change only
+    if it holds a semiarc that shares a crossing with the semiarcs a pick
+    fixed, so only those candidates are recomputed after each pick.
+    """
+    size = len(touching)
+    known = [False] * size
+
+    def closure(s: int) -> set[int]:
+        grown = {s}
+        queue = list(touching[s])
+        while queue:
+            quad = quads[queue.pop()]
+            x, y, z, w = (known[t] or t in grown for t in quad)
+            if (x and y) or (z and w) or (z and x) or (w and y):
+                for t in quad:
+                    if not (known[t] or t in grown):
+                        grown.add(t)
+                        queue.extend(touching[t])
+        return grown
+
+    grows = [closure(s) for s in range(size)]
+    # watchers[t]: the unknown semiarcs whose closure holds t
+    watchers: list[set[int]] = [set() for _ in range(size)]
+    for s, grown in enumerate(grows):
+        for t in grown:
+            watchers[t].add(s)
+    heap = [(-len(grown), s) for s, grown in enumerate(grows)]
+    heapify(heap)
+    plan = []
+    while heap:
+        gain, s = heappop(heap)
+        if known[s] or -gain != len(grows[s]):
+            continue  # picked already, or a stale gain
+        plan.append(s)
+        fresh = grows[s]
+        for t in fresh:
+            known[t] = True
+        near = {u for t in fresh for qi in touching[t] for u in quads[qi]} | fresh
+        for c in {c for t in near for c in watchers[t]}:
+            for t in grows[c]:
+                watchers[t].discard(c)
+            if not known[c]:
+                grows[c] = closure(c)
+                for t in grows[c]:
+                    watchers[t].add(c)
+                heappush(heap, (-len(grows[c]), c))
+    return plan
+
+
+def _search(d: Diagram, b: FiniteBirack) -> tuple[list[tuple[int, ...]], int]:
+    """Sorted labeling assignments of d by b, and the search nodes tried.
+
+    One node is one value tried at a branch point.
+    """
     quads = _crossing_quads(d)
     size = d.semiarc_count
     touching: list[list[int]] = [[] for _ in range(size)]
     for qi, quad in enumerate(quads):
         for sm in set(quad):
             touching[sm].append(qi)
+    plan = _plan(quads, touching)
 
     assign: list[int | None] = [None] * size
     trail: list[int] = []
@@ -102,23 +170,40 @@ def enumerate_labelings(d: Diagram, b: FiniteBirack) -> list[Labeling]:
                     return False
         return True
 
-    def search() -> None:
-        branch = next((i for i, v in enumerate(assign) if v is None), None)
-        if branch is None:
+    # Propagation fixes exactly the plan's closures, so every plan
+    # semiarc is still unassigned when its level is reached and the
+    # assignment is complete below the last level.  next_value[level] and
+    # mark[level] are the value to try next and the trail length on entry.
+    depth = len(plan)
+    next_value = [0] * (depth + 1)
+    mark = [0] * (depth + 1)
+    nodes = 0
+    level = 0
+    while level >= 0:
+        if level == depth:
             results.append(tuple(assign))  # propagation kept every crossing consistent
-            return
-        mark = len(trail)
-        for value in range(b.n):
-            queue: list[int] = []
-            ok = set_value(branch, value, queue) and propagate(queue)
-            if ok:
-                search()
-            while len(trail) > mark:
-                assign[trail.pop()] = None
-
-    search()
+            level -= 1
+            continue
+        while len(trail) > mark[level]:
+            assign[trail.pop()] = None
+        value = next_value[level]
+        if value == b.n:
+            level -= 1
+            continue
+        next_value[level] = value + 1
+        nodes += 1
+        queue: list[int] = []
+        if set_value(plan[level], value, queue) and propagate(queue):
+            level += 1
+            next_value[level] = 0
+            mark[level] = len(trail)
     results.sort()
-    return [Labeling(r) for r in results]
+    return results, nodes
+
+
+def enumerate_labelings(d: Diagram, b: FiniteBirack) -> list[Labeling]:
+    """All labelings of d by b, duplicate-free, in lexicographic order."""
+    return [Labeling(r) for r in _search(d, b)[0]]
 
 
 def count_labelings(d: Diagram, b: FiniteBirack) -> int:

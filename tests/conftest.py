@@ -5,11 +5,14 @@ brute_force_labelings filters raw assignments through the bare crossing
 rule (forward B only), rack_counting_oracle implements the classical
 arc-labeling rack count from scratch, and per_labeling_multiset closes
 every labeling's image separately, sharing nothing between labelings.  Acceptance and property tests
-compare the production code against these.
+compare the production code against these.  random_gauss_code draws
+legal signed Gauss codes from a seeded generator for differential tests.
 """
 
 from __future__ import annotations
 
+import random
+import re
 from itertools import product
 
 import pytest
@@ -73,6 +76,12 @@ CINQUEFOIL = "O1+,U2+,O3+,U4+,O5+,U1+,O2+,U3+,O4+,U5+"  # (2,5) torus knot
 STEVEDORE = "O1+,U2+,U4-,O6+,U7-,O5-,U6+,U1+,O2+,O3+,U5-,O7-,U3+,O4-"  # 6_1
 HOPF = "O1+,U2+;U1+,O2+"
 
+
+def kink_chain(kinks: int) -> str:
+    """An unknot with the given number of positive kinks, O1+,U1+,O2+,U2+,..."""
+    return ",".join(f"O{i}+,U{i}+" for i in range(1, kinks + 1))
+
+
 KNOT_CODES = {
     "unknot": UNKNOT,
     "trefoil": TREFOIL,
@@ -80,6 +89,35 @@ KNOT_CODES = {
     "cinquefoil": CINQUEFOIL,
     "stevedore": STEVEDORE,
 }
+
+
+# ---------------------------------------------------------------------------
+# Seeded random signed Gauss codes
+# ---------------------------------------------------------------------------
+
+def random_gauss_code(rng: random.Random) -> str:
+    """A legal signed Gauss code with 1-2 components and random signs.
+
+    The passes of up to 5 crossings are shuffled and cut into components,
+    so any O/U pairing occurs, virtual ones included; a component may be
+    a crossing-free circle.
+    """
+    passes = []
+    for cid in range(1, rng.randint(0, 5) + 1):
+        sign = rng.choice("+-")
+        passes += [f"O{cid}{sign}", f"U{cid}{sign}"]
+    rng.shuffle(passes)
+    if rng.random() < 0.5:
+        return ",".join(passes)
+    cut = rng.randint(0, len(passes))
+    return ",".join(passes[:cut]) + ";" + ",".join(passes[cut:])
+
+
+def relabel_crossings(code: str, rng: random.Random) -> str:
+    """The same code with its crossing ids mapped to random distinct ids."""
+    ids = sorted({int(m) for m in re.findall(r"\d+", code)})
+    fresh = dict(zip(ids, rng.sample(range(1, 10 * len(ids) + 2), len(ids))))
+    return re.sub(r"\d+", lambda m: str(fresh[int(m.group())]), code)
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +178,11 @@ def brute_force_labelings(d: Diagram, b: FiniteBirack) -> list[tuple[int, ...]]:
     No derived tables (S, inverses) are consulted.
     """
     out = []
+    crossings = [(d.crossing_semiarcs(cid), cr.sign) for cid, cr in d.crossings.items()]
     for assign in product(range(b.n), repeat=d.semiarc_count):
         ok = True
-        for cid, cr in d.crossings.items():
-            oi, ui, uo, oo = d.crossing_semiarcs(cid)
-            if cr.sign > 0:
+        for (oi, ui, uo, oo), sign in crossings:
+            if sign > 0:
                 if (assign[uo] != b.b1[assign[oi]][assign[ui]]
                         or assign[oo] != b.b2[assign[oi]][assign[ui]]):
                     ok = False

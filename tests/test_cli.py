@@ -10,6 +10,7 @@ from conftest import (
     TWO_ORBIT_4_MATRIX,
     HOPF,
     TREFOIL,
+    kink_chain,
 )
 
 
@@ -202,6 +203,26 @@ class TestInvariantCommand:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+    def test_deep_kink_chain(self, tmp_path, capsys):
+        path = tmp_path / "tsr3122.txt"
+        path.write_text(format_matrix(tsr_birack(3, 1, 2, 2)))
+        code, out, err = _run(["invariant", "--birack", str(path),
+                               "--gauss", kink_chain(1200), "--type", "integral"], capsys)
+        assert (code, out, err) == (0, "3\n", "")
+
+
+class TestInternalFailures:
+    @pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"),
+                                     MemoryError("out of memory")])
+    def test_reported_without_traceback(self, two_element_file, monkeypatch, capsys, exc):
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr("biracks.cli.compute_invariant", fail)
+        code, out, err = _run(["invariant", "--birack", two_element_file,
+                               "--gauss", HOPF, "--type", "integral"], capsys)
+        assert (code, out, err) == (1, "", f"error: {exc}\n")
 
 
 class TestEnumerateCommand:

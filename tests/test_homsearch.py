@@ -1,16 +1,33 @@
+import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from biracks import (
+    count_labelings,
     enumerate_labelings,
     labeling_image,
     parse_gauss,
+    phi_integral,
+    read_matrix_file,
     subbirack_closure,
     unlink,
     with_framing,
 )
-from conftest import HOPF, TREFOIL, FIGURE_EIGHT, brute_force_labelings
+from biracks.homsearch import _search
+from conftest import (
+    HOPF,
+    TREFOIL,
+    FIGURE_EIGHT,
+    braid_closure,
+    brute_force_labelings,
+    kink_chain,
+    random_gauss_code,
+    relabel_crossings,
+)
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 class TestKnownCounts:
@@ -94,3 +111,78 @@ class TestImages:
             for lab in enumerate_labelings(d, b):
                 image = labeling_image(lab, b)
                 assert subbirack_closure(b, image) == image
+
+
+class TestRandomCodes:
+    """Seeded signed Gauss codes: at most 5 crossings, 1-2 components,
+    virtual pairings and random signs."""
+
+    CODES = [random_gauss_code(random.Random(seed)) for seed in range(200)]
+
+    def test_matches_brute_force(self, two_element, constant4, two_orbit4,
+                                 trefoil_birack):
+        compared = 0
+        for code in self.CODES:
+            d = parse_gauss(code)
+            for b in (two_element, constant4, two_orbit4, trefoil_birack):
+                # the oracle tries all n^semiarcs assignments; beyond 4^8 it
+                # is left to the 2- and 3-element biracks
+                if b.n ** d.semiarc_count > 4 ** 8:
+                    continue
+                labs = [l.assignment for l in enumerate_labelings(d, b)]
+                assert labs == brute_force_labelings(d, b), code
+                compared += 1
+        assert compared >= 700
+
+    def test_crossing_ids_do_not_matter(self, two_element, constant4, two_orbit4,
+                                        trefoil_birack):
+        rng = random.Random(1)
+        for code in self.CODES:
+            d, relabeled = parse_gauss(code), parse_gauss(relabel_crossings(code, rng))
+            for b in (two_element, constant4, two_orbit4, trefoil_birack):
+                assert enumerate_labelings(relabeled, b) == enumerate_labelings(d, b), code
+
+
+def _sample_links() -> list[tuple[str, str]]:
+    lines = (DATA / "sample_links.txt").read_text(encoding="utf-8").splitlines()
+    return [tuple(ln.split("\t")) for ln in lines if not ln.startswith("#")]
+
+
+class TestNodeCounts:
+    """One node per value tried at a branch point; counts are deterministic.
+
+    The branch order closes every crossing of these diagrams after at most
+    two branch points: n nodes for the unknot, n + n^2 for the rest.
+    """
+
+    NODES = {
+        "two_element": 6,
+        "constant_action_4": 20,
+        "four_element_two_orbits": 20,
+        "ten_element": 110,
+    }
+
+    @pytest.mark.parametrize("birack", sorted(NODES))
+    @pytest.mark.parametrize("name,code", _sample_links())
+    def test_sample_links(self, birack, name, code):
+        b = read_matrix_file(str(DATA / f"{birack}.txt"))
+        assert b.n + b.n ** 2 == self.NODES[birack]
+        expected = b.n if name == "unknot" else self.NODES[birack]
+        assert _search(parse_gauss(code), b)[1] == expected
+
+    @pytest.mark.parametrize("k", [7, 9, 11])
+    def test_torus_knots(self, k, trefoil_birack):
+        assert _search(braid_closure(2, [1] * k), trefoil_birack)[1] == 12
+
+
+class TestDeepDiagrams:
+    """Searches far deeper than the interpreter's recursion limit."""
+
+    @pytest.mark.parametrize("kinks", [1200, 3000])
+    def test_kink_chain_unknot(self, kinks, trefoil_birack):
+        assert count_labelings(parse_gauss(kink_chain(kinks)), trefoil_birack) == 3
+
+    def test_torus_knot_2_301(self, trefoil_birack):
+        d = braid_closure(2, [1] * 301)
+        assert len(d.components) == 1 and len(d.crossings) == 301
+        assert phi_integral(d, trefoil_birack) == 3

@@ -27,6 +27,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
+from functools import cache
 
 from . import __version__
 from .core import (
@@ -44,7 +46,7 @@ from .core import (
     parse_matrix_text,
 )
 from .diagram import parse_gauss
-from .errors import BirackError
+from .errors import BirackError, NotASubbirack
 from .families import CayleyGroup, constant_action, tau_sigma_rho_birack, tsr_birack
 from .invariants import KINDS, compute_invariant, normalize, subbirack_polynomial, birack_polynomial
 
@@ -173,9 +175,17 @@ def _cmd_subbiracks(args) -> int:
 
 def _cmd_poly(args) -> int:
     b = read_matrix_file(args.path)
-    if args.subbirack:
-        subset = {int(tok) - 1 for tok in args.subbirack.replace(",", " ").split()}
-        value = subbirack_polynomial(b, subset)
+    if args.subbirack is not None:
+        entries = sorted({int(tok) for tok in args.subbirack.replace(",", " ").split()})
+        if not entries:
+            raise BirackError("--subbirack lists no elements")
+        for v in entries:
+            if not 1 <= v <= b.n:
+                raise BirackError(f"entry {v} out of range 1..{b.n}")
+        try:
+            value = subbirack_polynomial(b, {v - 1 for v in entries})
+        except NotASubbirack:
+            raise NotASubbirack(f"{entries} is not closed under B and S") from None
     else:
         value = birack_polynomial(b)
     if args.json:
@@ -212,8 +222,6 @@ def _sig_json(sig):
 
 
 def _cmd_invariant(args) -> int:
-    from .invariants import labelings_by_framing
-
     b = read_matrix_file(args.birack)
     if (args.gauss is None) == (args.batch is None):
         raise UsageError("provide exactly one of --gauss or --batch")
@@ -229,7 +237,9 @@ def _cmd_invariant(args) -> int:
     for name, code in jobs:
         d = parse_gauss(code)
         value = compute_invariant(d, b, args.type)
-        labelings = labelings_by_framing(d, b) if args.labelings else None
+        # Keep the survey only if the output prints it.
+        labelings = value.labelings if args.labelings else None
+        value = replace(value, labelings=None)
         if args.normalize:
             value = normalize(value, d, b)
         results.append((name, code, value, labelings))
@@ -285,7 +295,9 @@ class UsageError(Exception):
     pass
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="biracks",
         description="Finite biracks and birack counting invariants of links.",

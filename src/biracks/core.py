@@ -628,7 +628,9 @@ def classify(b: FiniteBirack) -> BirackClass:
         for x in range(b.n)
         for y in range(b.n)
     )
-    simple = all_subbiracks(b) == [frozenset(range(b.n))]
+    # A proper non-empty subbirack holds the closure of any of its
+    # elements, so a birack is simple iff every singleton closes to it all.
+    simple = all(len(subbirack_closure(b, {x})) == b.n for x in range(b.n))
     return BirackClass(
         is_biquandle=biquandle,
         is_rack=rack,

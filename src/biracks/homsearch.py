@@ -208,7 +208,7 @@ def enumerate_labelings(d: Diagram, b: FiniteBirack) -> list[Labeling]:
 
 def count_labelings(d: Diagram, b: FiniteBirack) -> int:
     """|Hom| for one framed diagram; same semantics as enumerate_labelings."""
-    return len(enumerate_labelings(d, b))
+    return len(_search(d, b)[0])
 
 
 def labeling_image(labeling: Labeling, b: FiniteBirack) -> frozenset[int]:

@@ -40,7 +40,7 @@ multiset forms and per-framing counts deterministic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .core import FiniteBirack, is_subbirack
@@ -140,6 +140,8 @@ class InvariantValue:
     per_framing: (framing vector, labeling count) pairs in lexicographic
       order; for normalized values these are count differences.
     normalized: True when an unlink value has been subtracted.
+    labelings: the labelings_by_framing survey the value was folded from,
+      in tuples; None once normalized.  Equality and repr ignore it.
     """
 
     kind: str
@@ -147,6 +149,7 @@ class InvariantValue:
     multiset: tuple[tuple[object, int], ...]
     per_framing: tuple[tuple[tuple[int, ...], int], ...] | None
     normalized: bool = False
+    labelings: tuple | None = field(default=None, compare=False, repr=False)
 
     def value_string(self) -> str:
         if isinstance(self.value, int):
@@ -158,8 +161,8 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
     """Compute one invariant with multiset and per-framing bookkeeping."""
     if kind not in KINDS:
         raise KindMismatch(f"unknown invariant kind {kind!r}")
-    surveys = labelings_by_framing(d, b)
-    per_framing = tuple((w, len(labs)) for w, labs in surveys)
+    survey = tuple((w, tuple(labs)) for w, labs in labelings_by_framing(d, b))
+    per_framing = tuple((w, len(labs)) for w, labs in survey)
     value: int | MultiPoly | NestedPoly
     if kind == "integral":
         value = sum(m for _, m in per_framing)
@@ -173,13 +176,8 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
         # A labeling's image is the closure of the labels it uses, so each
         # distinct label set is closed once and each distinct image gets
         # one signature.
-        uses: Counter[frozenset[int]] = Counter()
-        sample: dict[frozenset[int], Labeling] = {}
-        for _, labs in surveys:
-            for lab in labs:
-                labels = frozenset(lab.assignment)
-                uses[labels] += 1
-                sample.setdefault(labels, lab)
+        uses = Counter(frozenset(lab.assignment) for _, labs in survey for lab in labs)
+        sample = {frozenset(lab.assignment): lab for _, labs in survey for lab in labs}
         signature: dict[frozenset[int], object] = {}
         counts: Counter = Counter()
         for labels, m in uses.items():
@@ -187,7 +185,7 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
             if image not in signature:
                 signature[image] = (
                     len(image) if kind == "image"
-                    else subbirack_polynomial(b, image).canonical_string()
+                    else _statistics_sum(b, sorted(image)).canonical_string()
                 )
             counts[signature[image]] += m
         multiset = tuple(sorted(counts.items()))
@@ -195,7 +193,7 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
             value = MultiPoly({(("z", size),): m for size, m in multiset})
         else:
             value = NestedPoly(dict(multiset))
-    return InvariantValue(kind, value, multiset, per_framing)
+    return InvariantValue(kind, value, multiset, per_framing, labelings=survey)
 
 
 def _merge_multisets(a, bneg):
@@ -211,8 +209,6 @@ def _merge_multisets(a, bneg):
 
 def normalize(v: InvariantValue, d: Diagram, b: FiniteBirack) -> InvariantValue:
     """Subtract the invariant of the unlink with d's component count."""
-    if v.kind not in KINDS:
-        raise KindMismatch(f"unknown invariant kind {v.kind!r}")
     base = compute_invariant(unlink(len(d.components)), b, v.kind)
     value = v.value - base.value
     per_framing = None

@@ -133,7 +133,14 @@ class TestQueries:
         assert capsys.readouterr().out.strip() == "2s1^4s2^2t1^3t2"
 
     def test_poly_not_a_subbirack(self, two_orbit_file, capsys):
-        assert main(["poly", two_orbit_file, "--subbirack", "1"]) == 1
+        for subset, err in [
+            ("1", "error: [1] is not closed under B and S\n"),
+            ("3,1", "error: [1, 3] is not closed under B and S\n"),
+            ("", "error: --subbirack lists no elements\n"),
+            (" , ", "error: --subbirack lists no elements\n"),
+        ]:
+            code, out, got = _run(["poly", two_orbit_file, "--subbirack", subset], capsys)
+            assert (code, out, got) == (1, "", err)
 
 
 class TestInvariantCommand:
@@ -188,6 +195,27 @@ class TestInvariantCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "2"
         assert out[1:] == ["  w=(0): 1", "  w=(0): 2"]
+
+    def test_labeling_dump_searches_each_framing_once(self, two_element_file, tmp_path,
+                                                       monkeypatch, capsys):
+        import biracks.invariants
+
+        links = tmp_path / "links.txt"
+        links.write_text(f"unknot\t\nhopf\t{HOPF}\ntrefoil\t{TREFOIL}\n")
+        calls = []
+        search = biracks.invariants.enumerate_labelings
+
+        def counted(d, b):
+            calls.append(d)
+            return search(d, b)
+
+        monkeypatch.setattr(biracks.invariants, "enumerate_labelings", counted)
+        for extra in ([], ["--json"]):
+            calls.clear()
+            assert main(["invariant", "--birack", two_element_file, "--batch", str(links),
+                         "--type", "rho", "--labelings", *extra]) == 0
+            assert len(calls) == 2 + 2 ** 2 + 2  # rank 2: N^c framings per link
+        capsys.readouterr()
 
     def test_labeling_dump_json(self, two_element_file, capsys):
         assert main(["invariant", "--birack", two_element_file,
@@ -245,6 +273,11 @@ class TestEnumerateCommand:
 
 
 class TestUsage:
+    def test_parser_built_once(self):
+        from biracks.cli import build_parser
+
+        assert build_parser() is build_parser()
+
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
 
@@ -347,3 +380,9 @@ class TestOutOfRangeEntry:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: entry 5 out of range 1..4\n"
+
+    def test_poly_subbirack_entry(self, tmp_path, capsys):
+        path = tmp_path / "orbit4.txt"
+        path.write_text(format_matrix(from_matrix(4, TWO_ORBIT_4_MATRIX)))
+        code, out, err = _run(["poly", str(path), "--subbirack", "3,5"], capsys)
+        assert (code, out, err) == (1, "", "error: entry 5 out of range 1..4\n")

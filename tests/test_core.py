@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from biracks import (
@@ -13,8 +15,10 @@ from biracks import (
     is_subbirack,
     parse_cycles,
     parse_matrix_text,
+    read_matrix_file,
     subbirack_closure,
     to_matrix,
+    tsr_birack,
     verify_axioms,
 )
 from conftest import TWO_ELEMENT_MATRIX
@@ -196,6 +200,22 @@ class TestClassify:
     def test_rack_flag(self, test_biracks):
         assert classify(test_biracks["ts_rack_z4"]).is_rack
         assert classify(test_biracks["dihedral3"]).is_quandle
+
+
+class TestIsSimple:
+    """is_simple, decided from singleton closures, agrees with the lattice."""
+
+    DATA = Path(__file__).resolve().parent.parent / "data"
+    TSR = [(3, 1, 2, 2), (4, 3, 2, 3), (4, 1, 2, 1), (3, 2, 2, 1), (5, 1, 3, 3), (3, 1, 2, 2, 2)]
+
+    def test_matches_all_subbiracks(self):
+        tables = [read_matrix_file(p) for p in sorted(self.DATA.glob("*.txt"))
+                  if p.name != "sample_links.txt"]
+        tables += enumerate_biracks(2)
+        tables += [tsr_birack(*args) for args in self.TSR]
+        flags = [classify(b).is_simple for b in tables]
+        assert flags == [all_subbiracks(b) == [frozenset(range(b.n))] for b in tables]
+        assert True in flags and False in flags
 
 
 class TestRackCrossValidation:

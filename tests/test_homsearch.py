@@ -175,6 +175,19 @@ class TestNodeCounts:
         assert _search(braid_closure(2, [1] * k), trefoil_birack)[1] == 12
 
 
+class TestCountLabelings:
+    def test_counts_without_labeling_objects(self, monkeypatch, test_biracks):
+        cases = [(parse_gauss(code), b) for code in (HOPF, TREFOIL, FIGURE_EIGHT)
+                 for b in test_biracks.values()]
+        expected = [len(enumerate_labelings(d, b)) for d, b in cases]
+
+        def no_labeling(*args):
+            raise AssertionError("count_labelings built a Labeling")
+
+        monkeypatch.setattr("biracks.homsearch.Labeling", no_labeling)
+        assert [count_labelings(d, b) for d, b in cases] == expected
+
+
 class TestDeepDiagrams:
     """Searches far deeper than the interpreter's recursion limit."""
 

@@ -1,8 +1,12 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
+import biracks.core
+import biracks.homsearch
 from biracks import (
+    KindMismatch,
     MultiPoly,
     NestedPoly,
     NotASubbirack,
@@ -201,6 +205,60 @@ class TestInvariantValueBook:
             v = compute_invariant(d, two_orbit4, kind)
             total = sum(m for _, m in v.multiset)
             assert total == phi_integral(d, two_orbit4)
+
+
+class TestSurvey:
+    """The value carries the survey it was folded from, and folds it once."""
+
+    @pytest.mark.parametrize("kind", ["integral", "writhe", "image", "rho"])
+    def test_labelings_are_the_survey(self, kind, two_orbit4):
+        d = parse_gauss(HOPF)
+        v = compute_invariant(d, two_orbit4, kind)
+        survey = tuple((w, tuple(labs)) for w, labs in labelings_by_framing(d, two_orbit4))
+        assert v.labelings == survey
+        assert isinstance(v.labelings, tuple)
+        assert all(isinstance(pair, tuple) and isinstance(pair[1], tuple)
+                   for pair in v.labelings)
+        assert normalize(v, d, two_orbit4).labelings is None
+
+    def test_equality_ignores_labelings(self, two_orbit4):
+        v = compute_invariant(parse_gauss(TREFOIL), two_orbit4, "rho")
+        bare = replace(v, labelings=None)
+        assert v == bare and hash(v) == hash(bare)
+        assert repr(v) == repr(bare) and "labelings" not in repr(v)
+
+    @pytest.mark.parametrize("kind", ["image", "rho"])
+    @pytest.mark.parametrize("birack", ["two_orbit4", "ten_element"])
+    def test_one_closure_per_label_set(self, kind, birack, request, monkeypatch):
+        b = request.getfixturevalue(birack)
+        calls = []
+        closure = biracks.core.subbirack_closure
+
+        def counted(*args):
+            calls.append(args)
+            return closure(*args)
+
+        monkeypatch.setattr(biracks.core, "subbirack_closure", counted)
+        monkeypatch.setattr(biracks.homsearch, "subbirack_closure", counted)
+        for d in (unlink(2), parse_gauss(HOPF), parse_gauss(TREFOIL)):
+            label_sets = {frozenset(lab.assignment)
+                          for _, labs in labelings_by_framing(d, b) for lab in labs}
+            calls.clear()
+            compute_invariant(d, b, kind)
+            assert len(calls) == len(label_sets)
+
+    def test_unknown_kind(self, two_element, monkeypatch):
+        d = parse_gauss(HOPF)
+        v = compute_invariant(d, two_element, "integral")
+
+        def no_search(*args):
+            raise AssertionError("searched before checking the kind")
+
+        monkeypatch.setattr("biracks.invariants.labelings_by_framing", no_search)
+        with pytest.raises(KindMismatch, match="unknown invariant kind 'bogus'"):
+            compute_invariant(d, two_element, "bogus")
+        with pytest.raises(KindMismatch, match="unknown invariant kind 'bogus'"):
+            normalize(replace(v, kind="bogus"), d, two_element)
 
 
 class TestPerLabelingOracle:

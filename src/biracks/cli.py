@@ -11,10 +11,11 @@ Subcommands:
   invariant ...               counting invariants of Gauss codes
   enumerate --n N             list all biracks on N elements (N <= 3)
 
-Exit codes: 0 success, 1 domain error (axiom violation, parse failure)
-or a computation that ran out of stack or memory, 2 usage error.  All
-output is deterministic: two runs on the same inputs are byte-identical,
-and --json payloads are schema-stable.
+Exit codes: 0 success, 1 domain error (axiom violation, parse failure),
+a computation that ran out of stack or memory, or any other failure
+inside a subcommand (reported as "error: <type>: <message>"), 2 usage
+error.  All output is deterministic: two runs on the same inputs are
+byte-identical, and --json payloads are schema-stable.
 
 File formats are documented in the README: matrix files carry the
 element count on line 1 and then the n x 2n block [B1 | B2] (1-indexed);
@@ -48,7 +49,14 @@ from .core import (
 from .diagram import parse_gauss
 from .errors import BirackError, NotASubbirack
 from .families import CayleyGroup, constant_action, tau_sigma_rho_birack, tsr_birack
-from .invariants import KINDS, compute_invariant, normalize, subbirack_polynomial, birack_polynomial
+from .invariants import (
+    KINDS,
+    birack_polynomial,
+    compute_invariant,
+    framed_labelings,
+    normalize,
+    subbirack_polynomial,
+)
 
 
 def _emit(text: str) -> None:
@@ -237,9 +245,9 @@ def _cmd_invariant(args) -> int:
     for name, code in jobs:
         d = parse_gauss(code)
         value = compute_invariant(d, b, args.type)
-        # Keep the survey only if the output prints it.
-        labelings = value.labelings if args.labelings else None
-        value = replace(value, labelings=None)
+        # Frame the survey's labelings only if the output prints them.
+        labelings = framed_labelings(value.survey) if args.labelings else None
+        value = replace(value, survey=None)
         if args.normalize:
             value = normalize(value, d, b)
         results.append((name, code, value, labelings))
@@ -386,6 +394,9 @@ def main(argv=None) -> int:
         return 2
     except (BirackError, ValueError, OSError, RecursionError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -32,7 +32,10 @@ framing vector mod N by appending positive kinks -- consecutive O-then-U
 passes of a fresh crossing -- at the traversal end of each component.
 That chirality makes a kink apply the birack's kink map pi (never its
 inverse) to the strand label, so per-framing labeling counts are
-reproducible.
+reproducible.  The invariants never search these kinked diagrams: they
+read every framing off one search of the diagram cut open at each
+component's closing semiarc (homsearch.cut_labelings), and with_framing
+stays the reference the tests compare that survey with.
 """
 
 from __future__ import annotations

@@ -38,7 +38,9 @@ class ConstructionError(BirackError):
 
     reason is machine readable, one of:
       "NonCommuting", "NotInvertible", "IdealViolation", "NotAGroup",
-      "NotAutomorphism", "NotEndomorphism", "NotCommuting", "Eq4Fails"
+      "NotAutomorphism", "NotEndomorphism", "NotCommuting", "Eq4Fails",
+      or, when a closed form disagrees with the built tables,
+      "KinkMapMismatch", "RankMismatch", "RingIdentityFails"
     """
 
     def __init__(self, reason: str, detail: str = "", witness=None):

@@ -22,9 +22,10 @@
   holding for all y, z.  The kink map is x -> tau(rho(x)) * sigma(x).
 
 Every constructor builds explicit tables and runs them through the full
-axiom verification, then asserts its family's closed-form kink map
-against the table-derived one; the closed forms are treated as checks,
-never as the source of truth.
+axiom verification, then checks its family's closed-form kink map (and,
+for tsr, the rank and the coefficient-ring identities) against the
+tables, raising ConstructionError on a mismatch; the closed forms are
+treated as checks, never as the source of truth.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def constant_action(tau, rho) -> FiniteBirack:
     b1 = [[tau[y] for y in range(n)] for _ in range(n)]
     b2 = [[rho[x]] * n for x in range(n)]
     b = FiniteBirack(b1, b2)
-    assert b.pi == compose_perms(tau, rho), "constant action kink map mismatch"
+    if b.pi != compose_perms(tau, rho):
+        raise ConstructionError("KinkMapMismatch", "kink map is not tau o rho")
     return b
 
 
@@ -87,12 +89,15 @@ def tsr_birack(n: int, t: int, s: int, r: int, m: int = 1) -> FiniteBirack:
         )
 
     # The defining identities of the coefficient ring hold mod n:
-    # (tr + s) * t^-1 r^-1 (1 - s) = 1 and (1 - s)(1 + t^-1 r^-1 s) = 1.
+    # (1 - s)(1 + t^-1 r^-1 s) = 1 and (tr + s) * t^-1 r^-1 (1 - s) = 1,
+    # so k = tr + s is a unit and its order below is finite.
     tinv = pow(t, -1, n)
     rinv = pow(r, -1, n)
     k = (t * r + s) % n
-    assert (k * tinv * rinv * (1 - s)) % n == 1 % n
-    assert ((1 - s) * (1 + tinv * rinv * s)) % n == 1 % n
+    if ((1 - s) * (1 + tinv * rinv * s)) % n != 1 % n:
+        raise ConstructionError("RingIdentityFails", "(1 - s)(1 + t^-1 r^-1 s) != 1")
+    if (k * tinv * rinv * (1 - s)) % n != 1 % n:
+        raise ConstructionError("RingIdentityFails", "(tr + s) t^-1 r^-1 (1 - s) != 1")
 
     size = n ** m
 
@@ -121,13 +126,15 @@ def tsr_birack(n: int, t: int, s: int, r: int, m: int = 1) -> FiniteBirack:
     expected_pi = tuple(
         flatten(tuple((k * c) % n for c in elements[e])) for e in range(size)
     )
-    assert b.pi == expected_pi, "tsr kink map is not multiplication by tr + s"
+    if b.pi != expected_pi:
+        raise ConstructionError("KinkMapMismatch", "kink map is not multiplication by tr + s")
     order = 1
     acc = k
     while acc != 1 % n:
         acc = (acc * k) % n
         order += 1
-    assert b.rank == order, "tsr rank differs from the order of tr + s"
+    if b.rank != order:
+        raise ConstructionError("RankMismatch", "rank differs from the order of tr + s")
     return b
 
 
@@ -238,5 +245,6 @@ def tau_sigma_rho_birack(cayley, tau, sigma, rho) -> FiniteBirack:
     b = FiniteBirack(b1, b2)
 
     expected_pi = tuple(mul(tau[rho[x]], sigma[x]) for x in range(n))
-    assert b.pi == expected_pi, "group birack kink map mismatch"
+    if b.pi != expected_pi:
+        raise ConstructionError("KinkMapMismatch", "kink map is not x -> tau(rho(x)) * sigma(x)")
     return b

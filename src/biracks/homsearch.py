@@ -30,8 +30,17 @@ Elliott, 1980).  Branching along a strand would mostly fill aliased
 pairs, which propagate nothing; the plan instead closes crossings early,
 so wrong values fail near the root.  The search tries the values of each
 plan semiarc in increasing order on an explicit stack, so its depth is
-not bounded by the interpreter's recursion limit, and the labelings are
-sorted into lexicographic order of the assignment vector.
+not bounded by the interpreter's recursion limit; enumerate_labelings
+sorts the labelings into lexicographic order of the assignment vector.
+
+cut_labelings runs the same plan and search once on a diagram cut open:
+each component with crossings enters its pass 0 on a fresh head semiarc
+instead of its tail, the semiarc leaving its last pass.  Its labelings
+serve every framing at once (a run of m positive kinks between tail and
+head is the edge head = pi^m(tail)); the invariants module reads them
+per framing.  A crossing-free component is never cut, its tail being its
+head, and at rank 1 nothing is cut: there is one framing only, and the
+closing crossings keep their propagation.
 """
 
 from __future__ import annotations
@@ -56,19 +65,40 @@ class Labeling:
         return self.assignment[semiarc]
 
 
-def _crossing_quads(d: Diagram) -> list[tuple[int, int, int, int]]:
+Quad = tuple[int, int, int, int]
+
+
+def _crossing_quads(d: Diagram, cut: bool = False
+                    ) -> tuple[list[Quad], int, tuple[int, ...], tuple[int, ...]]:
+    """Crossing quads, semiarc count, and each component's tail and head.
+
+    A component's tail is the semiarc leaving its last pass and its head
+    the semiarc entering its pass 0.  Closed, they are one semiarc.  Cut,
+    every component with crossings enters pass 0 on a fresh head semiarc,
+    numbered after all of d's own; a crossing-free component stays whole.
+    """
+    size = d.semiarc_count
+    tails, heads = [], []
+    for ci, comp in enumerate(d.components):
+        tails.append(d.semiarc_after(ci, max(len(comp), 1) - 1))
+        if cut and comp:
+            heads.append(size)
+            size += 1
+        else:
+            heads.append(tails[-1])
     quads = []
     for cid in sorted(d.crossings):
+        cr = d.crossings[cid]
         oi, ui, uo, oo = d.crossing_semiarcs(cid)
-        if d.crossings[cid].sign > 0:
-            quads.append((oi, ui, uo, oo))
-        else:
-            quads.append((oo, uo, ui, oi))
-    return quads
+        if cr.over[1] == 0:
+            oi = heads[cr.over[0]]
+        if cr.under[1] == 0:
+            ui = heads[cr.under[0]]
+        quads.append((oi, ui, uo, oo) if cr.sign > 0 else (oo, uo, ui, oi))
+    return quads, size, tuple(tails), tuple(heads)
 
 
-def _plan(quads: list[tuple[int, int, int, int]],
-          touching: list[list[int]]) -> list[int]:
+def _plan(quads: list[Quad], touching: list[list[int]]) -> list[int]:
     """Branch semiarcs, greedily picking the one whose closure grows most.
 
     A semiarc's closure is itself plus every semiarc the four
@@ -122,13 +152,13 @@ def _plan(quads: list[tuple[int, int, int, int]],
     return plan
 
 
-def _search(d: Diagram, b: FiniteBirack) -> tuple[list[tuple[int, ...]], int]:
-    """Sorted labeling assignments of d by b, and the search nodes tried.
+def _search(quads: list[Quad], size: int,
+            b: FiniteBirack) -> tuple[list[tuple[int, ...]], int]:
+    """Labeling assignments of size semiarcs under quads, in search order,
+    and the search nodes tried.
 
     One node is one value tried at a branch point.
     """
-    quads = _crossing_quads(d)
-    size = d.semiarc_count
     touching: list[list[int]] = [[] for _ in range(size)]
     for qi, quad in enumerate(quads):
         for sm in set(quad):
@@ -197,18 +227,45 @@ def _search(d: Diagram, b: FiniteBirack) -> tuple[list[tuple[int, ...]], int]:
             level += 1
             next_value[level] = 0
             mark[level] = len(trail)
-    results.sort()
     return results, nodes
 
 
 def enumerate_labelings(d: Diagram, b: FiniteBirack) -> list[Labeling]:
     """All labelings of d by b, duplicate-free, in lexicographic order."""
-    return [Labeling(r) for r in _search(d, b)[0]]
+    quads, size, _, _ = _crossing_quads(d)
+    return [Labeling(r) for r in sorted(_search(quads, size, b)[0])]
 
 
 def count_labelings(d: Diagram, b: FiniteBirack) -> int:
     """|Hom| for one framed diagram; same semantics as enumerate_labelings."""
-    return len(_search(d, b)[0])
+    quads, size, _, _ = _crossing_quads(d)
+    return len(_search(quads, size, b)[0])
+
+
+@dataclass(frozen=True)
+class CutLabelings:
+    """The labelings of a diagram cut open, from one search.
+
+    Each assignment labels the cut diagram's semiarcs: the diagram's own,
+    then one head per cut component.  tails[i] and heads[i] index
+    component i's tail and head semiarcs; they are equal where the
+    component is not cut.  nodes counts the search nodes tried.
+    """
+
+    diagram: Diagram
+    birack: FiniteBirack
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
+    assignments: tuple[tuple[int, ...], ...]
+    nodes: int
+
+
+def cut_labelings(d: Diagram, b: FiniteBirack) -> CutLabelings:
+    """Search d by b once, every component with crossings cut open when
+    the rank is above 1 (at rank 1 there is one framing and no cut)."""
+    quads, size, tails, heads = _crossing_quads(d, cut=b.rank > 1)
+    found, nodes = _search(quads, size, b)
+    return CutLabelings(d, b, tails, heads, tuple(found), nodes)
 
 
 def labeling_image(labeling: Labeling, b: FiniteBirack) -> frozenset[int]:

@@ -24,11 +24,21 @@ and each element contributes s1^c1 s2^c2 t1^r1 t2^r2.  In matrix-block
 terms c_i(x) counts fixed points down column x of block i and r_i(x)
 counts occurrences of x along row x of block i.
 
-All four kinds, with their multiset forms and per-framing counts, come
-from one fold in compute_invariant; phi_* return its value.  The image
-and the subbirack polynomial depend on a labeling only through the set
-of labels it uses, so image and rho close each distinct label set once
-and compute one signature per distinct image.
+The framing period is surveyed with one search, not one per framing:
+cut_labelings searches the diagram cut open at each component's closing
+semiarc, and framing w appends m_i = (w_i - writhe_i) mod N positive
+kinks to component i, which carry its tail label t to pi^m_i(t).  A cut
+labeling is therefore a labeling of with_framing(d, w, N) exactly when
+pi^m_i(tail label) = head label on every component, and the kink labels
+follow from the tail label.  All four kinds, with their multiset forms
+and per-framing counts, come from one fold of that survey in
+compute_invariant; phi_* return its value.  Integral and writhe count the
+framings of each cut labeling without building labelings.  The image and
+the subbirack polynomial depend on a labeling only through the closure of
+its labels, which is the closure of its cut labels, so image and rho
+close each distinct cut label set once, weighted by its framings, and
+compute one signature per distinct image.  framed_labelings writes the
+labelings of every framed diagram out of the same survey on request.
 
 normalize() subtracts the same invariant of the crossing-free unlink
 with the same number of components, so unlinks normalize to zero.
@@ -41,12 +51,22 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
+from math import prod
+from operator import itemgetter
 
-from .core import FiniteBirack, is_subbirack
-from .diagram import Diagram, unlink, with_framing
+from .core import FiniteBirack, is_subbirack, perm_cycles
+# with_framing and enumerate_labelings are no longer called here; they stay
+# importable from this module as before.
+from .diagram import Diagram, unlink, with_framing  # noqa: F401
 from .errors import KindMismatch, NotASubbirack
-from .homsearch import Labeling, enumerate_labelings, labeling_image
+from .homsearch import (  # noqa: F401
+    CutLabelings,
+    Labeling,
+    cut_labelings,
+    enumerate_labelings,
+    labeling_image,
+)
 from .poly import MultiPoly, NestedPoly
 
 KINDS = ("integral", "writhe", "image", "rho")
@@ -87,16 +107,103 @@ def subbirack_polynomial(b: FiniteBirack, subset) -> MultiPoly:
 # Framing-period labeling survey
 # ---------------------------------------------------------------------------
 
+def _framing_keys(cut: CutLabelings) -> list[tuple]:
+    """The framing key of each cut labeling, in the survey's order.
+
+    A key holds one (residue, period) pair per component, and the labeling
+    belongs to framing w exactly when w_i = residue_i mod period_i for
+    every i.  Framing w_i appends m_i = (w_i - writhe_i) mod N positive
+    kinks, which carry the tail label t to pi^m_i(t); that must be the
+    head label h, so m_i is fixed modulo the length of t's pi-cycle.  The
+    pair is None where h is not on t's cycle: the labeling lies on no
+    framing.
+    """
+    b, found = cut.birack, cut.assignments
+    cycle, position, length = [0] * b.n, [0] * b.n, [0] * b.n
+    for cyc in perm_cycles(b.pi):
+        for i, x in enumerate(cyc):
+            cycle[x], position[x], length[x] = cyc[0], i, len(cyc)
+    uniform = len(set(length)) == 1  # every pi-cycle has one length (rank 1 included)
+    columns = []
+    for tail, head, writhe in zip(cut.tails, cut.heads, cut.diagram.writhe_vector):
+        if tail == head and uniform:  # the same pair for every label
+            columns.append(repeat((writhe % length[0], length[0]), len(found)))
+            continue
+        pair = {
+            (t, h): ((writhe + position[h] - position[t]) % length[t], length[t])
+            if cycle[t] == cycle[h] else None
+            for t in range(b.n) for h in range(b.n)
+        }
+        ends = zip(map(itemgetter(tail), found), map(itemgetter(head), found))
+        columns.append(map(pair.__getitem__, ends))
+    return list(zip(*columns)) if columns else [()] * len(found)
+
+
+def _framings(key, N: int):
+    """The framing vectors of a key, in lexicographic order."""
+    return product(*(range(residue, N, period) for residue, period in key))
+
+
+def framed_labelings(
+    cut: CutLabelings,
+) -> list[tuple[tuple[int, ...], list[Labeling]]]:
+    """(w, labelings of with_framing(d, w, N)) over (Z_N)^c, read off a cut
+    search of d, in lexicographic order.
+
+    Each component's kink labels follow its tail label, in with_framing's
+    semiarc order: a crossing-free component with kinks starts at the
+    middle of its first kink.
+    """
+    d, b = cut.diagram, cut.birack
+    N, size = b.rank, d.semiarc_count
+    unkinked = tuple(writhe % N for writhe in d.writhe_vector)
+    # component i keeps the cut labels a[starts[i]:tails[i] + 1]; a
+    # crossing-free one with kinks keeps none and is all kink labels
+    starts = [tail + 1 - max(len(comp), 1) for comp, tail in zip(d.components, cut.tails)]
+    chains: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def chain(t: int, m: int) -> tuple[int, ...]:
+        """alpha(t), pi(t), alpha(pi(t)), ..., pi^m(t): the labels of m kinks."""
+        if (t, m) not in chains:
+            labels, x = [], t
+            for _ in range(m):
+                labels += [b.alpha[x], b.pi[x]]
+                x = b.pi[x]
+            chains[t, m] = tuple(labels)
+        return chains[t, m]
+
+    by_key: dict[tuple, list[tuple[int, ...]]] = {}
+    for a, key in zip(cut.assignments, _framing_keys(cut)):
+        by_key.setdefault(key, []).append(a)
+    found: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for key, group in by_key.items():
+        if None in key:
+            continue
+        for w in _framings(key, N):
+            if w == unkinked:  # no kinks: the framed diagram is d
+                found.setdefault(w, []).extend(a[:size] for a in group)
+                continue
+            kinks = [(w_i - writhe) % N for w_i, writhe in zip(w, d.writhe_vector)]
+            parts = list(zip(d.components, starts, cut.tails, kinks))
+            for a in group:
+                framed: list[int] = []
+                for comp, start, tail, m in parts:
+                    if comp or not m:
+                        framed += a[start:tail + 1]
+                    if m:
+                        framed += chain(a[tail], m)
+                found.setdefault(w, []).append(tuple(framed))
+    return [
+        (w, [Labeling(f) for f in sorted(found.get(w, ()))])
+        for w in product(range(N), repeat=len(d.components))
+    ]
+
+
 def labelings_by_framing(
     d: Diagram, b: FiniteBirack
 ) -> list[tuple[tuple[int, ...], list[Labeling]]]:
     """(framing vector, labelings) over (Z_N)^c in lexicographic order."""
-    N = b.rank
-    c = len(d.components)
-    out = []
-    for w in product(range(N), repeat=c):
-        out.append((w, enumerate_labelings(with_framing(d, w, N), b)))
-    return out
+    return framed_labelings(cut_labelings(d, b))
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +247,9 @@ class InvariantValue:
     per_framing: (framing vector, labeling count) pairs in lexicographic
       order; for normalized values these are count differences.
     normalized: True when an unlink value has been subtracted.
-    labelings: the labelings_by_framing survey the value was folded from,
-      in tuples; None once normalized.  Equality and repr ignore it.
+    survey: the cut search the value was folded from (framed_labelings
+      reads the labelings of every framing off it); None once normalized.
+      Equality and repr ignore it.
     """
 
     kind: str
@@ -149,7 +257,7 @@ class InvariantValue:
     multiset: tuple[tuple[object, int], ...]
     per_framing: tuple[tuple[tuple[int, ...], int], ...] | None
     normalized: bool = False
-    labelings: tuple | None = field(default=None, compare=False, repr=False)
+    survey: CutLabelings | None = field(default=None, compare=False, repr=False)
 
     def value_string(self) -> str:
         if isinstance(self.value, int):
@@ -161,8 +269,17 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
     """Compute one invariant with multiset and per-framing bookkeeping."""
     if kind not in KINDS:
         raise KindMismatch(f"unknown invariant kind {kind!r}")
-    survey = tuple((w, tuple(labs)) for w, labs in labelings_by_framing(d, b))
-    per_framing = tuple((w, len(labs)) for w, labs in survey)
+    cut = cut_labelings(d, b)
+    N = b.rank
+    keys = _framing_keys(cut)
+    counts: Counter = Counter()
+    for key, m in Counter(keys).items():
+        if None not in key:
+            for w in _framings(key, N):
+                counts[w] += m
+    per_framing = tuple(
+        (w, counts[w]) for w in product(range(N), repeat=len(d.components))
+    )
     value: int | MultiPoly | NestedPoly
     if kind == "integral":
         value = sum(m for _, m in per_framing)
@@ -173,27 +290,33 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
             tuple((f"q{i + 1}", wi) for i, wi in enumerate(w)): m for w, m in multiset
         })
     else:
-        # A labeling's image is the closure of the labels it uses, so each
-        # distinct label set is closed once and each distinct image gets
-        # one signature.
-        uses = Counter(frozenset(lab.assignment) for _, labs in survey for lab in labs)
-        sample = {frozenset(lab.assignment): lab for _, labs in survey for lab in labs}
+        # A framed labeling's labels lie between its cut labels and their
+        # closure (kink labels are alpha and pi images, and a closed set is
+        # closed under S and S^-1), so its image is the closure of the cut
+        # label set: each distinct set is closed once, each distinct image
+        # gets one signature.
+        label_sets = list(map(frozenset, cut.assignments))
+        sample = dict(zip(label_sets, cut.assignments))
+        uses: Counter = Counter()  # label set -> labelings over every framing
+        for (key, labels), m in Counter(zip(keys, label_sets)).items():
+            if None not in key:
+                uses[labels] += m * prod(N // period for _, period in key)
         signature: dict[frozenset[int], object] = {}
-        counts: Counter = Counter()
+        totals: Counter = Counter()
         for labels, m in uses.items():
-            image = labeling_image(sample[labels], b)
+            image = labeling_image(Labeling(sample[labels]), b)
             if image not in signature:
                 signature[image] = (
                     len(image) if kind == "image"
                     else _statistics_sum(b, sorted(image)).canonical_string()
                 )
-            counts[signature[image]] += m
-        multiset = tuple(sorted(counts.items()))
+            totals[signature[image]] += m
+        multiset = tuple(sorted(totals.items()))
         if kind == "image":
             value = MultiPoly({(("z", size),): m for size, m in multiset})
         else:
             value = NestedPoly(dict(multiset))
-    return InvariantValue(kind, value, multiset, per_framing, labelings=survey)
+    return InvariantValue(kind, value, multiset, per_framing, survey=cut)
 
 
 def _merge_multisets(a, bneg):

@@ -3,10 +3,14 @@
 The oracles here deliberately avoid the library's derived machinery:
 brute_force_labelings filters raw assignments through the bare crossing
 rule (forward B only), rack_counting_oracle implements the classical
-arc-labeling rack count from scratch, and per_labeling_multiset closes
-every labeling's image separately, sharing nothing between labelings.  Acceptance and property tests
-compare the production code against these.  random_gauss_code draws
-legal signed Gauss codes from a seeded generator for differential tests.
+arc-labeling rack count from scratch, tsr_labeling_count counts the
+labelings of a linear birack as the kernel of the crossing matrix mod n,
+framed_reference searches the kinked diagram with_framing builds for
+every framing (no cut search), and per_labeling_multiset closes every
+labeling's image of that reference separately, sharing nothing between
+labelings.  Acceptance and property tests compare the production code
+against these.  random_gauss_code draws legal signed Gauss codes from a
+seeded generator for differential tests.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import random
 import re
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -21,12 +26,13 @@ from biracks import (
     FiniteBirack,
     Diagram,
     Pass,
+    enumerate_labelings,
     from_matrix,
-    labelings_by_framing,
     subbirack_closure,
     subbirack_polynomial,
     tsr_birack,
     unlink,
+    with_framing,
 )
 
 # ---------------------------------------------------------------------------
@@ -197,11 +203,99 @@ def brute_force_labelings(d: Diagram, b: FiniteBirack) -> list[tuple[int, ...]]:
     return out
 
 
+def framed_reference(d: Diagram, b: FiniteBirack) -> list[tuple[tuple[int, ...], list]]:
+    """(w, labelings of with_framing(d, w, N)) over (Z_N)^c in lexicographic
+    order, one search of each kinked diagram: the reference for the cut
+    search's per-framing counts, multisets and framed labelings."""
+    N = b.rank
+    return [(w, enumerate_labelings(with_framing(d, w, N), b))
+            for w in product(range(N), repeat=len(d.components))]
+
+
+def tsr_labeling_count(d: Diagram, n: int, t: int, s: int, r: int) -> int:
+    """Labelings of d by tsr_birack(n, t, s, r), from linear algebra mod n.
+
+    B(x, y) = (ty + sx, rx) is linear, so each crossing read as
+    B(x, y) = (z, w) gives the rows z - ty - sx = 0 and w - rx = 0, and
+    the labelings are the kernel of that matrix over Z_n.  Unit pivots
+    are eliminated Gauss-style (each fixes its semiarc, a factor 1); the
+    rest is diagonalized by unimodular row and column operations, as in
+    the Smith normal form, so the count is the product of gcd(d_i, n)
+    over the nonzero diagonal entries d_i times n^(free semiarcs - their
+    number).
+    """
+    rows = []
+    for cid, cr in d.crossings.items():
+        oi, ui, uo, oo = d.crossing_semiarcs(cid)
+        x, y, z, w = (oi, ui, uo, oo) if cr.sign > 0 else (oo, uo, ui, oi)
+        for terms in (((z, 1), (y, -t), (x, -s)), ((w, 1), (x, -r))):
+            row: dict[int, int] = {}
+            for col, v in terms:
+                row[col] = (row.get(col, 0) + v) % n
+            rows.append({col: v for col, v in row.items() if v})
+    free = d.semiarc_count
+    rows = [row for row in rows if row]
+    while True:
+        pick = next(((i, c) for i, row in enumerate(rows)
+                     for c, v in row.items() if gcd(v, n) == 1), None)
+        if pick is None:
+            break
+        i, c = pick
+        pivot = rows.pop(i)
+        inv = pow(pivot[c], -1, n)
+        for row in rows:
+            f = row.get(c, 0) * inv % n
+            for col, v in pivot.items():
+                nv = (row.get(col, 0) - f * v) % n
+                if nv:
+                    row[col] = nv
+                else:
+                    row.pop(col, None)
+        rows = [row for row in rows if row]
+        free -= 1
+    cols = sorted({c for row in rows for c in row})
+    diagonal = _smith_diagonal([[row.get(c, 0) for c in cols] for row in rows], n)
+    count = n ** (free - len(diagonal))
+    for v in diagonal:
+        count *= gcd(v, n)
+    return count
+
+
+def _smith_diagonal(a: list[list[int]], n: int) -> list[int]:
+    """Nonzero diagonal entries of a mod n after unimodular row and column
+    operations; a is consumed."""
+    a = [[v % n for v in row] for row in a]
+    diagonal = []
+    while a and a[0]:
+        entries = [(v, i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v]
+        if not entries:
+            break
+        # move the smallest entry to the corner, then reduce its row and
+        # column by it; the remainders are smaller, so this ends
+        _, i, j = min(entries)
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[j] = row[j], row[0]
+        p = a[0][0]
+        for row in a[1:]:
+            q = row[0] // p
+            for k in range(len(row)):
+                row[k] = (row[k] - q * a[0][k]) % n
+        for k in range(1, len(a[0])):
+            q = a[0][k] // p
+            for row in a:
+                row[k] = (row[k] - q * row[0]) % n
+        if not any(row[0] for row in a[1:]) and not any(a[0][1:]):
+            diagonal.append(p)
+            a = [row[1:] for row in a[1:]]
+    return diagonal
+
+
 def per_labeling_multiset(d: Diagram, b: FiniteBirack, kind: str,
                           normalized: bool = False) -> tuple:
     """Image or rho multiset with each labeling's image closed on its own.
 
-    Every labeling of labelings_by_framing gets its own subbirack_closure
+    Every labeling of framed_reference gets its own subbirack_closure
     and signature (image size, or canonical subbirack polynomial string).
     Plain multisets sort by signature; normalized ones subtract the
     unlink's counts, drop zeros and sort by (repr(signature), count), the
@@ -218,7 +312,7 @@ def per_labeling_multiset(d: Diagram, b: FiniteBirack, kind: str,
 
 def _per_labeling_counts(d: Diagram, b: FiniteBirack, kind: str) -> dict:
     counts: dict = {}
-    for _, labs in labelings_by_framing(d, b):
+    for _, labs in framed_reference(d, b):
         for lab in labs:
             image = subbirack_closure(b, set(lab.assignment))
             key = (len(image) if kind == "image"
@@ -237,8 +331,6 @@ def rack_counting_oracle(d: Diagram, b: FiniteBirack) -> int:
     constraints pi^k; here instead we reuse kinked diagrams, keeping the
     oracle purely combinatorial.
     """
-    from biracks import with_framing
-
     assert b.is_rack()
     N = b.rank
     total = 0

@@ -196,25 +196,29 @@ class TestInvariantCommand:
         assert out[0] == "2"
         assert out[1:] == ["  w=(0): 1", "  w=(0): 2"]
 
-    def test_labeling_dump_searches_each_framing_once(self, two_element_file, tmp_path,
-                                                       monkeypatch, capsys):
+    def test_labeling_dump_searches_each_link_once(self, two_element_file, tmp_path,
+                                                    monkeypatch, capsys):
         import biracks.invariants
 
         links = tmp_path / "links.txt"
         links.write_text(f"unknot\t\nhopf\t{HOPF}\ntrefoil\t{TREFOIL}\n")
         calls = []
-        search = biracks.invariants.enumerate_labelings
+        search = biracks.invariants.cut_labelings
 
         def counted(d, b):
             calls.append(d)
             return search(d, b)
 
-        monkeypatch.setattr(biracks.invariants, "enumerate_labelings", counted)
+        def framed_search(*args):
+            raise AssertionError("searched a framed diagram")
+
+        monkeypatch.setattr(biracks.invariants, "cut_labelings", counted)
+        monkeypatch.setattr(biracks.invariants, "enumerate_labelings", framed_search)
         for extra in ([], ["--json"]):
             calls.clear()
             assert main(["invariant", "--birack", two_element_file, "--batch", str(links),
                          "--type", "rho", "--labelings", *extra]) == 0
-            assert len(calls) == 2 + 2 ** 2 + 2  # rank 2: N^c framings per link
+            assert len(calls) == 3  # one search per link, whatever the rank
         capsys.readouterr()
 
     def test_labeling_dump_json(self, two_element_file, capsys):
@@ -251,6 +255,30 @@ class TestInternalFailures:
         code, out, err = _run(["invariant", "--birack", two_element_file,
                                "--gauss", HOPF, "--type", "integral"], capsys)
         assert (code, out, err) == (1, "", f"error: {exc}\n")
+
+    @pytest.mark.parametrize("exc,line", [
+        (KeyError(7), "error: KeyError: 7\n"),
+        (ZeroDivisionError("division by zero"), "error: ZeroDivisionError: division by zero\n"),
+        (AssertionError(), "error: AssertionError: \n"),
+    ])
+    def test_unexpected_exception_is_one_line(self, two_element_file, monkeypatch, capsys,
+                                              exc, line):
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr("biracks.cli.compute_invariant", fail)
+        code, out, err = _run(["invariant", "--birack", two_element_file,
+                               "--gauss", HOPF, "--type", "integral"], capsys)
+        assert (code, out, err) == (1, "", line)
+
+    def test_unexpected_exception_in_any_subcommand(self, two_element_file, monkeypatch,
+                                                   capsys):
+        def fail(*args):
+            raise RuntimeError("lattice broke")
+
+        monkeypatch.setattr("biracks.cli.all_subbiracks", fail)
+        code, out, err = _run(["subbiracks", two_element_file], capsys)
+        assert (code, out, err) == (1, "", "error: RuntimeError: lattice broke\n")
 
 
 class TestEnumerateCommand:

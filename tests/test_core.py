@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,17 @@ from biracks import (
     verify_axioms,
 )
 from conftest import TWO_ELEMENT_MATRIX
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+TSR = [(3, 1, 2, 2), (4, 3, 2, 3), (4, 1, 2, 1), (3, 2, 2, 1), (5, 1, 3, 3), (3, 1, 2, 2, 2),
+       (7, 3, 0, 1), (11, 2, 0, 1)]
+
+
+def _tables() -> list[FiniteBirack]:
+    """Every data/*.txt birack, every birack on 2 elements and some tsr tables."""
+    tables = [read_matrix_file(p) for p in sorted(DATA.glob("*.txt"))
+              if p.name != "sample_links.txt"]
+    return tables + enumerate_biracks(2) + [tsr_birack(*args) for args in TSR]
 
 
 def identity_birack(n: int) -> FiniteBirack:
@@ -116,13 +128,15 @@ class TestDerivedStructure:
                     assert b.sideways_inverse(*b.sideways(x, y)) == (x, y)
 
     def test_kink_relation(self, test_biracks):
-        for b in test_biracks.values():
+        # S(pi(x), x) = (alpha(x), alpha(x)): a positive kink with in-label
+        # x has through-label alpha(x) and out-label pi(x)
+        for b in [*test_biracks.values(), *_tables()]:
             for x in range(b.n):
                 a = b.alpha[x]
                 assert b.sideways(b.pi[x], x) == (a, a)
 
     def test_double_kink_maps_coincide(self, test_biracks):
-        for b in test_biracks.values():
+        for b in [*test_biracks.values(), *_tables()]:
             d1 = [b.s1[x][x] for x in range(b.n)]
             d2 = [b.s2[x][x] for x in range(b.n)]
             inv_d2 = [0] * b.n
@@ -205,17 +219,31 @@ class TestClassify:
 class TestIsSimple:
     """is_simple, decided from singleton closures, agrees with the lattice."""
 
-    DATA = Path(__file__).resolve().parent.parent / "data"
-    TSR = [(3, 1, 2, 2), (4, 3, 2, 3), (4, 1, 2, 1), (3, 2, 2, 1), (5, 1, 3, 3), (3, 1, 2, 2, 2)]
-
     def test_matches_all_subbiracks(self):
-        tables = [read_matrix_file(p) for p in sorted(self.DATA.glob("*.txt"))
-                  if p.name != "sample_links.txt"]
-        tables += enumerate_biracks(2)
-        tables += [tsr_birack(*args) for args in self.TSR]
+        tables = _tables()
         flags = [classify(b).is_simple for b in tables]
         assert flags == [all_subbiracks(b) == [frozenset(range(b.n))] for b in tables]
         assert True in flags and False in flags
+
+
+class TestClosureTheorem:
+    """subbirack_closure iterates B and S only; the inverse maps follow."""
+
+    def test_closures_are_closed_under_inverse_maps(self):
+        rng = random.Random(0)
+        checked = 0
+        for b in _tables():
+            seeds = [{x} for x in range(b.n)]
+            seeds += [set(rng.sample(range(b.n), rng.randint(1, min(3, b.n))))
+                      for _ in range(10)]
+            for seed in seeds:
+                closed = subbirack_closure(b, seed)
+                for x in closed:
+                    for y in closed:
+                        for table in (b.b1inv, b.b2inv, b.s1inv, b.s2inv):
+                            assert table[x][y] in closed
+                checked += 1
+        assert checked > 100
 
 
 class TestRackCrossValidation:

@@ -19,6 +19,67 @@ def compose(p, q):
     return tuple(p[q[x]] for x in range(len(q)))
 
 
+def tamper(monkeypatch, **changes):
+    """Make the constructors see a FiniteBirack with attributes changed."""
+    def build(b1, b2):
+        b = FiniteBirack(b1, b2)
+        for name, change in changes.items():
+            setattr(b, name, change(getattr(b, name)))
+        return b
+
+    monkeypatch.setattr("biracks.families.FiniteBirack", build)
+
+
+def rotated(perm):
+    return perm[1:] + perm[:1]
+
+
+class TestClosedFormChecks:
+    """Each closed-form check raises ConstructionError, also under -O."""
+
+    def test_constant_action_kink_map(self, monkeypatch):
+        tamper(monkeypatch, pi=rotated)
+        with pytest.raises(ConstructionError, match="kink map is not tau o rho") as exc:
+            constant_action((1, 0, 2, 3), (0, 1, 3, 2))
+        assert exc.value.reason == "KinkMapMismatch"
+
+    def test_tsr_kink_map(self, monkeypatch):
+        tamper(monkeypatch, pi=rotated)
+        with pytest.raises(ConstructionError, match="multiplication by tr") as exc:
+            tsr_birack(5, 2, 0, 1)
+        assert exc.value.reason == "KinkMapMismatch"
+
+    def test_tsr_rank(self, monkeypatch):
+        tamper(monkeypatch, rank=lambda rank: rank + 1)
+        with pytest.raises(ConstructionError, match="order of tr") as exc:
+            tsr_birack(5, 2, 0, 1)
+        assert exc.value.reason == "RankMismatch"
+
+    def _wrong_inverses(self, monkeypatch):
+        # pow(., -1, n) is the only source of t^-1 and r^-1
+        monkeypatch.setattr("biracks.families.pow", lambda *args: 0, raising=False)
+
+    def test_tsr_first_ring_identity(self, monkeypatch):
+        self._wrong_inverses(monkeypatch)
+        with pytest.raises(ConstructionError, match=r"\(1 - s\)\(1 \+ t\^-1") as exc:
+            tsr_birack(3, 1, 2, 2)  # s != 0
+        assert exc.value.reason == "RingIdentityFails"
+
+    def test_tsr_second_ring_identity(self, monkeypatch):
+        self._wrong_inverses(monkeypatch)
+        with pytest.raises(ConstructionError, match=r"\(tr \+ s\) t\^-1") as exc:
+            tsr_birack(5, 2, 0, 1)  # s = 0 passes the first identity
+        assert exc.value.reason == "RingIdentityFails"
+
+    def test_group_kink_map(self, monkeypatch):
+        tamper(monkeypatch, pi=rotated)
+        z3 = [[(x + y) % 3 for y in range(3)] for x in range(3)]
+        identity = (0, 1, 2)
+        with pytest.raises(ConstructionError, match="tau\\(rho\\(x\\)\\)") as exc:
+            tau_sigma_rho_birack(z3, identity, (0, 0, 0), identity)
+        assert exc.value.reason == "KinkMapMismatch"
+
+
 class TestConstantAction:
     def test_reproduces_reference_matrix(self):
         b = constant_action(parse_cycles("(1 2)", 4), parse_cycles("(3 4)", 4))

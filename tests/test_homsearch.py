@@ -12,10 +12,11 @@ from biracks import (
     phi_integral,
     read_matrix_file,
     subbirack_closure,
+    tsr_birack,
     unlink,
     with_framing,
 )
-from biracks.homsearch import _search
+from biracks.homsearch import _crossing_quads, _search, cut_labelings
 from conftest import (
     HOPF,
     TREFOIL,
@@ -148,6 +149,11 @@ def _sample_links() -> list[tuple[str, str]]:
     return [tuple(ln.split("\t")) for ln in lines if not ln.startswith("#")]
 
 
+def _closed_nodes(d, b) -> int:
+    quads, size, _, _ = _crossing_quads(d)
+    return _search(quads, size, b)[1]
+
+
 class TestNodeCounts:
     """One node per value tried at a branch point; counts are deterministic.
 
@@ -168,11 +174,64 @@ class TestNodeCounts:
         b = read_matrix_file(str(DATA / f"{birack}.txt"))
         assert b.n + b.n ** 2 == self.NODES[birack]
         expected = b.n if name == "unknot" else self.NODES[birack]
-        assert _search(parse_gauss(code), b)[1] == expected
+        assert _closed_nodes(parse_gauss(code), b) == expected
 
     @pytest.mark.parametrize("k", [7, 9, 11])
     def test_torus_knots(self, k, trefoil_birack):
-        assert _search(braid_closure(2, [1] * k), trefoil_birack)[1] == 12
+        assert _closed_nodes(braid_closure(2, [1] * k), trefoil_birack) == 12
+
+
+class TestCutSearch:
+    """One search per (diagram, birack), each component with crossings cut
+    open at its closing semiarc when the rank is above 1."""
+
+    # rank-2 data biracks: n for the unknot, n + n^2 for the other sample
+    # links except the stevedore, which loses its closing crossings'
+    # propagation to the cut
+    NODES = {
+        "two_element": 14,
+        "constant_action_4": 84,
+        "four_element_two_orbits": 84,
+    }
+
+    @pytest.mark.parametrize("birack", sorted(NODES))
+    @pytest.mark.parametrize("name,code", _sample_links())
+    def test_sample_links(self, birack, name, code):
+        b = read_matrix_file(str(DATA / f"{birack}.txt"))
+        assert b.rank == 2
+        expected = {"unknot": b.n, "stevedore": self.NODES[birack]}.get(name, b.n + b.n ** 2)
+        assert cut_labelings(parse_gauss(code), b).nodes == expected
+
+    # the links of the framing sweep: n, n + n^2 or n + n^2 + n^3
+    @pytest.mark.parametrize("code,nodes", [
+        ("", (7, 11)),
+        (";", (56, 132)),
+        (";;", (399, 1463)),
+        (HOPF, (56, 132)),
+        ("U1-,O2-;O1-,U2-", (56, 132)),
+        (HOPF + ";", (399, 1463)),
+    ])
+    def test_framing_sweep_links(self, code, nodes):
+        got = tuple(cut_labelings(parse_gauss(code), tsr_birack(*args)).nodes
+                    for args in [(7, 3, 0, 1), (11, 2, 0, 1)])
+        assert got == nodes
+
+    def test_tails_and_heads(self, two_element):
+        # the 2-crossing link beside a circle: its two components enter
+        # pass 0 on fresh heads 5 and 6, the circle (semiarc 4) is whole
+        cut = cut_labelings(parse_gauss(HOPF + ";"), two_element)
+        assert (cut.tails, cut.heads) == ((1, 3, 4), (5, 6, 4))
+        assert all(len(a) == 7 for a in cut.assignments)
+
+    @pytest.mark.parametrize("name,code", _sample_links())
+    def test_rank_one_is_not_cut(self, name, code, trefoil_birack):
+        ten = read_matrix_file(str(DATA / "ten_element.txt"))
+        for b in (ten, trefoil_birack):
+            d = parse_gauss(code)
+            cut = cut_labelings(d, b)
+            assert cut.heads == cut.tails
+            assert cut.nodes == _closed_nodes(d, b)
+            assert sorted(cut.assignments) == [lab.assignment for lab in enumerate_labelings(d, b)]
 
 
 class TestCountLabelings:

@@ -1,5 +1,7 @@
+import random
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from biracks import (
     labelings_by_framing,
     normalize,
     parse_gauss,
+    read_matrix_file,
     phi_image,
     phi_integral,
     phi_rho,
@@ -22,16 +25,25 @@ from biracks import (
     subbirack_polynomial,
     tsr_birack,
     unlink,
+    with_framing,
 )
+from biracks.homsearch import cut_labelings
+from biracks.invariants import framed_labelings
 from conftest import (
     FIGURE_EIGHT,
     HOPF,
     KNOT_CODES,
     TREFOIL,
     UNKNOT,
+    braid_closure,
+    framed_reference,
     per_labeling_multiset,
     rack_counting_oracle,
+    random_gauss_code,
+    tsr_labeling_count,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def mono(coeff=1, **exps):
@@ -207,25 +219,61 @@ class TestInvariantValueBook:
             assert total == phi_integral(d, two_orbit4)
 
 
+def _pi_orbit(b, x) -> set[int]:
+    orbit = {x}
+    while b.pi[x] not in orbit:
+        x = b.pi[x]
+        orbit.add(x)
+    return orbit
+
+
 class TestSurvey:
-    """The value carries the survey it was folded from, and folds it once."""
+    """The value carries the one cut search it was folded from."""
 
     @pytest.mark.parametrize("kind", ["integral", "writhe", "image", "rho"])
-    def test_labelings_are_the_survey(self, kind, two_orbit4):
+    def test_survey_is_one_cut_search(self, kind, two_orbit4, monkeypatch):
         d = parse_gauss(HOPF)
-        v = compute_invariant(d, two_orbit4, kind)
-        survey = tuple((w, tuple(labs)) for w, labs in labelings_by_framing(d, two_orbit4))
-        assert v.labelings == survey
-        assert isinstance(v.labelings, tuple)
-        assert all(isinstance(pair, tuple) and isinstance(pair[1], tuple)
-                   for pair in v.labelings)
-        assert normalize(v, d, two_orbit4).labelings is None
+        calls = []
+        search = biracks.homsearch._search
 
-    def test_equality_ignores_labelings(self, two_orbit4):
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(biracks.homsearch, "_search", counted)
+        v = compute_invariant(d, two_orbit4, kind)
+        assert len(calls) == 1
+        assert v.survey == cut_labelings(d, two_orbit4)
+        assert isinstance(v.survey.assignments, tuple)
+        assert all(isinstance(a, tuple) for a in v.survey.assignments)
+        framed = framed_labelings(v.survey)
+        assert framed == labelings_by_framing(d, two_orbit4)
+        assert [(w, [lab.assignment for lab in labs]) for w, labs in framed] == [
+            (w, [lab.assignment for lab in labs])
+            for w, labs in framed_reference(d, two_orbit4)
+        ]
+        assert normalize(v, d, two_orbit4).survey is None
+
+    @pytest.mark.parametrize("kind", ["integral", "writhe"])
+    def test_counts_build_no_labelings_or_framed_diagrams(self, kind, test_biracks,
+                                                          monkeypatch):
+        cases = [(parse_gauss(code), b) for code in (HOPF, TREFOIL, HOPF + ";")
+                 for b in test_biracks.values()]
+        expected = [compute_invariant(d, b, kind) for d, b in cases]
+
+        def forbidden(*args):
+            raise AssertionError("built a Labeling or a framed diagram")
+
+        for name in ("biracks.invariants.Labeling", "biracks.homsearch.Labeling",
+                     "biracks.invariants.with_framing", "biracks.diagram.with_framing"):
+            monkeypatch.setattr(name, forbidden)
+        assert [compute_invariant(d, b, kind) for d, b in cases] == expected
+
+    def test_equality_ignores_survey(self, two_orbit4):
         v = compute_invariant(parse_gauss(TREFOIL), two_orbit4, "rho")
-        bare = replace(v, labelings=None)
+        bare = replace(v, survey=None)
         assert v == bare and hash(v) == hash(bare)
-        assert repr(v) == repr(bare) and "labelings" not in repr(v)
+        assert repr(v) == repr(bare) and "survey" not in repr(v)
 
     @pytest.mark.parametrize("kind", ["image", "rho"])
     @pytest.mark.parametrize("birack", ["two_orbit4", "ten_element"])
@@ -241,8 +289,11 @@ class TestSurvey:
         monkeypatch.setattr(biracks.core, "subbirack_closure", counted)
         monkeypatch.setattr(biracks.homsearch, "subbirack_closure", counted)
         for d in (unlink(2), parse_gauss(HOPF), parse_gauss(TREFOIL)):
-            label_sets = {frozenset(lab.assignment)
-                          for _, labs in labelings_by_framing(d, b) for lab in labs}
+            cut = cut_labelings(d, b)
+            # the distinct label sets of the cut labelings on some framing
+            label_sets = {frozenset(a) for a in cut.assignments
+                          if all(a[h] in _pi_orbit(b, a[t])
+                                 for t, h in zip(cut.tails, cut.heads))}
             calls.clear()
             compute_invariant(d, b, kind)
             assert len(calls) == len(label_sets)
@@ -254,11 +305,101 @@ class TestSurvey:
         def no_search(*args):
             raise AssertionError("searched before checking the kind")
 
-        monkeypatch.setattr("biracks.invariants.labelings_by_framing", no_search)
+        monkeypatch.setattr("biracks.invariants.cut_labelings", no_search)
         with pytest.raises(KindMismatch, match="unknown invariant kind 'bogus'"):
             compute_invariant(d, two_element, "bogus")
         with pytest.raises(KindMismatch, match="unknown invariant kind 'bogus'"):
             normalize(replace(v, kind="bogus"), d, two_element)
+
+
+def _sample_links() -> list[tuple[str, str]]:
+    lines = (DATA / "sample_links.txt").read_text(encoding="utf-8").splitlines()
+    return [tuple(ln.split("\t")) for ln in lines if not ln.startswith("#")]
+
+
+DATA_BIRACKS = sorted(p.stem for p in DATA.glob("*.txt") if p.name != "sample_links.txt")
+RANDOM_CODES = [random_gauss_code(random.Random(seed)) for seed in range(40)]
+
+
+def _assert_matches_framed_reference(d, b, multisets: bool) -> None:
+    """Per-framing counts, framed labelings and (optionally) image and rho
+    multisets from the cut search equal searching every with_framing
+    diagram."""
+    reference = [(w, [lab.assignment for lab in labs]) for w, labs in framed_reference(d, b)]
+    v = compute_invariant(d, b, "writhe")
+    assert list(v.per_framing) == [(w, len(labs)) for w, labs in reference]
+    framed = framed_labelings(v.survey)
+    assert [(w, [lab.assignment for lab in labs]) for w, labs in framed] == reference
+    if multisets:
+        for kind in ("image", "rho"):
+            assert compute_invariant(d, b, kind).multiset == per_labeling_multiset(d, b, kind)
+
+
+class TestCutMatchesFramedReference:
+    """The cut search against one search per with_framing diagram."""
+
+    @pytest.mark.parametrize("birack", DATA_BIRACKS)
+    @pytest.mark.parametrize("name,code", _sample_links())
+    def test_sample_links_data_biracks(self, name, code, birack):
+        b = read_matrix_file(str(DATA / f"{birack}.txt"))
+        _assert_matches_framed_reference(parse_gauss(code), b, multisets=True)
+
+    @pytest.mark.parametrize("args", [(5, 2, 0, 1), (7, 3, 0, 1), (11, 2, 0, 1)])
+    @pytest.mark.parametrize("name,code", _sample_links())
+    def test_sample_links_tsr(self, name, code, args):
+        b = tsr_birack(*args)
+        _assert_matches_framed_reference(parse_gauss(code), b, multisets=b.rank < 10)
+
+    def test_random_codes(self, two_element, constant4, two_orbit4):
+        tables = (two_element, constant4, two_orbit4, tsr_birack(5, 2, 0, 1))
+        for code in RANDOM_CODES:
+            for b in tables:
+                _assert_matches_framed_reference(parse_gauss(code), b, multisets=True)
+        rank6 = tsr_birack(7, 3, 0, 1)
+        for code in RANDOM_CODES[:20]:
+            _assert_matches_framed_reference(parse_gauss(code), rank6, multisets=False)
+
+
+class TestLinearOracle:
+    """Per-framing counts over tsr biracks against the kernel of the
+    crossing matrix mod n, at sizes brute force cannot reach."""
+
+    THREE_COMPONENT = {
+        "chain": "O1+,U2+;U1+;O2+",
+        "hopf_circle": HOPF + ";",
+        "unlink3": ";;",
+        "borromean": "O1+,U2-,O4-,U5+;U1+,O3+,U4-,O6-;O2-,U3+,O5+,U6-",
+    }
+
+    @staticmethod
+    def _check(d, args) -> None:
+        b = tsr_birack(*args)
+        v = compute_invariant(d, b, "writhe")
+        assert list(v.per_framing) == [
+            (w, tsr_labeling_count(with_framing(d, w, b.rank), *args))
+            for w in product(range(b.rank), repeat=len(d.components))
+        ]
+
+    @pytest.mark.parametrize("args", [(5, 2, 0, 1), (7, 3, 0, 1), (4, 3, 2, 3), (8, 3, 6, 5)])
+    def test_random_codes(self, args):
+        for seed in range(100):
+            self._check(parse_gauss(random_gauss_code(random.Random(seed))), args)
+
+    def test_random_codes_rank_10(self):
+        for seed in range(30):
+            self._check(parse_gauss(random_gauss_code(random.Random(seed))), (11, 2, 0, 1))
+
+    @pytest.mark.parametrize("name", sorted(THREE_COMPONENT))
+    def test_three_components_rank_6(self, name):
+        self._check(parse_gauss(self.THREE_COMPONENT[name]), (7, 3, 0, 1))
+
+    @pytest.mark.parametrize("name", ["chain", "borromean"])
+    def test_three_components_rank_10(self, name):
+        self._check(parse_gauss(self.THREE_COMPONENT[name]), (11, 2, 0, 1))
+
+    def test_borromean_code(self):
+        d = parse_gauss(self.THREE_COMPONENT["borromean"])
+        assert d == braid_closure(3, [1, -2, 1, -2, 1, -2])
 
 
 class TestPerLabelingOracle:

@@ -36,6 +36,8 @@ reproducible.  The invariants never search these kinked diagrams: they
 read every framing off one search of the diagram cut open at each
 component's closing semiarc (homsearch.cut_labelings), and with_framing
 stays the reference the tests compare that survey with.
+framed_semiarc_sources says where each semiarc of a with_framing diagram
+comes from, so the framed labelings can be written out of that survey.
 """
 
 from __future__ import annotations
@@ -216,6 +218,18 @@ def writhe_vector(d: Diagram) -> tuple[int, ...]:
     return d.writhe_vector
 
 
+def _kink_counts(d: Diagram, target, N: int) -> list[int]:
+    """Positive kinks per component taking d's writhe to target mod N."""
+    target = tuple(int(v) for v in target)
+    if len(target) != len(d.components):
+        raise LengthMismatch(
+            f"target has {len(target)} entries for {len(d.components)} component(s)"
+        )
+    if N < 1:
+        raise ValueError("rank must be at least 1")
+    return [(t - w) % N for t, w in zip(target, d.writhe_vector)]
+
+
 def with_framing(d: Diagram, target, N: int) -> Diagram:
     """Append positive kinks so each component's writhe hits target mod N.
 
@@ -224,21 +238,34 @@ def with_framing(d: Diagram, target, N: int) -> Diagram:
     component.  Original crossings are untouched; passing a target
     congruent to the writhe returns an equal diagram.
     """
-    target = tuple(int(v) for v in target)
-    if len(target) != len(d.components):
-        raise LengthMismatch(
-            f"target has {len(target)} entries for {len(d.components)} component(s)"
-        )
-    if N < 1:
-        raise ValueError("rank must be at least 1")
     next_id = max(d.crossings, default=0) + 1
     new_components = []
-    for ci, comp in enumerate(d.components):
+    for comp, kinks in zip(d.components, _kink_counts(d, target, N)):
         passes = list(comp)
-        kinks = (target[ci] - d.writhe_vector[ci]) % N
         for _ in range(kinks):
             passes.append(Pass(next_id, "O", 1))
             passes.append(Pass(next_id, "U", 1))
             next_id += 1
         new_components.append(passes)
     return Diagram(new_components)
+
+
+def framed_semiarc_sources(d: Diagram, target, N: int) -> list[tuple[int, int]]:
+    """Where each semiarc of with_framing(d, target, N) comes from, in order.
+
+    Entry (s, h) says the framed semiarc lies h half-kinks past semiarc s
+    of d: h = 0 is s itself, h = 2j + 1 runs between the O and U passes of
+    the component's kink j, and h = 2j + 2 leaves that kink's U pass.  A
+    component's kinks all follow its closing semiarc s; the last one
+    returns to the semiarc entering pass 0.  A crossing-free component
+    with kinks is all kink semiarcs, its semiarc 0 the middle of its first
+    kink.
+    """
+    sources = []
+    for ci, (comp, kinks) in enumerate(zip(d.components, _kink_counts(d, target, N))):
+        first = d.semiarc_after(ci, 0)
+        closing = first + max(len(comp), 1) - 1
+        if comp or not kinks:
+            sources += [(s, 0) for s in range(first, closing + 1)]
+        sources += [(closing, h) for h in range(1, 2 * kinks + 1)]
+    return sources

@@ -58,7 +58,7 @@ from operator import itemgetter
 from .core import FiniteBirack, is_subbirack, perm_cycles
 # with_framing and enumerate_labelings are no longer called here; they stay
 # importable from this module as before.
-from .diagram import Diagram, unlink, with_framing  # noqa: F401
+from .diagram import Diagram, framed_semiarc_sources, unlink, with_framing  # noqa: F401
 from .errors import KindMismatch, NotASubbirack
 from .homsearch import (  # noqa: F401
     CutLabelings,
@@ -126,7 +126,8 @@ def _framing_keys(cut: CutLabelings) -> list[tuple]:
     uniform = len(set(length)) == 1  # every pi-cycle has one length (rank 1 included)
     columns = []
     for tail, head, writhe in zip(cut.tails, cut.heads, cut.diagram.writhe_vector):
-        if tail == head and uniform:  # the same pair for every label
+        # uncut, every label gives the same pair: no pass over the survey
+        if tail == head and uniform:
             columns.append(repeat((writhe % length[0], length[0]), len(found)))
             continue
         pair = {
@@ -150,28 +151,16 @@ def framed_labelings(
     """(w, labelings of with_framing(d, w, N)) over (Z_N)^c, read off a cut
     search of d, in lexicographic order.
 
-    Each component's kink labels follow its tail label, in with_framing's
-    semiarc order: a crossing-free component with kinks starts at the
-    middle of its first kink.
+    A cut labeling labels d's semiarcs by d's own indices, so framed
+    semiarc (s, h) of framed_semiarc_sources carries the label h
+    half-kinks past cut label s: alpha(pi^j(x)) for h = 2j + 1 and
+    pi^(j+1)(x) for h = 2j + 2.
     """
     d, b = cut.diagram, cut.birack
-    N, size = b.rank, d.semiarc_count
-    unkinked = tuple(writhe % N for writhe in d.writhe_vector)
-    # component i keeps the cut labels a[starts[i]:tails[i] + 1]; a
-    # crossing-free one with kinks keeps none and is all kink labels
-    starts = [tail + 1 - max(len(comp), 1) for comp, tail in zip(d.components, cut.tails)]
-    chains: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def chain(t: int, m: int) -> tuple[int, ...]:
-        """alpha(t), pi(t), alpha(pi(t)), ..., pi^m(t): the labels of m kinks."""
-        if (t, m) not in chains:
-            labels, x = [], t
-            for _ in range(m):
-                labels += [b.alpha[x], b.pi[x]]
-                x = b.pi[x]
-            chains[t, m] = tuple(labels)
-        return chains[t, m]
-
+    N = b.rank
+    steps = [list(range(b.n))]  # steps[h][x]: the label h half-kinks past x
+    for _ in range(N - 1):
+        steps += [[b.alpha[x] for x in steps[-1]], [b.pi[x] for x in steps[-1]]]
     by_key: dict[tuple, list[tuple[int, ...]]] = {}
     for a, key in zip(cut.assignments, _framing_keys(cut)):
         by_key.setdefault(key, []).append(a)
@@ -180,19 +169,11 @@ def framed_labelings(
         if None in key:
             continue
         for w in _framings(key, N):
-            if w == unkinked:  # no kinks: the framed diagram is d
-                found.setdefault(w, []).extend(a[:size] for a in group)
-                continue
-            kinks = [(w_i - writhe) % N for w_i, writhe in zip(w, d.writhe_vector)]
-            parts = list(zip(d.components, starts, cut.tails, kinks))
-            for a in group:
-                framed: list[int] = []
-                for comp, start, tail, m in parts:
-                    if comp or not m:
-                        framed += a[start:tail + 1]
-                    if m:
-                        framed += chain(a[tail], m)
-                found.setdefault(w, []).append(tuple(framed))
+            columns = [
+                map(steps[h].__getitem__, map(itemgetter(s), group))
+                for s, h in framed_semiarc_sources(d, w, N)
+            ]
+            found.setdefault(w, []).extend(zip(*columns))
     return [
         (w, [Labeling(f) for f in sorted(found.get(w, ()))])
         for w in product(range(N), repeat=len(d.components))

@@ -11,6 +11,7 @@ from biracks import (
     with_framing,
     writhe_vector,
 )
+from biracks.diagram import framed_semiarc_sources
 from conftest import FIGURE_EIGHT, HOPF, TREFOIL, braid_closure
 
 
@@ -138,6 +139,34 @@ class TestFraming:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             with_framing(parse_gauss(HOPF), (1,), 2)
+
+
+class TestFramedSemiarcSources:
+    def test_hopf_and_circle(self):
+        # kinks follow each closing semiarc (1, 3 and the circle's 4); the
+        # kinked circle has no semiarc of its own left
+        d = parse_gauss(HOPF + ";")
+        assert framed_semiarc_sources(d, (1, 0, 2), 3) == [
+            (0, 0), (1, 0), (1, 1), (1, 2),
+            (2, 0), (3, 0),
+            (4, 1), (4, 2), (4, 3), (4, 4),
+        ]
+
+    def test_unkinked_is_identity(self):
+        d = parse_gauss(HOPF + ";")
+        assert framed_semiarc_sources(d, (0, 0, 0), 3) == [(s, 0) for s in range(5)]
+
+    def test_one_entry_per_framed_semiarc(self):
+        for code in (TREFOIL, HOPF, HOPF + ";", ";;"):
+            d = parse_gauss(code)
+            for target in ((1,) * len(d.components), (4,) * len(d.components)):
+                assert len(framed_semiarc_sources(d, target, 5)) == (
+                    with_framing(d, target, 5).semiarc_count
+                )
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            framed_semiarc_sources(parse_gauss(HOPF), (1,), 2)
 
 
 class TestBraidClosure:

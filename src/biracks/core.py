@@ -140,8 +140,6 @@ AXIOM_SIDEWAYS = "SidewaysNotUnique"
 AXIOM_DIAGONAL = "DiagonalNotBijective"
 AXIOM_YBE = "YangBaxterFails"
 
-_CHECK_ORDER = (AXIOM_PAIR, AXIOM_SIDEWAYS, AXIOM_DIAGONAL, AXIOM_YBE)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -201,22 +199,26 @@ def _check_shape(b1, b2) -> int:
 def _analyze(b1: Table, b2: Table):
     """Run every axiom check; return (report, derived-or-None).
 
-    Later checks that depend on structure a failed check was meant to
-    provide are reported as skipped.
+    derived is (B1^-1, B2^-1, S1, S2, S1^-1, S2^-1) as tables.  Later
+    checks that depend on structure a failed check was meant to provide
+    are reported as skipped.
     """
     n = _check_shape(b1, b2)
     rng = range(n)
     checks: list[CheckResult] = []
 
-    # (x, y) -> (B1, B2) bijective on pairs.
-    seen: dict[tuple[int, int], tuple[int, int]] = {}
+    # (x, y) -> (B1, B2) bijective on pairs.  The first preimage of each
+    # image is recorded, which makes B^-1 when the check passes.
+    b1inv = [[-1] * n for _ in rng]
+    b2inv = [[-1] * n for _ in rng]
     pair_witness = None
     for x in rng:
         for y in rng:
-            img = (b1[x][y], b2[x][y])
-            if img in seen and pair_witness is None:
-                pair_witness = (seen[img], (x, y))
-            seen.setdefault(img, (x, y))
+            u, v = b1[x][y], b2[x][y]
+            if b1inv[u][v] < 0:
+                b1inv[u][v], b2inv[u][v] = x, y
+            elif pair_witness is None:
+                pair_witness = ((b1inv[u][v], b2inv[u][v]), (x, y))
     if pair_witness is None:
         checks.append(CheckResult(AXIOM_PAIR, "pass"))
     else:
@@ -334,6 +336,8 @@ def _analyze(b1: Table, b2: Table):
         return report, None
 
     derived = (
+        _as_table(b1inv),
+        _as_table(b2inv),
         _as_table(s1),
         _as_table(s2),
         _as_table(s1inv),
@@ -382,20 +386,10 @@ class FiniteBirack:
         self.n = report.n
         self.b1 = b1
         self.b2 = b2
-        self.s1, self.s2, self.s1inv, self.s2inv = derived
+        (self.b1inv, self.b2inv,
+         self.s1, self.s2, self.s1inv, self.s2inv) = derived
 
-        n = self.n
-        rng = range(n)
-        b1inv = [[0] * n for _ in rng]
-        b2inv = [[0] * n for _ in rng]
-        for x in rng:
-            for y in rng:
-                u, v = b1[x][y], b2[x][y]
-                b1inv[u][v] = x
-                b2inv[u][v] = y
-        self.b1inv = _as_table(b1inv)
-        self.b2inv = _as_table(b2inv)
-
+        rng = range(self.n)
         # Kink structure: alpha = (S2^-1 o diag)^-1, pi = (S1^-1 o diag) o alpha.
         d1i = tuple(self.s1inv[x][x] for x in rng)
         d2i = tuple(self.s2inv[x][x] for x in rng)

@@ -78,15 +78,13 @@ KINDS = ("integral", "writhe", "image", "rho")
 
 def _statistics_sum(b: FiniteBirack, elements) -> MultiPoly:
     rng = range(b.n)
-    out = MultiPoly.zero()
-    for x in elements:
-        out = out + MultiPoly.monomial({
-            "s1": sum(1 for y in rng if b.b1[x][y] == y),
-            "s2": sum(1 for y in rng if b.b2[y][x] == y),
-            "t1": sum(1 for y in rng if b.b1[y][x] == x),
-            "t2": sum(1 for y in rng if b.b2[x][y] == x),
-        })
-    return out
+    return MultiPoly(Counter(
+        (("s1", sum(1 for y in rng if b.b1[x][y] == y)),
+         ("s2", sum(1 for y in rng if b.b2[y][x] == y)),
+         ("t1", sum(1 for y in rng if b.b1[y][x] == x)),
+         ("t2", sum(1 for y in rng if b.b2[x][y] == x)))
+        for x in elements
+    ))
 
 
 def birack_polynomial(b: FiniteBirack) -> MultiPoly:

@@ -12,6 +12,11 @@ Two value types live here:
   invariant values.  Exponents are stored by their canonical string so
   that equality, hashing and serialization are trivially stable.
 
+Both are integer combinations of keyed terms and share one private base,
+_Combination: the term dict, zero, addition, subtraction, negation,
+equality, hashing and the signed " + " / " - " join of canonical_string.
+Each subclass only normalizes, orders and renders its keys.
+
 Canonical text grammar (also documented in the README):
 
   multipoly   := "0" | term (" + " term | " - " term)*
@@ -31,6 +36,7 @@ rendered with a bare "-" prefix.
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 from .errors import ParseError
 
@@ -62,29 +68,104 @@ def _normalize_key(exponents) -> ExponentKey:
     return tuple(items)
 
 
-class MultiPoly:
-    """Immutable multivariate polynomial with integer coefficients."""
+class _Combination:
+    """Immutable integer combination of keyed terms, zero terms dropped.
+
+    The shared core of MultiPoly and NestedPoly.  A subclass says how a
+    key is normalized (_normalize), how keys are ordered in the canonical
+    string (_ordered_keys) and how one term is rendered from its key and
+    the magnitude of its coefficient (_render).
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict | None = None):
-        clean: dict[ExponentKey, int] = {}
+        clean: dict = {}
         if terms:
             for key, coeff in terms.items():
                 coeff = int(coeff)
                 if coeff == 0:
                     continue
-                nkey = _normalize_key(key if not isinstance(key, tuple) else dict(key))
+                nkey = self._normalize(key)
                 clean[nkey] = clean.get(nkey, 0) + coeff
                 if clean[nkey] == 0:
                     del clean[nkey]
         self._terms = clean
 
-    # ---------- constructors ----------
+    @classmethod
+    def _of(cls, terms: dict):
+        """Wrap an already normalized term dict without a zero entry."""
+        result = cls.__new__(cls)
+        result._terms = terms
+        return result
 
-    @staticmethod
-    def zero() -> "MultiPoly":
-        return MultiPoly()
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @property
+    def terms(self) -> dict:
+        return dict(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    # ---------- arithmetic ----------
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        merged = dict(self._terms)
+        for key, coeff in other._terms.items():
+            new = merged.get(key, 0) + coeff
+            if new == 0:
+                merged.pop(key, None)
+            else:
+                merged[key] = new
+        return self._of(merged)
+
+    def __neg__(self):
+        return self._of({key: -c for key, c in self._terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    # ---------- canonical text ----------
+
+    def canonical_string(self) -> str:
+        if not self._terms:
+            return "0"
+        out: list[str] = []
+        for key in self._ordered_keys():
+            coeff = self._terms[key]
+            if out:
+                out.append(" - " if coeff < 0 else " + ")
+            elif coeff < 0:
+                out.append("-")
+            out.append(self._render(key, abs(coeff)))
+        return "".join(out)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.canonical_string()!r})"
+
+    def __str__(self) -> str:
+        return self.canonical_string()
+
+
+class MultiPoly(_Combination):
+    """Immutable multivariate polynomial with integer coefficients."""
+
+    __slots__ = ()
+
+    _normalize = staticmethod(_normalize_key)
 
     @staticmethod
     def constant(value: int) -> "MultiPoly":
@@ -95,17 +176,8 @@ class MultiPoly:
         """Build coeff * prod(var^exp) from a {var: exp} mapping."""
         return MultiPoly({tuple(dict(exponents).items()): coeff})
 
-    # ---------- inspection ----------
-
-    @property
-    def terms(self) -> dict[ExponentKey, int]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def coefficient(self, exponents) -> int:
-        return self._terms.get(_normalize_key(dict(exponents)), 0)
+        return self._terms.get(_normalize_key(exponents), 0)
 
     def total_sum(self) -> int:
         """Value at all variables = 1, i.e. the sum of the coefficients."""
@@ -115,154 +187,48 @@ class MultiPoly:
         seen = {v for key in self._terms for v, _ in key}
         return sorted(seen, key=_var_key)
 
-    # ---------- arithmetic ----------
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        merged = dict(self._terms)
-        for key, coeff in other._terms.items():
-            new = merged.get(key, 0) + coeff
-            if new == 0:
-                merged.pop(key, None)
-            else:
-                merged[key] = new
-        result = MultiPoly()
-        result._terms = merged
-        return result
-
-    def __neg__(self) -> "MultiPoly":
-        result = MultiPoly()
-        result._terms = {key: -c for key, c in self._terms.items()}
-        return result
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MultiPoly) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
     def substitute_one(self, variable: str) -> "MultiPoly":
         """Set one variable to 1, merging the collapsed monomials."""
-        merged: dict[ExponentKey, int] = {}
+        merged: Counter = Counter()
         for key, coeff in self._terms.items():
-            nkey = tuple((v, e) for v, e in key if v != variable)
-            merged[nkey] = merged.get(nkey, 0) + coeff
-        return MultiPoly({k: c for k, c in merged.items()})
+            merged[tuple((v, e) for v, e in key if v != variable)] += coeff
+        return MultiPoly(merged)
 
-    # ---------- canonical text ----------
+    def _ordered_keys(self) -> list[ExponentKey]:
+        # Total degree, then the exponent vector over every variable
+        # present anywhere in canonical order, both descending.
+        variables = self.variables()
 
-    def _sorted_terms(self) -> list[tuple[ExponentKey, int]]:
-        def order(item):
-            key, _ = item
-            degree = sum(e for _, e in key)
-            vars_here = [v for v, _ in key]
-            # Exponent vector over every variable present anywhere, in
-            # canonical order; descending comparison via sort(reverse=True).
-            vector = tuple(dict(key).get(v, 0) for v in self.variables())
-            return (degree, vector, vars_here)
+        def order(key):
+            exponents = dict(key)
+            return (sum(exponents.values()),
+                    tuple(exponents.get(v, 0) for v in variables))
 
-        return sorted(self._terms.items(), key=order, reverse=True)
-
-    def canonical_string(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
-        for key, coeff in self._sorted_terms():
-            factors = "".join(
-                v if e == 1 else f"{v}^{e}" for v, e in key
-            )
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = factors
-            else:
-                body = f"{mag}{factors}"
-            pieces.append(("-" if coeff < 0 else "+", body))
-        sign, body = pieces[0]
-        out = body if sign == "+" else "-" + body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
-
-    def __repr__(self) -> str:
-        return f"MultiPoly({self.canonical_string()!r})"
-
-    def __str__(self) -> str:
-        return self.canonical_string()
-
-
-class NestedPoly:
-    """Integer combination of z^P terms, P a canonical MultiPoly string."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict[str, int] | None = None):
-        clean: dict[str, int] = {}
-        if terms:
-            for exponent, mult in terms.items():
-                mult = int(mult)
-                if mult == 0:
-                    continue
-                if isinstance(exponent, MultiPoly):
-                    exponent = exponent.canonical_string()
-                # Re-canonicalize so keys are always in normal form.
-                exponent = parse_multipoly(exponent).canonical_string()
-                clean[exponent] = clean.get(exponent, 0) + mult
-                if clean[exponent] == 0:
-                    del clean[exponent]
-        self._terms = clean
+        return sorted(self._terms, key=order, reverse=True)
 
     @staticmethod
-    def zero() -> "NestedPoly":
-        return NestedPoly()
+    def _render(key: ExponentKey, mag: int) -> str:
+        factors = "".join(v if e == 1 else f"{v}^{e}" for v, e in key)
+        if not factors:
+            return str(mag)
+        return factors if mag == 1 else f"{mag}{factors}"
+
+
+class NestedPoly(_Combination):
+    """Integer combination of z^P terms, P a canonical MultiPoly string."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _normalize(exponent: "MultiPoly | str") -> str:
+        if isinstance(exponent, MultiPoly):
+            return exponent.canonical_string()
+        # A string key is re-canonicalized so keys are always in normal form.
+        return parse_multipoly(exponent).canonical_string()
 
     @staticmethod
     def single(exponent: "MultiPoly | str", mult: int = 1) -> "NestedPoly":
         return NestedPoly({exponent: mult})
-
-    @property
-    def terms(self) -> dict[str, int]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "NestedPoly") -> "NestedPoly":
-        if not isinstance(other, NestedPoly):
-            return NotImplemented
-        merged = dict(self._terms)
-        for key, mult in other._terms.items():
-            new = merged.get(key, 0) + mult
-            if new == 0:
-                merged.pop(key, None)
-            else:
-                merged[key] = new
-        result = NestedPoly()
-        result._terms = merged
-        return result
-
-    def __neg__(self) -> "NestedPoly":
-        result = NestedPoly()
-        result._terms = {key: -m for key, m in self._terms.items()}
-        return result
-
-    def __sub__(self, other: "NestedPoly") -> "NestedPoly":
-        if not isinstance(other, NestedPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NestedPoly) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
 
     # ---------- specializations ----------
 
@@ -276,34 +242,17 @@ class NestedPoly:
         Each exponent polynomial collapses to an integer, leaving an
         ordinary polynomial in z.
         """
-        out = MultiPoly.zero()
+        collapsed: Counter = Counter()
         for exponent, mult in self._terms.items():
-            k = parse_multipoly(exponent).total_sum()
-            out = out + MultiPoly.monomial({"z": k}, mult)
-        return out
+            collapsed[(("z", parse_multipoly(exponent).total_sum()),)] += mult
+        return MultiPoly(collapsed)
 
-    # ---------- canonical text ----------
+    def _ordered_keys(self) -> list[str]:
+        return sorted(self._terms)
 
-    def canonical_string(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for exponent in sorted(self._terms):
-            mult = self._terms[exponent]
-            mag = abs(mult)
-            body = f"z^{{{exponent}}}" if mag == 1 else f"{mag}z^{{{exponent}}}"
-            pieces.append(("-" if mult < 0 else "+", body))
-        sign, body = pieces[0]
-        out = body if sign == "+" else "-" + body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
-
-    def __repr__(self) -> str:
-        return f"NestedPoly({self.canonical_string()!r})"
-
-    def __str__(self) -> str:
-        return self.canonical_string()
+    @staticmethod
+    def _render(exponent: str, mag: int) -> str:
+        return f"z^{{{exponent}}}" if mag == 1 else f"{mag}z^{{{exponent}}}"
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +305,7 @@ def parse_multipoly(text: str) -> MultiPoly:
     text = text.strip()
     if text == "0":
         return MultiPoly.zero()
-    result = MultiPoly.zero()
+    terms: Counter = Counter()
     for sign, body in _split_terms(text):
         body = body.strip()
         m = _TERM_RE.match(body)
@@ -372,8 +321,8 @@ def parse_multipoly(text: str) -> MultiPoly:
             consumed += len(fm.group(0))
         if consumed != len(m.group(2)):
             raise ParseError(f"bad polynomial term {body!r}")
-        result = result + MultiPoly.monomial(exponents, sign * coeff)
-    return result
+        terms[tuple(exponents.items())] += sign * coeff
+    return MultiPoly(terms)
 
 
 def parse_nestedpoly(text: str) -> NestedPoly:
@@ -381,13 +330,12 @@ def parse_nestedpoly(text: str) -> NestedPoly:
     text = text.strip()
     if text == "0":
         return NestedPoly.zero()
-    result = NestedPoly.zero()
+    terms: Counter = Counter()
     for sign, body in _split_terms(text):
         body = body.strip()
         m = re.match(r"^(\d+)?z\^\{(.*)\}$", body, re.DOTALL)
         if not m:
             raise ParseError(f"bad nested term {body!r}")
         mult = int(m.group(1)) if m.group(1) else 1
-        exponent = parse_multipoly(m.group(2))
-        result = result + NestedPoly.single(exponent, sign * mult)
-    return result
+        terms[parse_multipoly(m.group(2))] += sign * mult
+    return NestedPoly(terms)

@@ -104,6 +104,8 @@ class TestVerifyAxioms:
         assert not report.ok
         assert report.checks[0].name == "NotPairBijective"
         assert report.checks[0].status == "fail"
+        # the first preimage of the image (0, 0), then the colliding pair
+        assert report.checks[0].witness == ((0, 0), (1, 0))
 
     def test_report_matches_construction(self, two_orbit4):
         report = verify_axioms(two_orbit4.b1, two_orbit4.b2)

@@ -1,6 +1,16 @@
 import pytest
 
-from biracks import MultiPoly, NestedPoly, ParseError, parse_multipoly, parse_nestedpoly
+from biracks import (
+    MultiPoly,
+    NestedPoly,
+    ParseError,
+    parse_gauss,
+    parse_multipoly,
+    parse_nestedpoly,
+    phi_writhe,
+    tsr_birack,
+)
+from conftest import HOPF
 
 
 def mono(coeff=1, **exps):
@@ -58,6 +68,30 @@ class TestMultiPoly:
         with pytest.raises(ValueError):
             MultiPoly.monomial({"z": -1})
 
+    def test_zero_coefficients_skipped_before_normalizing(self):
+        assert MultiPoly({(("z", -1),): 0}).is_zero()
+        assert NestedPoly({"not a poly": 0}).is_zero()
+
+    def test_canonical_string_lists_variables_once(self, monkeypatch):
+        calls = []
+        variables = MultiPoly.variables
+
+        def counting(self):
+            calls.append(1)
+            return variables(self)
+
+        monkeypatch.setattr(MultiPoly, "variables", counting)
+        p = mono(2, q1=1, q2=2) + mono(1, q1=3) + mono(5, q2=1) + MultiPoly.constant(1)
+        assert p.canonical_string() == "q1^3 + 2q1q2^2 + 5q2 + 1"
+        assert len(calls) == 1
+
+    def test_mixed_types_do_not_combine(self):
+        with pytest.raises(TypeError):
+            MultiPoly.constant(1) + NestedPoly.single("1")
+        with pytest.raises(TypeError):
+            NestedPoly.single("1") - MultiPoly.constant(1)
+        assert MultiPoly.zero() != NestedPoly.zero()
+
 
 class TestRoundTrip:
     CASES = [
@@ -69,15 +103,27 @@ class TestRoundTrip:
         mono(2, s1=4, s2=2, t1=3, t2=1) + mono(1, s1=2, t1=2, t2=2),
         mono(5, s1=2, s2=6, t1=6, t2=10),
         mono(-7, q1=2) + mono(1, q2=5) - mono(2, z=1),
+        # 216 terms in q1, q2, q3: the writhe polynomial of Hopf + circle
+        phi_writhe(parse_gauss(HOPF + ";"), tsr_birack(7, 3, 0, 1)),
     ]
 
-    @pytest.mark.parametrize("p", CASES, ids=lambda p: p.canonical_string())
+    @staticmethod
+    def case_id(p):
+        text = p.canonical_string()
+        return text if len(text) < 80 else f"{len(p.terms)}-terms"
+
+    @pytest.mark.parametrize("p", CASES, ids=case_id)
     def test_parse_inverts_canonical_string(self, p):
         assert parse_multipoly(p.canonical_string()) == p
 
     def test_canonical_string_injective(self):
         strings = {p.canonical_string() for p in self.CASES}
         assert len(strings) == len(self.CASES)
+
+    def test_repeated_terms_add_up(self):
+        assert parse_multipoly("z + z") == mono(2, z=1)
+        assert parse_multipoly("s1t1 - 3t1s1 + z") == mono(-2, s1=1, t1=1) + mono(1, z=1)
+        assert parse_nestedpoly("z^{s1 + t1} + 2z^{t1 + s1}") == NestedPoly.single("s1 + t1", 3)
 
     @pytest.mark.parametrize("bad", ["", "q1 +", "4^2", "z^", "q1**2", "{z}"])
     def test_bad_text_rejected(self, bad):

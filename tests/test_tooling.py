@@ -1,14 +1,34 @@
-"""The traced benchmark run can still patch every name it names.
+"""The public names and the names the traced benchmark run patches resolve.
 
 bench/spans.py rebinds functions and methods of biracks by name, and its
 install() fails on the first one that is gone.  This loads the module by
-path, without installing anything, and resolves every name.
+path, without installing anything, and resolves every name.  The public
+names of the package are pinned: dropping one means editing the pin and
+deprecating the name in CHANGES.md.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import biracks
+
+PUBLIC_NAMES = [
+    "AxiomViolation", "BadPairing", "BirackClass", "BirackError",
+    "CayleyGroup", "CheckResult", "ConstructionError", "Diagram",
+    "FiniteBirack", "InvariantValue", "KindMismatch", "Labeling",
+    "LengthMismatch", "MultiPoly", "NestedPoly", "NotASubbirack", "ParseError",
+    "Pass", "SizeTooLarge", "ValidationReport", "all_subbiracks",
+    "birack_polynomial", "classify", "compute_invariant", "constant_action",
+    "count_labelings", "cycle_string", "enumerate_biracks",
+    "enumerate_labelings", "format_matrix", "from_matrix", "is_subbirack",
+    "labeling_image", "labelings_by_framing", "normalize", "parse_cycles",
+    "parse_gauss", "parse_matrix_text", "parse_multipoly", "parse_nestedpoly",
+    "phi_image", "phi_integral", "phi_rho", "phi_writhe", "read_matrix_file",
+    "subbirack_closure", "subbirack_polynomial", "tau_sigma_rho_birack",
+    "to_matrix", "tsr_birack", "unlink", "verify_axioms", "with_framing",
+    "writhe_vector",
+]
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
@@ -32,3 +52,11 @@ def test_methods_resolve():
         if not callable(getattr(klass, attr, None)):
             missing.append((module, cls, attr))
     assert missing == []
+
+
+def test_public_names_pinned():
+    assert sorted(biracks.__all__) == PUBLIC_NAMES
+
+
+def test_public_names_resolve():
+    assert [name for name in biracks.__all__ if not hasattr(biracks, name)] == []

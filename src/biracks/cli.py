@@ -18,9 +18,10 @@ error.  All output is deterministic: two runs on the same inputs are
 byte-identical, and --json payloads are schema-stable.
 
 File formats are documented in the README: matrix files carry the
-element count on line 1 and then the n x 2n block [B1 | B2] (1-indexed);
-batch link files carry one "name<TAB>gauss-code" pair per line; '#'
-lines are comments in both.
+element count on line 1 and then the n x 2n block [B1 | B2] (1-indexed),
+and Cayley tables the same with n entries per row; map files list n
+1-indexed images; batch link files carry one "name<TAB>gauss-code" pair
+per line; '#' lines are comments in all of them.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ from . import __version__
 from .core import (
     _block_tables,
     _content_lines,
+    _int_row,
+    _labels,
+    _parse_table,
     all_subbiracks,
     classify,
     cycle_string,
@@ -47,7 +51,7 @@ from .core import (
     parse_matrix_text,
 )
 from .diagram import parse_gauss
-from .errors import BirackError, NotASubbirack
+from .errors import BirackError, NotASubbirack, ParseError
 from .families import CayleyGroup, constant_action, tau_sigma_rho_birack, tsr_birack
 from .invariants import (
     KINDS,
@@ -123,27 +127,20 @@ def _cmd_make(args) -> int:
 
 def _read_cayley(path: str) -> list[list[int]]:
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in _content_lines(fh)]
-    if not lines:
-        raise BirackError("empty Cayley table file")
-    n = int(lines[0])
-    if len(lines) != n + 1:
-        raise BirackError(f"expected {n} Cayley rows, found {len(lines) - 1}")
-    table = []
-    for ln in lines[1:]:
-        row = [int(tok) - 1 for tok in ln.split()]
-        if len(row) != n:
-            raise BirackError(f"expected {n} entries per Cayley row")
-        table.append(row)
-    return table
+        n, rows = _parse_table(fh.read(), "Cayley table", 1)
+    return [_labels(row, n) for row in rows]
 
 
 def _read_map(path: str, n: int) -> list[int]:
     with open(path, encoding="utf-8") as fh:
-        tokens = [tok for ln in _content_lines(fh) for tok in ln.split()]
-    if len(tokens) != n:
+        lines = [ln.strip() for ln in _content_lines(fh)]
+    try:
+        labels = _labels([v for ln in lines for v in _int_row(ln)], n)
+    except (ParseError, ValueError) as exc:
+        raise ParseError(f"map file {path}: {exc}") from None
+    if len(labels) != n:
         raise BirackError(f"map file {path} must list {n} images")
-    return [int(tok) - 1 for tok in tokens]
+    return labels
 
 
 def _cmd_rank(args) -> int:
@@ -211,11 +208,7 @@ def _invariant_payload(name, kind, birack_file, code, value, labelings=None) -> 
         "link": name,
         "value_canonical_string": value.value_string(),
         "multiset": [[_sig_json(sig), mult] for sig, mult in value.multiset],
-        "per_framing_counts": (
-            [[list(w), m] for w, m in value.per_framing]
-            if value.per_framing is not None
-            else None
-        ),
+        "per_framing_counts": [[list(w), m] for w, m in value.per_framing],
     }
     if labelings is not None:
         payload["labelings"] = [

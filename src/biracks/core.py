@@ -17,7 +17,9 @@ In diagram language B1(o, u) gives the new under-strand label and
 B2(o, u) the new over-strand label when the strand labeled u passes
 under the strand labeled o at a positive crossing.
 
-From S the kink structure is derived: with D(x) = (x, x),
+One pass over the tables checks the axioms in that order and, when they
+all hold, builds every derived map: B^-1 from the pair check, S and S^-1,
+and from the diagonals of S^-1 the kink structure: with D(x) = (x, x),
 
   alpha = (S2^-1 o D)^-1        pi = (S1^-1 o D) o alpha
 
@@ -139,6 +141,7 @@ AXIOM_PAIR = "NotPairBijective"
 AXIOM_SIDEWAYS = "SidewaysNotUnique"
 AXIOM_DIAGONAL = "DiagonalNotBijective"
 AXIOM_YBE = "YangBaxterFails"
+_AXIOM_ORDER = (AXIOM_PAIR, AXIOM_SIDEWAYS, AXIOM_DIAGONAL, AXIOM_YBE)
 
 
 @dataclass(frozen=True)
@@ -196,16 +199,56 @@ def _check_shape(b1, b2) -> int:
     return n
 
 
-def _analyze(b1: Table, b2: Table):
-    """Run every axiom check; return (report, derived-or-None).
+def _ybe_witness(b1: Table, b2: Table, n: int) -> tuple[tuple | None, str]:
+    """The first triple (x, y, z), in lexicographic order, that breaks a
+    component equation of the Yang-Baxter equation, with "component
+    equation k" naming it; (None, "") when all n^3 triples satisfy it."""
+    rng = range(n)
+    for x in rng:
+        for y in rng:
+            b1xy = b1[x][y]
+            b2xy = b2[x][y]
+            for z in rng:
+                m = b1[y][z]
+                inner = b1[b2xy][z]
+                if b1[x][m] != b1[b1xy][inner]:
+                    return (x, y, z), "component equation 1"
+                lhs_mid = b2[x][m]
+                b2yz = b2[y][z]
+                if b1[lhs_mid][b2yz] != b2[b1xy][inner]:
+                    return (x, y, z), "component equation 2"
+                if b2[lhs_mid][b2yz] != b2[b2xy][z]:
+                    return (x, y, z), "component equation 3"
+    return None, ""
 
-    derived is (B1^-1, B2^-1, S1, S2, S1^-1, S2^-1) as tables.  Later
-    checks that depend on structure a failed check was meant to provide
+
+def _analyze(b1: Table, b2: Table):
+    """Run every axiom check in one pass; return (report, derived-or-None).
+
+    derived is (B1^-1, B2^-1, S1, S2, S1^-1, S2^-1) as tables, then the
+    kink maps alpha and pi, all built by this pass.  Each axiom is
+    recorded in _AXIOM_ORDER; when the sideways or diagonal check fails,
+    the axioms after it need the structure it was meant to provide and
     are reported as skipped.
     """
     n = _check_shape(b1, b2)
     rng = range(n)
     checks: list[CheckResult] = []
+
+    def record(witness, detail: str = "") -> bool:
+        """Record the next axiom: a pass for witness None, else a fail whose
+        detail is formatted with the witness's fields.  True on a pass."""
+        name = _AXIOM_ORDER[len(checks)]
+        if witness is None:
+            checks.append(CheckResult(name, "pass"))
+        else:
+            checks.append(CheckResult(name, "fail", witness, detail.format(*witness)))
+        return witness is None
+
+    def report() -> ValidationReport:
+        """The checks so far, the axioms not reached padded as skipped."""
+        skipped = [CheckResult(name, "skipped") for name in _AXIOM_ORDER[len(checks):]]
+        return ValidationReport(n, tuple(checks + skipped))
 
     # (x, y) -> (B1, B2) bijective on pairs.  The first preimage of each
     # image is recorded, which makes B^-1 when the check passes.
@@ -219,44 +262,15 @@ def _analyze(b1: Table, b2: Table):
                 b1inv[u][v], b2inv[u][v] = x, y
             elif pair_witness is None:
                 pair_witness = ((b1inv[u][v], b2inv[u][v]), (x, y))
-    if pair_witness is None:
-        checks.append(CheckResult(AXIOM_PAIR, "pass"))
-    else:
-        checks.append(
-            CheckResult(
-                AXIOM_PAIR,
-                "fail",
-                pair_witness,
-                f"B{pair_witness[0]} = B{pair_witness[1]}",
-            )
-        )
+    record(pair_witness, "B{} = B{}")
 
     # Sideways map existence/uniqueness: B1 rows and B2 columns bijective.
-    sideways_witness = None
-    for x in rng:
-        if len(set(b1[x])) != n:
-            sideways_witness = ("B1-row", x)
-            break
-    if sideways_witness is None:
-        for y in rng:
-            if len({b2[x][y] for x in rng}) != n:
-                sideways_witness = ("B2-column", y)
-                break
-    if sideways_witness is None:
-        checks.append(CheckResult(AXIOM_SIDEWAYS, "pass"))
-    else:
-        kind, idx = sideways_witness
-        checks.append(
-            CheckResult(
-                AXIOM_SIDEWAYS,
-                "fail",
-                sideways_witness,
-                f"{kind} {idx} is not a bijection",
-            )
-        )
-        checks.append(CheckResult(AXIOM_DIAGONAL, "skipped"))
-        checks.append(CheckResult(AXIOM_YBE, "skipped"))
-        return ValidationReport(n, tuple(checks)), None
+    sideways_witness = next(itertools.chain(
+        (("B1-row", x) for x in rng if len(set(b1[x])) != n),
+        (("B2-column", y) for y in rng if len({b2[x][y] for x in rng}) != n),
+    ), None)
+    if not record(sideways_witness, "{} {} is not a bijection"):
+        return report(), None
 
     # Derive S: S(B1(x,y), x) = (B2(x,y), y).
     s1 = [[0] * n for _ in rng]
@@ -282,59 +296,20 @@ def _analyze(b1: Table, b2: Table):
         "S1^-1 o diag": tuple(s1inv[x][x] for x in rng),
         "S2^-1 o diag": tuple(s2inv[x][x] for x in rng),
     }
-    diag_witness = None
-    for name, mapping in diag.items():
-        if len(set(mapping)) != n:
-            diag_witness = (name,)
-            break
-    if diag_witness is None:
-        checks.append(CheckResult(AXIOM_DIAGONAL, "pass"))
-    else:
-        checks.append(
-            CheckResult(
-                AXIOM_DIAGONAL,
-                "fail",
-                diag_witness,
-                f"{diag_witness[0]} is not a bijection",
-            )
-        )
-        checks.append(CheckResult(AXIOM_YBE, "skipped"))
-        return ValidationReport(n, tuple(checks)), None
+    diag_witness = next(
+        ((name,) for name, mapping in diag.items() if len(set(mapping)) != n), None
+    )
+    if not record(diag_witness, "{} is not a bijection"):
+        return report(), None
 
     # Set-theoretic Yang-Baxter equation, componentwise on all triples.
-    ybe_witness = None
-    ybe_detail = ""
-    for x in rng:
-        for y in rng:
-            b1xy = b1[x][y]
-            b2xy = b2[x][y]
-            for z in rng:
-                m = b1[y][z]
-                inner = b1[b2xy][z]
-                if b1[x][m] != b1[b1xy][inner]:
-                    ybe_witness, ybe_detail = (x, y, z), "component equation 1"
-                    break
-                lhs_mid = b2[x][m]
-                b2yz = b2[y][z]
-                if b1[lhs_mid][b2yz] != b2[b1xy][inner]:
-                    ybe_witness, ybe_detail = (x, y, z), "component equation 2"
-                    break
-                if b2[lhs_mid][b2yz] != b2[b2xy][z]:
-                    ybe_witness, ybe_detail = (x, y, z), "component equation 3"
-                    break
-            if ybe_witness:
-                break
-        if ybe_witness:
-            break
-    if ybe_witness is None:
-        checks.append(CheckResult(AXIOM_YBE, "pass"))
-    else:
-        checks.append(CheckResult(AXIOM_YBE, "fail", ybe_witness, ybe_detail))
+    record(*_ybe_witness(b1, b2, n))
+    final = report()
+    if not final.ok:
+        return final, None
 
-    report = ValidationReport(n, tuple(checks))
-    if not report.ok:
-        return report, None
-
+    # Kink structure: alpha = (S2^-1 o diag)^-1, pi = (S1^-1 o diag) o alpha.
+    alpha = invert_perm(diag["S2^-1 o diag"])
     derived = (
         _as_table(b1inv),
         _as_table(b2inv),
@@ -342,8 +317,10 @@ def _analyze(b1: Table, b2: Table):
         _as_table(s2),
         _as_table(s1inv),
         _as_table(s2inv),
+        alpha,
+        compose_perms(diag["S1^-1 o diag"], alpha),
     )
-    return report, derived
+    return final, derived
 
 
 def verify_axioms(b1, b2) -> ValidationReport:
@@ -386,15 +363,8 @@ class FiniteBirack:
         self.n = report.n
         self.b1 = b1
         self.b2 = b2
-        (self.b1inv, self.b2inv,
-         self.s1, self.s2, self.s1inv, self.s2inv) = derived
-
-        rng = range(self.n)
-        # Kink structure: alpha = (S2^-1 o diag)^-1, pi = (S1^-1 o diag) o alpha.
-        d1i = tuple(self.s1inv[x][x] for x in rng)
-        d2i = tuple(self.s2inv[x][x] for x in rng)
-        self.alpha = invert_perm(d2i)
-        self.pi = compose_perms(d1i, self.alpha)
+        (self.b1inv, self.b2inv, self.s1, self.s2, self.s1inv, self.s2inv,
+         self.alpha, self.pi) = derived
         self.rank = perm_order(self.pi)
 
     # ---------- maps ----------
@@ -461,14 +431,20 @@ def _block_tables(n: int, block) -> tuple[list[list[int]], list[list[int]]]:
     rows = [list(r) for r in block]
     if len(rows) != n or any(len(r) != 2 * n for r in rows):
         raise ValueError(f"expected {n} rows of {2 * n} entries")
-    for r in rows:
-        for v in r:
-            if not 1 <= int(v) <= n:
-                raise ValueError(f"entry {v} out of range 1..{n}")
+    rows = [_labels(r, n) for r in rows]
     # Left block: row i, col j = B1(x_j, x_i); right: row i, col j = B2(x_i, x_j).
-    b1 = [[rows[y][x] - 1 for y in range(n)] for x in range(n)]
-    b2 = [[rows[x][n + y] - 1 for y in range(n)] for x in range(n)]
+    b1 = [[rows[y][x] for y in range(n)] for x in range(n)]
+    b2 = [[rows[x][n + y] for y in range(n)] for x in range(n)]
     return b1, b2
+
+
+def _labels(entries, n: int) -> list:
+    """The 0-indexed labels of 1-indexed entries; ValueError names the
+    first entry outside 1..n."""
+    for v in entries:
+        if not 1 <= int(v) <= n:
+            raise ValueError(f"entry {v} out of range 1..{n}")
+    return [v - 1 for v in entries]
 
 
 def to_matrix(b: FiniteBirack) -> list[list[int]]:
@@ -494,11 +470,19 @@ def _content_lines(lines) -> list[str]:
     return [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
 
 
-def parse_matrix_text(text: str) -> tuple[int, list[list[int]]]:
-    """Parse matrix file text -> (n, block rows); '#' lines are comments."""
+def _int_row(line: str) -> list[int]:
+    try:
+        return [int(tok) for tok in line.split()]
+    except ValueError:
+        raise ParseError(f"non-integer entry in row {line!r}") from None
+
+
+def _parse_table(text: str, noun: str, width: int) -> tuple[int, list[list[int]]]:
+    """Parse a count line n, then n rows of width * n integers; '#' lines
+    are comments.  noun names the file kind in the errors."""
     lines = [ln.strip() for ln in _content_lines(text.splitlines())]
     if not lines:
-        raise ParseError("empty matrix file")
+        raise ParseError(f"empty {noun} file")
     try:
         n = int(lines[0])
     except ValueError:
@@ -506,17 +490,19 @@ def parse_matrix_text(text: str) -> tuple[int, list[list[int]]]:
     if n <= 0:
         raise ParseError("element count must be positive")
     if len(lines) != n + 1:
-        raise ParseError(f"expected {n} matrix rows, found {len(lines) - 1}")
-    block = []
+        raise ParseError(f"expected {n} {noun} rows, found {len(lines) - 1}")
+    rows = []
     for ln in lines[1:]:
-        try:
-            row = [int(tok) for tok in ln.split()]
-        except ValueError:
-            raise ParseError(f"non-integer entry in row {ln!r}") from None
-        if len(row) != 2 * n:
-            raise ParseError(f"expected {2 * n} entries per row, got {len(row)}")
-        block.append(row)
-    return n, block
+        row = _int_row(ln)
+        if len(row) != width * n:
+            raise ParseError(f"expected {width * n} entries per row, got {len(row)}")
+        rows.append(row)
+    return n, rows
+
+
+def parse_matrix_text(text: str) -> tuple[int, list[list[int]]]:
+    """Parse matrix file text -> (n, block rows); '#' lines are comments."""
+    return _parse_table(text, "matrix", 2)
 
 
 def read_matrix_file(path) -> FiniteBirack:
@@ -636,7 +622,7 @@ def enumerate_biracks(n: int) -> list[FiniteBirack]:
 
     Candidates are the (n^2)! bijections of X x X, taken in lexicographic
     order of the flattened pair table; cheap bijectivity filters prune
-    before the full axiom check runs.
+    before the full axiom check, which runs once per surviving candidate.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -653,7 +639,8 @@ def enumerate_biracks(n: int) -> list[FiniteBirack]:
         b2 = [[p[x * n + y] % n for y in rng] for x in rng]
         if any(len({b2[x][y] for x in rng}) != n for y in rng):
             continue
-        report, _ = _analyze(_as_table(b1), _as_table(b2))
-        if report.ok:
+        try:
             results.append(FiniteBirack(b1, b2))
+        except AxiomViolation:
+            pass
     return results

@@ -62,7 +62,9 @@ class BadPairing(ParseError):
 
 
 class LengthMismatch(BirackError):
-    """A framing vector's length differs from the diagram's component count."""
+    """A framing vector's length differs from the diagram's component count,
+    or an invariant value's framing vectors differ from those it is
+    normalized against."""
 
 
 class SizeTooLarge(BirackError):

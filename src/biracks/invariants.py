@@ -59,7 +59,7 @@ from .core import FiniteBirack, is_subbirack, perm_cycles
 # with_framing and enumerate_labelings are no longer called here; they stay
 # importable from this module as before.
 from .diagram import Diagram, framed_semiarc_sources, unlink, with_framing  # noqa: F401
-from .errors import KindMismatch, NotASubbirack
+from .errors import KindMismatch, LengthMismatch, NotASubbirack
 from .homsearch import (  # noqa: F401
     CutLabelings,
     Labeling,
@@ -234,7 +234,7 @@ class InvariantValue:
     kind: str
     value: int | MultiPoly | NestedPoly
     multiset: tuple[tuple[object, int], ...]
-    per_framing: tuple[tuple[tuple[int, ...], int], ...] | None
+    per_framing: tuple[tuple[tuple[int, ...], int], ...]
     normalized: bool = False
     survey: CutLabelings | None = field(default=None, compare=False, repr=False)
 
@@ -310,19 +310,22 @@ def _merge_multisets(a, bneg):
 
 
 def normalize(v: InvariantValue, d: Diagram, b: FiniteBirack) -> InvariantValue:
-    """Subtract the invariant of the unlink with d's component count."""
+    """Subtract the invariant of the unlink with d's component count.
+
+    Raises LengthMismatch when v's framing vectors are not those of that
+    unlink over b: v was computed for a diagram with another component
+    count or over a birack of another rank.
+    """
     base = compute_invariant(unlink(len(d.components)), b, v.kind)
-    value = v.value - base.value
-    per_framing = None
-    if v.per_framing is not None and len(v.per_framing) == len(base.per_framing):
-        per_framing = tuple(
-            (w, m - bm)
-            for (w, m), (_, bm) in zip(v.per_framing, base.per_framing)
+    if [w for w, _ in v.per_framing] != [w for w, _ in base.per_framing]:
+        raise LengthMismatch(
+            f"the value's framing vectors differ from those of the "
+            f"{len(d.components)}-component unlink over a rank-{b.rank} birack"
         )
     return InvariantValue(
         v.kind,
-        value,
+        v.value - base.value,
         _merge_multisets(v.multiset, base.multiset),
-        per_framing,
+        tuple((w, m - bm) for (w, m), (_, bm) in zip(v.per_framing, base.per_framing)),
         normalized=True,
     )

@@ -414,3 +414,32 @@ class TestOutOfRangeEntry:
         path.write_text(format_matrix(from_matrix(4, TWO_ORBIT_4_MATRIX)))
         code, out, err = _run(["poly", str(path), "--subbirack", "3,5"], capsys)
         assert (code, out, err) == (1, "", "error: entry 5 out of range 1..4\n")
+
+
+class TestTableFileErrors:
+    """make tsrho reports malformed Cayley and map files in one 1-indexed line."""
+
+    Z2 = "2\n1 2\n2 1\n"
+
+    @pytest.mark.parametrize("cayley, tau, err", [
+        ("2\n1 x\n2 1\n", "1 2\n", "non-integer entry in row '1 x'"),
+        ("0\n", "1 2\n", "element count must be positive"),
+        ("2\n1 3\n2 1\n", "1 2\n", "entry 3 out of range 1..2"),
+        ("# only a comment\n", "1 2\n", "empty Cayley table file"),
+        ("2\n1 2\n", "1 2\n", "expected 2 Cayley table rows, found 1"),
+        ("2\n1 2 1\n2 1\n", "1 2\n", "expected 2 entries per row, got 3"),
+        (Z2, "1 3\n", "map file {tau}: entry 3 out of range 1..2"),
+        (Z2, "1 x\n", "map file {tau}: non-integer entry in row '1 x'"),
+        (Z2, "1\n", "map file {tau} must list 2 images"),
+    ], ids=["cayley-non-integer", "cayley-count-0", "cayley-entry-range", "cayley-empty",
+            "cayley-rows", "cayley-row-length", "map-entry-range", "map-non-integer",
+            "map-count"])
+    def test_one_line_error(self, tmp_path, capsys, cayley, tau, err):
+        files = {"cayley": cayley, "tau": tau, "sigma": "1 2\n", "rho": "1 2\n"}
+        argv = ["make", "tsrho"]
+        for key, text in files.items():
+            path = tmp_path / f"{key}.txt"
+            path.write_text(text)
+            argv += [f"--{key}", str(path)]
+        expected = "error: " + err.format(tau=tmp_path / "tau.txt") + "\n"
+        assert _run(argv, capsys) == (1, "", expected)

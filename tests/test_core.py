@@ -1,10 +1,14 @@
+import itertools
+import json
 import random
 from pathlib import Path
 
 import pytest
 
+import biracks.core
 from biracks import (
     AxiomViolation,
+    CheckResult,
     FiniteBirack,
     SizeTooLarge,
     all_subbiracks,
@@ -22,6 +26,7 @@ from biracks import (
     tsr_birack,
     verify_axioms,
 )
+from biracks.cli import main
 from conftest import TWO_ELEMENT_MATRIX
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -111,6 +116,218 @@ class TestVerifyAxioms:
         report = verify_axioms(two_orbit4.b1, two_orbit4.b2)
         assert report.ok
         FiniteBirack(two_orbit4.b1, two_orbit4.b2)  # does not raise
+
+
+PAIR, SIDEWAYS, DIAGONAL, YBE = (
+    "NotPairBijective", "SidewaysNotUnique", "DiagonalNotBijective", "YangBaxterFails",
+)
+
+# Failing candidates: B1 and B2 tables, the report's checks as (name,
+# status, witness, detail), its describe() text and the AxiomViolation
+# message.  One case per sideways kind, per diagonal map and per YBE
+# component equation, and a pair failure followed by a diagonal failure.
+FAILING_REPORTS = {
+    "b1_row": (
+        [[0, 0], [1, 1]],
+        [[0, 1], [0, 1]],
+        [
+            (PAIR, "pass", None, ""),
+            (SIDEWAYS, "fail", ("B1-row", 0), "B1-row 0 is not a bijection"),
+            (DIAGONAL, "skipped", None, ""),
+            (YBE, "skipped", None, ""),
+        ],
+        ("candidate on 2 element(s): NOT a birack\n"
+         "  NotPairBijective: pass\n"
+         "  SidewaysNotUnique: fail (B1-row 0 is not a bijection)\n"
+         "  DiagonalNotBijective: skipped\n"
+         "  YangBaxterFails: skipped"),
+        "SidewaysNotUnique: B1-row 0 is not a bijection (witness: ('B1-row', 0))",
+    ),
+    "b2_column": (
+        [[0, 1], [1, 0]],
+        [[0, 1], [0, 1]],
+        [
+            (PAIR, "pass", None, ""),
+            (SIDEWAYS, "fail", ("B2-column", 0), "B2-column 0 is not a bijection"),
+            (DIAGONAL, "skipped", None, ""),
+            (YBE, "skipped", None, ""),
+        ],
+        ("candidate on 2 element(s): NOT a birack\n"
+         "  NotPairBijective: pass\n"
+         "  SidewaysNotUnique: fail (B2-column 0 is not a bijection)\n"
+         "  DiagonalNotBijective: skipped\n"
+         "  YangBaxterFails: skipped"),
+        "SidewaysNotUnique: B2-column 0 is not a bijection (witness: ('B2-column', 0))",
+    ),
+    "s1_diag": (
+        [[0, 1], [0, 1]],
+        [[0, 1], [1, 0]],
+        [
+            (PAIR, "pass", None, ""),
+            (SIDEWAYS, "pass", None, ""),
+            (DIAGONAL, "fail", ("S1 o diag",), "S1 o diag is not a bijection"),
+            (YBE, "skipped", None, ""),
+        ],
+        ("candidate on 2 element(s): NOT a birack\n"
+         "  NotPairBijective: pass\n"
+         "  SidewaysNotUnique: pass\n"
+         "  DiagonalNotBijective: fail (S1 o diag is not a bijection)\n"
+         "  YangBaxterFails: skipped"),
+        "DiagonalNotBijective: S1 o diag is not a bijection (witness: ('S1 o diag',))",
+    ),
+    "s2_diag": (
+        [[0, 1], [1, 0]],
+        [[0, 0], [1, 1]],
+        [
+            (PAIR, "pass", None, ""),
+            (SIDEWAYS, "pass", None, ""),
+            (DIAGONAL, "fail", ("S2 o diag",), "S2 o diag is not a bijection"),
+            (YBE, "skipped", None, ""),
+        ],
+        ("candidate on 2 element(s): NOT a birack\n"
+         "  NotPairBijective: pass\n"
+         "  SidewaysNotUnique: pass\n"
+         "  DiagonalNotBijective: fail (S2 o diag is not a bijection)\n"
+         "  YangBaxterFails: skipped"),
+        "DiagonalNotBijective: S2 o diag is not a bijection (witness: ('S2 o diag',))",
+    ),
+    "s1inv_diag": (
+        [[2, 1, 0], [0, 1, 2], [2, 1, 0]],
+        [[1, 1, 1], [0, 0, 0], [2, 2, 2]],
+        [
+            (PAIR, "pass", None, ""),
+            (SIDEWAYS, "pass", None, ""),
+            (DIAGONAL, "fail", ("S1^-1 o diag",), "S1^-1 o diag is not a bijection"),
+            (YBE, "skipped", None, ""),
+        ],
+        ("candidate on 3 element(s): NOT a birack\n"
+         "  NotPairBijective: pass\n"
+         "  SidewaysNotUnique: pass\n"
+         "  DiagonalNotBijective: fail (S1^-1 o diag is not a bijection)\n"
+         "  YangBaxterFails: skipped"),
+        "DiagonalNotBijective: S1^-1 o diag is not a bijection (witness: ('S1^-1 o diag',))",
+    ),
+    "s2inv_diag": (
+        [[2, 1, 0], [2, 1, 0], [2, 1, 0]],
+        [[0, 2, 0], [1, 1, 2], [2, 0, 1]],
+        [
+            (PAIR, "pass", None, ""),
+            (SIDEWAYS, "pass", None, ""),
+            (DIAGONAL, "fail", ("S2^-1 o diag",), "S2^-1 o diag is not a bijection"),
+            (YBE, "skipped", None, ""),
+        ],
+        ("candidate on 3 element(s): NOT a birack\n"
+         "  NotPairBijective: pass\n"
+         "  SidewaysNotUnique: pass\n"
+         "  DiagonalNotBijective: fail (S2^-1 o diag is not a bijection)\n"
+         "  YangBaxterFails: skipped"),
+        "DiagonalNotBijective: S2^-1 o diag is not a bijection (witness: ('S2^-1 o diag',))",
+    ),
+    "ybe_1": (
+        [[1, 0, 2], [0, 2, 1], [2, 1, 0]],
+        [[2, 2, 2], [0, 0, 0], [1, 1, 1]],
+        [
+            (PAIR, "pass", None, ""),
+            (SIDEWAYS, "pass", None, ""),
+            (DIAGONAL, "pass", None, ""),
+            (YBE, "fail", (0, 0, 0), "component equation 1"),
+        ],
+        ("candidate on 3 element(s): NOT a birack\n"
+         "  NotPairBijective: pass\n"
+         "  SidewaysNotUnique: pass\n"
+         "  DiagonalNotBijective: pass\n"
+         "  YangBaxterFails: fail (component equation 1)"),
+        "YangBaxterFails: component equation 1 (witness: (0, 0, 0))",
+    ),
+    "ybe_2": (
+        [[0, 2, 1], [0, 2, 1], [0, 2, 1]],
+        [[0, 2, 0], [2, 0, 2], [1, 1, 1]],
+        [
+            (PAIR, "pass", None, ""),
+            (SIDEWAYS, "pass", None, ""),
+            (DIAGONAL, "pass", None, ""),
+            (YBE, "fail", (0, 0, 1), "component equation 2"),
+        ],
+        ("candidate on 3 element(s): NOT a birack\n"
+         "  NotPairBijective: pass\n"
+         "  SidewaysNotUnique: pass\n"
+         "  DiagonalNotBijective: pass\n"
+         "  YangBaxterFails: fail (component equation 2)"),
+        "YangBaxterFails: component equation 2 (witness: (0, 0, 1))",
+    ),
+    "ybe_3": (
+        [[0, 1, 2], [0, 1, 2], [0, 1, 2]],
+        [[0, 2, 0], [2, 1, 1], [1, 0, 2]],
+        [
+            (PAIR, "pass", None, ""),
+            (SIDEWAYS, "pass", None, ""),
+            (DIAGONAL, "pass", None, ""),
+            (YBE, "fail", (0, 1, 0), "component equation 3"),
+        ],
+        ("candidate on 3 element(s): NOT a birack\n"
+         "  NotPairBijective: pass\n"
+         "  SidewaysNotUnique: pass\n"
+         "  DiagonalNotBijective: pass\n"
+         "  YangBaxterFails: fail (component equation 3)"),
+        "YangBaxterFails: component equation 3 (witness: (0, 1, 0))",
+    ),
+    "pair_then_diag": (
+        [[0, 1], [1, 0]],
+        [[1, 0], [0, 1]],
+        [
+            (PAIR, "fail", ((0, 1), (1, 0)), "B(0, 1) = B(1, 0)"),
+            (SIDEWAYS, "pass", None, ""),
+            (DIAGONAL, "fail", ("S2 o diag",), "S2 o diag is not a bijection"),
+            (YBE, "skipped", None, ""),
+        ],
+        ("candidate on 2 element(s): NOT a birack\n"
+         "  NotPairBijective: fail (B(0, 1) = B(1, 0))\n"
+         "  SidewaysNotUnique: pass\n"
+         "  DiagonalNotBijective: fail (S2 o diag is not a bijection)\n"
+         "  YangBaxterFails: skipped"),
+        "NotPairBijective: B(0, 1) = B(1, 0) (witness: ((0, 1), (1, 0)))",
+    ),
+}
+
+
+def _matrix_text(b1, b2) -> str:
+    """Matrix file text of candidate tables, in to_matrix's block layout."""
+    n = len(b1)
+    rows = [[b1[x][y] + 1 for x in range(n)] + [b2[y][x] + 1 for x in range(n)]
+            for y in range(n)]
+    return f"{n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+class TestFailingReports:
+    @pytest.mark.parametrize("case", FAILING_REPORTS)
+    def test_report_and_violation(self, case):
+        b1, b2, checks, describe, message = FAILING_REPORTS[case]
+        report = verify_axioms(b1, b2)
+        assert report.checks == tuple(CheckResult(*c) for c in checks)
+        assert report.describe() == describe
+        with pytest.raises(AxiomViolation) as exc:
+            FiniteBirack(b1, b2)
+        name, _, witness, detail = next(c for c in checks if c[1] == "fail")
+        assert (exc.value.reason, exc.value.witness, exc.value.detail) == (name, witness, detail)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("case", FAILING_REPORTS)
+    def test_verify_command(self, case, tmp_path, capsys):
+        b1, b2, checks, describe, _ = FAILING_REPORTS[case]
+        path = tmp_path / "candidate.txt"
+        path.write_text(_matrix_text(b1, b2))
+        assert main(["verify", str(path)]) == 1
+        assert capsys.readouterr().out == describe + "\n"
+        assert main(["verify", str(path), "--json"]) == 1
+        payload = {
+            "checks": [
+                {"axiom": name, "detail": detail, "status": status, "witness": witness}
+                for name, status, witness, detail in checks
+            ],
+            "n": len(b1),
+            "ok": False,
+        }
+        assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
 
 
 class TestDerivedStructure:
@@ -298,6 +515,26 @@ class TestEnumerate:
     def test_too_large(self):
         with pytest.raises(SizeTooLarge):
             enumerate_biracks(4)
+
+    def test_one_analysis_per_candidate(self, monkeypatch):
+        calls = []
+        analyze = biracks.core._analyze
+
+        def counting(b1, b2):
+            calls.append((b1, b2))
+            return analyze(b1, b2)
+
+        monkeypatch.setattr(biracks.core, "_analyze", counting)
+        assert len(enumerate_biracks(2)) == 4
+        # the candidates with bijective B1 rows and B2 columns pass the prefilters
+        n = 2
+        survivors = sum(
+            all(len({p[x * n + y] // n for y in range(n)}) == n for x in range(n))
+            and all(len({p[x * n + y] % n for x in range(n)}) == n for y in range(n))
+            for p in itertools.permutations(range(n * n))
+        )
+        assert len(calls) == survivors
+        assert len(set(calls)) == survivors
 
 
 class TestMatrixText:

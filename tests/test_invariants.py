@@ -9,6 +9,7 @@ import biracks.core
 import biracks.homsearch
 from biracks import (
     KindMismatch,
+    LengthMismatch,
     MultiPoly,
     NestedPoly,
     NotASubbirack,
@@ -202,6 +203,17 @@ class TestNormalize:
         d = parse_gauss(TREFOIL)
         v = compute_invariant(d, trefoil_birack, "integral")
         assert normalize(v, d, trefoil_birack).value == 9 - 3
+
+    @pytest.mark.parametrize("kind", ["integral", "writhe", "image", "rho"])
+    def test_mismatched_diagram_or_birack(self, kind, trefoil_birack, two_element):
+        trefoil, hopf = parse_gauss(TREFOIL), parse_gauss(HOPF)
+        v = compute_invariant(trefoil, trefoil_birack, kind)
+        with pytest.raises(LengthMismatch, match="2-component unlink over a rank-1 "):
+            normalize(v, hopf, trefoil_birack)
+        with pytest.raises(LengthMismatch, match="1-component unlink over a rank-2 "):
+            normalize(v, trefoil, two_element)
+        with pytest.raises(KindMismatch):
+            normalize(replace(v, kind="bogus"), hopf, trefoil_birack)
 
 
 class TestInvariantValueBook:

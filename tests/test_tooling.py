@@ -4,9 +4,10 @@ bench/spans.py rebinds functions and methods of biracks by name, and its
 install() fails on the first one that is gone.  This loads the module by
 path, without installing anything, and resolves every name.  The public
 names of the package are pinned: dropping one means editing the pin and
-deprecating the name in CHANGES.md.
+deprecating the name in CHANGES.md.  No package module uses assert.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -29,7 +30,8 @@ PUBLIC_NAMES = [
     "to_matrix", "tsr_birack", "unlink", "verify_axioms", "with_framing",
     "writhe_vector",
 ]
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _spans():
@@ -60,3 +62,16 @@ def test_public_names_pinned():
 
 def test_public_names_resolve():
     assert [name for name in biracks.__all__ if not hasattr(biracks, name)] == []
+
+
+def test_no_assert_in_package():
+    """Checks in the package raise, so they hold under python -O too."""
+    paths = sorted((ROOT / "src" / "biracks").glob("*.py"))
+    assert paths
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -526,20 +526,30 @@ def subbirack_closure(b: FiniteBirack, seed) -> frozenset[int]:
     map Y x Y into itself injectively, hence onto, and every pair of Y is
     an image of a pair of Y.
     """
-    current = set(seed)
-    for x in current:
+    seed = set(seed)
+    for x in seed:
         if not 0 <= x < b.n:
             raise ValueError(f"seed element {x} out of range")
-    while True:
-        new = set()
-        for x in current:
-            for y in current:
-                for v in (b.b1[x][y], b.b2[x][y], b.s1[x][y], b.s2[x][y]):
-                    if v not in current:
-                        new.add(v)
-        if not new:
-            break
-        current |= new
+    return _close(b, set(), seed)
+
+
+def _close(b: FiniteBirack, closed, frontier) -> frozenset[int]:
+    """Closure of closed | frontier for a closed set closed.  Semi-naive
+    fixpoint: each round starts with all pairs inside current - frontier
+    applied, so it applies B1, B2, S1, S2 only to pairs with a frontier
+    element, in both orders; what is new is the next frontier."""
+    current = {*closed, *frontier}
+    maps = (b.b1, b.b2, b.s1, b.s2)
+    while frontier:
+        found = set()
+        for x in frontier:
+            for t in maps:
+                row = t[x]
+                for y in current:
+                    found.add(row[y])
+                    found.add(t[y][x])
+        frontier = found - current
+        current |= frontier
     return frozenset(current)
 
 
@@ -551,21 +561,21 @@ def is_subbirack(b: FiniteBirack, subset) -> bool:
 def all_subbiracks(b: FiniteBirack) -> list[frozenset[int]]:
     """Every non-empty closed subset, sorted by size then lexicographically.
 
-    Closed sets form a lattice generated by singleton closures under
-    closure-of-union, so the search never enumerates all 2^n seeds.
+    Every closed set is the join (closure of the union) of the singleton
+    closures it holds, its atoms, so the search joins each found set with
+    the atoms it lacks and never enumerates the 2^n seeds.
     """
-    found: set[frozenset[int]] = set()
-    queue = [subbirack_closure(b, {x}) for x in range(b.n)]
-    for s in queue:
-        found.add(s)
-    pending = list(found)
+    atoms = {subbirack_closure(b, {x}) for x in range(b.n)}
+    found = set(atoms)
+    pending = list(atoms)
     while pending:
         current = pending.pop()
-        for other in list(found):
-            joined = subbirack_closure(b, current | other)
-            if joined not in found:
-                found.add(joined)
-                pending.append(joined)
+        for atom in atoms:
+            if not atom <= current:
+                joined = _close(b, current, atom - current)
+                if joined not in found:
+                    found.add(joined)
+                    pending.append(joined)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 

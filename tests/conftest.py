@@ -8,7 +8,9 @@ labelings of a linear birack as the kernel of the crossing matrix mod n,
 framed_reference searches the kinked diagram with_framing builds for
 every framing (no cut search), and per_labeling_multiset closes every
 labeling's image of that reference separately, sharing nothing between
-labelings.  Acceptance and property tests compare the production code
+labelings.  naive_closure applies B and S to every pair of the set in
+every round, and naive_subbiracks joins every found subbirack with every
+other.  Acceptance and property tests compare the production code
 against these.  random_gauss_code draws legal signed Gauss codes from a
 seeded generator for differential tests.
 """
@@ -386,6 +388,35 @@ def _rack_arc_count(d: Diagram, b: FiniteBirack) -> int:
         if ok:
             count += 1
     return count
+
+
+def naive_closure(b: FiniteBirack, seed) -> frozenset[int]:
+    """Closure of seed under B1, B2, S1, S2, every pair applied each round."""
+    current = set(seed)
+    while True:
+        new = set()
+        for x in current:
+            for y in current:
+                for v in (b.b1[x][y], b.b2[x][y], b.s1[x][y], b.s2[x][y]):
+                    if v not in current:
+                        new.add(v)
+        if not new:
+            return frozenset(current)
+        current |= new
+
+
+def naive_subbiracks(b: FiniteBirack) -> list[frozenset[int]]:
+    """Every non-empty subbirack, each found one joined with every other."""
+    found = {naive_closure(b, {x}) for x in range(b.n)}
+    pending = list(found)
+    while pending:
+        current = pending.pop()
+        for other in list(found):
+            joined = naive_closure(b, current | other)
+            if joined not in found:
+                found.add(joined)
+                pending.append(joined)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 def braid_closure(n_strands: int, word: list[int]) -> Diagram:

@@ -13,6 +13,7 @@ from biracks import (
     SizeTooLarge,
     all_subbiracks,
     classify,
+    constant_action,
     cycle_string,
     enumerate_biracks,
     format_matrix,
@@ -27,18 +28,20 @@ from biracks import (
     verify_axioms,
 )
 from biracks.cli import main
-from conftest import TWO_ELEMENT_MATRIX
+from conftest import TWO_ELEMENT_MATRIX, naive_closure, naive_subbiracks
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 TSR = [(3, 1, 2, 2), (4, 3, 2, 3), (4, 1, 2, 1), (3, 2, 2, 1), (5, 1, 3, 3), (3, 1, 2, 2, 2),
        (7, 3, 0, 1), (11, 2, 0, 1)]
+# up to 67 elements, two with m = 2
+ORACLE_TSR = [(3, 1, 2, 2), (4, 3, 2, 3), (67, 2, 0, 1), (3, 2, 0, 1, 2), (5, 2, 0, 1, 2)]
 
 
-def _tables() -> list[FiniteBirack]:
-    """Every data/*.txt birack, every birack on 2 elements and some tsr tables."""
+def _tables(tsr=TSR) -> list[FiniteBirack]:
+    """Every data/*.txt birack, every birack on 2 elements and tsr tables."""
     tables = [read_matrix_file(p) for p in sorted(DATA.glob("*.txt"))
               if p.name != "sample_links.txt"]
-    return tables + enumerate_biracks(2) + [tsr_birack(*args) for args in TSR]
+    return tables + enumerate_biracks(2) + [tsr_birack(*args) for args in tsr]
 
 
 def identity_birack(n: int) -> FiniteBirack:
@@ -463,6 +466,83 @@ class TestClosureTheorem:
                             assert table[x][y] in closed
                 checked += 1
         assert checked > 100
+
+
+class TestSemiNaiveClosure:
+    """The semi-naive closure and the atom joins equal the all-pairs oracles."""
+
+    def test_closure_matches_oracle(self):
+        rng = random.Random(1)
+        checked = 0
+        for b in _tables(ORACLE_TSR):
+            seeds = [{x} for x in range(b.n)]
+            seeds += [set(rng.sample(range(b.n), rng.randint(1, min(4, b.n))))
+                      for _ in range(10)]
+            for seed in seeds:
+                assert subbirack_closure(b, seed) == naive_closure(b, seed)
+                checked += 1
+        assert checked > 250
+
+    def test_lattice_and_joins_match_oracle(self):
+        rng = random.Random(2)
+        twist = tsr_birack(8, 1, 0, 1)
+        tables = _tables(ORACLE_TSR) + [
+            constant_action((1, 0, 3, 2, 4, 5, 6, 7), (0, 1, 2, 3, 5, 4, 6, 7)),
+            twist,
+        ]
+        joins = 0
+        for b in tables:
+            lattice = naive_subbiracks(b)
+            assert all_subbiracks(b) == lattice
+            for _ in range(10):
+                x, y = rng.choice(lattice), rng.choice(lattice)
+                expected = naive_closure(b, x | y)
+                assert subbirack_closure(b, x | y) == expected
+                assert biracks.core._close(b, x, y - x) == expected
+                joins += x != expected
+        assert len(lattice) == 2 ** 8 - 1
+        assert joins > 20
+
+
+class TestAtomJoins:
+    """all_subbiracks joins each found set only with the atoms it lacks.
+
+    The counts are deterministic; the all-pairs search made up to one join
+    per pair of found sets (255^2 on the 8-point twist)."""
+
+    @staticmethod
+    def _counted(monkeypatch, b):
+        calls = []
+        close = biracks.core._close
+
+        def counting(b, closed, frontier):
+            calls.append(frontier)
+            return close(b, closed, frontier)
+
+        monkeypatch.setattr(biracks.core, "_close", counting)
+        subs = all_subbiracks(b)
+        monkeypatch.undo()
+        return subs, len(calls)
+
+    def test_close_calls(self, monkeypatch):
+        subs, calls = self._counted(monkeypatch, tsr_birack(3, 2, 0, 1, 2))
+        assert (len(subs), calls) == (31, 84)
+        # twist B(x, y) = (y, x): every subset is closed, the atoms are the
+        # 8 singletons, and a set of size k is joined with 8 - k of them
+        subs, calls = self._counted(monkeypatch, tsr_birack(8, 1, 0, 1))
+        assert (len(subs), calls) == (255, 8 + 8 * 255 - 8 * 2 ** 7)
+        assert calls <= 255 * 8
+
+    def test_twist_lists_every_subset(self, tmp_path, capsys):
+        path = tmp_path / "twist10.txt"
+        path.write_text(format_matrix(tsr_birack(10, 1, 0, 1)))
+        assert main(["subbiracks", str(path)]) == 0
+        # by size, then lexicographically: the CLI's order
+        subsets = [c for k in range(1, 11) for c in itertools.combinations(range(1, 11), k)]
+        assert len(subsets) == 1023
+        assert capsys.readouterr().out.splitlines() == [
+            "{" + ", ".join(map(str, c)) + "}" for c in subsets
+        ]
 
 
 class TestRackCrossValidation:

@@ -181,7 +181,13 @@ def _cmd_subbiracks(args) -> int:
 def _cmd_poly(args) -> int:
     b = read_matrix_file(args.path)
     if args.subbirack is not None:
-        entries = sorted({int(tok) for tok in args.subbirack.replace(",", " ").split()})
+        entries = set()
+        for tok in args.subbirack.replace(",", " ").split():
+            try:
+                entries.add(int(tok))
+            except ValueError:
+                raise ParseError(f"--subbirack entry {tok!r} is not an integer") from None
+        entries = sorted(entries)
         if not entries:
             raise BirackError("--subbirack lists no elements")
         for v in entries:
@@ -232,7 +238,9 @@ def _cmd_invariant(args) -> int:
     else:
         with open(args.batch, encoding="utf-8") as fh:
             for ln in _content_lines(fh):
-                name, _, code = ln.rstrip("\n").partition("\t")
+                name, tab, code = ln.rstrip("\n").partition("\t")
+                if not tab:
+                    raise ParseError(f"batch line {ln.strip()!r} has no TAB after the name")
                 jobs.append((name.strip(), code.strip()))
     results = []
     for name, code in jobs:

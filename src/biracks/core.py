@@ -519,12 +519,13 @@ def read_matrix_file(path) -> FiniteBirack:
 # ---------------------------------------------------------------------------
 
 def subbirack_closure(b: FiniteBirack, seed) -> frozenset[int]:
-    """Smallest superset of seed closed under B1, B2, S1, S2 on pairs.
+    """Smallest superset of seed closed under B1 and B2 on pairs.
 
-    The result is closed under the inverse maps too, with nothing more to
-    iterate: B and S are injective, so on a set Y closed under them they
-    map Y x Y into itself injectively, hence onto, and every pair of Y is
-    an image of a pair of Y.
+    Closure under B gives closure under S, B^-1 and S^-1.  For x in a
+    finite Y closed under B, the injective row y -> B1(x, y) maps Y into
+    Y, hence onto Y; so for a, x in Y the y with B1(x, y) = a lies in Y,
+    and S(a, x) = (B2(x, y), y) lies in Y x Y.  B and S map Y x Y
+    injectively into itself, hence onto, so B^-1 and S^-1 keep Y too.
     """
     seed = set(seed)
     for x in seed:
@@ -536,14 +537,13 @@ def subbirack_closure(b: FiniteBirack, seed) -> frozenset[int]:
 def _close(b: FiniteBirack, closed, frontier) -> frozenset[int]:
     """Closure of closed | frontier for a closed set closed.  Semi-naive
     fixpoint: each round starts with all pairs inside current - frontier
-    applied, so it applies B1, B2, S1, S2 only to pairs with a frontier
+    applied, so it applies B1 and B2 only to pairs with a frontier
     element, in both orders; what is new is the next frontier."""
     current = {*closed, *frontier}
-    maps = (b.b1, b.b2, b.s1, b.s2)
     while frontier:
         found = set()
         for x in frontier:
-            for t in maps:
+            for t in (b.b1, b.b2):
                 row = t[x]
                 for y in current:
                     found.add(row[y])

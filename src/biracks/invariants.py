@@ -270,12 +270,11 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
         })
     else:
         # A framed labeling's labels lie between its cut labels and their
-        # closure (kink labels are alpha and pi images, and a closed set is
-        # closed under S and S^-1), so its image is the closure of the cut
-        # label set: each distinct set is closed once, each distinct image
-        # gets one signature.
+        # closure (kink labels are alpha and pi images, and a set closed
+        # under B is closed under S and S^-1 by subbirack_closure's
+        # theorem), so its image is the closure of the cut label set: each
+        # distinct set is closed once, each distinct image one signature.
         label_sets = list(map(frozenset, cut.assignments))
-        sample = dict(zip(label_sets, cut.assignments))
         uses: Counter = Counter()  # label set -> labelings over every framing
         for (key, labels), m in Counter(zip(keys, label_sets)).items():
             if None not in key:
@@ -283,7 +282,7 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
         signature: dict[frozenset[int], object] = {}
         totals: Counter = Counter()
         for labels, m in uses.items():
-            image = labeling_image(Labeling(sample[labels]), b)
+            image = labeling_image(Labeling(tuple(labels)), b)
             if image not in signature:
                 signature[image] = (
                     len(image) if kind == "image"

@@ -9,10 +9,11 @@ framed_reference searches the kinked diagram with_framing builds for
 every framing (no cut search), and per_labeling_multiset closes every
 labeling's image of that reference separately, sharing nothing between
 labelings.  naive_closure applies B and S to every pair of the set in
-every round, and naive_subbiracks joins every found subbirack with every
-other.  Acceptance and property tests compare the production code
-against these.  random_gauss_code draws legal signed Gauss codes from a
-seeded generator for differential tests.
+every round (S too, so it does not lean on the closure theorem), and
+naive_subbiracks joins every found subbirack with every other.
+Acceptance and property tests compare the production code against these.
+random_gauss_code draws legal signed Gauss codes from a seeded generator
+for differential tests.
 """
 
 from __future__ import annotations
@@ -72,6 +73,22 @@ TEN_ELEMENT_MATRIX = [
     [8, 8, 8, 8, 8, 7, 6, 10, 9, 8, 7, 7, 7, 7, 7, 9, 9, 9, 9, 9],
     [10, 10, 10, 10, 10, 9, 8, 7, 6, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10],
 ]
+
+
+def dihedral8_cayley():
+    """Order-8 group of a 4-fold rotation a and reflection b with ab = b a^-1."""
+
+    def idx(i, j):
+        return 2 * (i % 4) + (j % 2)
+
+    table = [[0] * 8 for _ in range(8)]
+    for e1 in range(8):
+        i, j = divmod(e1, 2)
+        for e2 in range(8):
+            k, l = divmod(e2, 2)
+            table[e1][e2] = idx(i + (-1) ** j * k, j + l)
+    return table
+
 
 # ---------------------------------------------------------------------------
 # Reference Gauss codes (classical diagrams from standard tables)

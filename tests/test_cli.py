@@ -138,6 +138,8 @@ class TestQueries:
             ("3,1", "error: [1, 3] is not closed under B and S\n"),
             ("", "error: --subbirack lists no elements\n"),
             (" , ", "error: --subbirack lists no elements\n"),
+            ("a", "error: --subbirack entry 'a' is not an integer\n"),
+            ("1.5", "error: --subbirack entry '1.5' is not an integer\n"),
         ]:
             code, out, got = _run(["poly", two_orbit_file, "--subbirack", subset], capsys)
             assert (code, out, got) == (1, "", err)
@@ -392,6 +394,16 @@ class TestCommentAndBlankLines:
         assert main(["invariant", "--birack", two_element_file,
                      "--batch", str(path), "--type", "integral"]) == 0
         assert capsys.readouterr().out == "\tintegral\t4\n"
+
+    def test_batch_line_without_tab_is_an_error(self, two_element_file,
+                                                tmp_path, capsys):
+        # read as a name with an empty code, it would count the unknot
+        path = tmp_path / "links.txt"
+        path.write_text(f"hopf\t{HOPF}\ntrefoil {TREFOIL}\n")
+        code, out, err = _run(["invariant", "--birack", two_element_file,
+                               "--batch", str(path), "--type", "integral"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: batch line 'trefoil {TREFOIL}' has no TAB after the name\n"
 
 
 class TestOutOfRangeEntry:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -23,12 +24,13 @@ from biracks import (
     parse_matrix_text,
     read_matrix_file,
     subbirack_closure,
+    tau_sigma_rho_birack,
     to_matrix,
     tsr_birack,
     verify_axioms,
 )
 from biracks.cli import main
-from conftest import TWO_ELEMENT_MATRIX, naive_closure, naive_subbiracks
+from conftest import TWO_ELEMENT_MATRIX, dihedral8_cayley, naive_closure, naive_subbiracks
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 TSR = [(3, 1, 2, 2), (4, 3, 2, 3), (4, 1, 2, 1), (3, 2, 2, 1), (5, 1, 3, 3), (3, 1, 2, 2, 2),
@@ -42,6 +44,28 @@ def _tables(tsr=TSR) -> list[FiniteBirack]:
     tables = [read_matrix_file(p) for p in sorted(DATA.glob("*.txt"))
               if p.name != "sample_links.txt"]
     return tables + enumerate_biracks(2) + [tsr_birack(*args) for args in tsr]
+
+
+@functools.cache
+def _oracle_cases() -> tuple:
+    """(birack, seeds, their naive closures, naive lattice) for
+    _tables(ORACLE_TSR), every birack on 3 elements and the order-8 group
+    birack of test_families' TestTauSigmaRho.test_order8_example.  Seeds:
+    every seed of size <= 2 up to 8 elements, else the singletons, and 10
+    random seeds of size <= 4."""
+    tau = [2 * ((-i) % 4) + j for i, j in (divmod(e, 2) for e in range(8))]
+    sigma = [2 * ((2 * i) % 4) for i, _ in (divmod(e, 2) for e in range(8))]
+    dihedral8 = tau_sigma_rho_birack(dihedral8_cayley(), tau, sigma, tau)
+    rng = random.Random(1)
+    cases = []
+    for b in [*_tables(ORACLE_TSR), *enumerate_biracks(3), dihedral8]:
+        sizes = (1, 2) if b.n <= 8 else (1,)
+        seeds = [set(c) for k in sizes for c in itertools.combinations(range(b.n), k)]
+        seeds += [set(rng.sample(range(b.n), rng.randint(1, min(4, b.n))))
+                  for _ in range(10)]
+        closures = [naive_closure(b, seed) for seed in seeds]
+        cases.append((b, seeds, closures, naive_subbiracks(b)))
+    return tuple(cases)
 
 
 def identity_birack(n: int) -> FiniteBirack:
@@ -449,7 +473,7 @@ class TestIsSimple:
 
 
 class TestClosureTheorem:
-    """subbirack_closure iterates B and S only; the inverse maps follow."""
+    """subbirack_closure iterates B only; S and the inverse maps follow."""
 
     def test_closures_are_closed_under_inverse_maps(self):
         rng = random.Random(0)
@@ -462,7 +486,7 @@ class TestClosureTheorem:
                 closed = subbirack_closure(b, seed)
                 for x in closed:
                     for y in closed:
-                        for table in (b.b1inv, b.b2inv, b.s1inv, b.s2inv):
+                        for table in (b.s1, b.s2, b.b1inv, b.b2inv, b.s1inv, b.s2inv):
                             assert table[x][y] in closed
                 checked += 1
         assert checked > 100
@@ -472,27 +496,22 @@ class TestSemiNaiveClosure:
     """The semi-naive closure and the atom joins equal the all-pairs oracles."""
 
     def test_closure_matches_oracle(self):
-        rng = random.Random(1)
         checked = 0
-        for b in _tables(ORACLE_TSR):
-            seeds = [{x} for x in range(b.n)]
-            seeds += [set(rng.sample(range(b.n), rng.randint(1, min(4, b.n))))
-                      for _ in range(10)]
-            for seed in seeds:
-                assert subbirack_closure(b, seed) == naive_closure(b, seed)
-                checked += 1
-        assert checked > 250
+        for b, seeds, closures, _ in _oracle_cases():
+            assert [subbirack_closure(b, seed) for seed in seeds] == closures
+            checked += len(seeds)
+        assert checked > 1000
 
     def test_lattice_and_joins_match_oracle(self):
         rng = random.Random(2)
-        twist = tsr_birack(8, 1, 0, 1)
-        tables = _tables(ORACLE_TSR) + [
+        extra = [
             constant_action((1, 0, 3, 2, 4, 5, 6, 7), (0, 1, 2, 3, 5, 4, 6, 7)),
-            twist,
+            tsr_birack(8, 1, 0, 1),  # the twist: every subset is closed
         ]
+        cases = [(b, lattice) for b, _, _, lattice in _oracle_cases()]
+        cases += [(b, naive_subbiracks(b)) for b in extra]
         joins = 0
-        for b in tables:
-            lattice = naive_subbiracks(b)
+        for b, lattice in cases:
             assert all_subbiracks(b) == lattice
             for _ in range(10):
                 x, y = rng.choice(lattice), rng.choice(lattice)
@@ -502,6 +521,25 @@ class TestSemiNaiveClosure:
                 joins += x != expected
         assert len(lattice) == 2 ** 8 - 1
         assert joins > 20
+
+
+class TestClosureUnderBAlone:
+    """Closure and the lattice read only B1 and B2: S is never indexed."""
+
+    class _Unreadable:
+        def __getitem__(self, key):
+            raise AssertionError("S was read")
+
+    def test_s_is_never_read(self):
+        rng = random.Random(4)
+        for b, seeds, closures, lattice in _oracle_cases():
+            pairs = [(rng.choice(lattice), rng.choice(lattice)) for _ in range(5)]
+            joins = [naive_closure(b, x | y) for x, y in pairs]
+            fresh = FiniteBirack(b.b1, b.b2)
+            fresh.s1 = fresh.s2 = self._Unreadable()
+            assert [subbirack_closure(fresh, seed) for seed in seeds] == closures
+            assert [biracks.core._close(fresh, x, y - x) for x, y in pairs] == joins
+            assert all_subbiracks(fresh) == lattice
 
 
 class TestAtomJoins:

@@ -12,7 +12,7 @@ from biracks import (
     tau_sigma_rho_birack,
     verify_axioms,
 )
-from conftest import CONSTANT_ACTION_4_MATRIX, TWO_ELEMENT_MATRIX
+from conftest import CONSTANT_ACTION_4_MATRIX, TWO_ELEMENT_MATRIX, dihedral8_cayley
 
 
 def compose(p, q):
@@ -153,21 +153,6 @@ class TestTsr:
         flags = classify(b)
         assert flags.is_quandle
         assert all(b.b1[x][y] == (2 * x - y) % 5 for x in range(5) for y in range(5))
-
-
-def dihedral8_cayley():
-    """Order-8 group of a 4-fold rotation a and reflection b with ab = b a^-1."""
-
-    def idx(i, j):
-        return 2 * (i % 4) + (j % 2)
-
-    table = [[0] * 8 for _ in range(8)]
-    for e1 in range(8):
-        i, j = divmod(e1, 2)
-        for e2 in range(8):
-            k, l = divmod(e2, 2)
-            table[e1][e2] = idx(i + (-1) ** j * k, j + l)
-    return table
 
 
 class TestTauSigmaRho:

@@ -18,8 +18,9 @@ B2(o, u) the new over-strand label when the strand labeled u passes
 under the strand labeled o at a positive crossing.
 
 One pass over the tables checks the axioms in that order and, when they
-all hold, builds every derived map: B^-1 from the pair check, S and S^-1,
-and from the diagonals of S^-1 the kink structure: with D(x) = (x, x),
+all hold, builds every derived map: the pair check's sweep fills B^-1, S
+and S^-1, and the diagonals of S^-1 give the kink structure: with
+D(x) = (x, x),
 
   alpha = (S2^-1 o D)^-1        pi = (S1^-1 o D) o alpha
 
@@ -225,11 +226,11 @@ def _ybe_witness(b1: Table, b2: Table, n: int) -> tuple[tuple | None, str]:
 def _analyze(b1: Table, b2: Table):
     """Run every axiom check in one pass; return (report, derived-or-None).
 
-    derived is (B1^-1, B2^-1, S1, S2, S1^-1, S2^-1) as tables, then the
-    kink maps alpha and pi, all built by this pass.  Each axiom is
-    recorded in _AXIOM_ORDER; when the sideways or diagonal check fails,
-    the axioms after it need the structure it was meant to provide and
-    are reported as skipped.
+    derived is (B1^-1, B2^-1, S1, S2, S1^-1, S2^-1) as tables, all filled
+    by the one sweep over the n^2 pairs, then the kink maps alpha and pi.
+    Each axiom is recorded in _AXIOM_ORDER; when the sideways or diagonal
+    check fails, the axioms after it need the structure it was meant to
+    provide and are reported as skipped.
     """
     n = _check_shape(b1, b2)
     rng = range(n)
@@ -251,9 +252,10 @@ def _analyze(b1: Table, b2: Table):
         return ValidationReport(n, tuple(checks + skipped))
 
     # (x, y) -> (B1, B2) bijective on pairs.  The first preimage of each
-    # image is recorded, which makes B^-1 when the check passes.
-    b1inv = [[-1] * n for _ in rng]
-    b2inv = [[-1] * n for _ in rng]
+    # image is recorded, which makes B^-1 when the check passes.  The same
+    # sweep writes S(u, x) = (v, y) and S^-1(v, y) = (u, x); they are read
+    # only once the sideways check passes, which makes each write unique.
+    b1inv, b2inv, s1, s2, s1inv, s2inv = ([[-1] * n for _ in rng] for _ in range(6))
     pair_witness = None
     for x in rng:
         for y in rng:
@@ -262,6 +264,8 @@ def _analyze(b1: Table, b2: Table):
                 b1inv[u][v], b2inv[u][v] = x, y
             elif pair_witness is None:
                 pair_witness = ((b1inv[u][v], b2inv[u][v]), (x, y))
+            s1[u][x], s2[u][x] = v, y
+            s1inv[v][y], s2inv[v][y] = u, x
     record(pair_witness, "B{} = B{}")
 
     # Sideways map existence/uniqueness: B1 rows and B2 columns bijective.
@@ -271,23 +275,6 @@ def _analyze(b1: Table, b2: Table):
     ), None)
     if not record(sideways_witness, "{} {} is not a bijection"):
         return report(), None
-
-    # Derive S: S(B1(x,y), x) = (B2(x,y), y).
-    s1 = [[0] * n for _ in rng]
-    s2 = [[0] * n for _ in rng]
-    for x in rng:
-        for y in rng:
-            a = b1[x][y]
-            s1[a][x] = b2[x][y]
-            s2[a][x] = y
-    # S is invertible because B2 columns are bijections; invert it.
-    s1inv = [[0] * n for _ in rng]
-    s2inv = [[0] * n for _ in rng]
-    for a in rng:
-        for x in rng:
-            u, v = s1[a][x], s2[a][x]
-            s1inv[u][v] = a
-            s2inv[u][v] = x
 
     # Diagonal bijectivity of S and S^-1.
     diag = {

@@ -113,13 +113,10 @@ class Diagram:
         self._offsets = tuple(offsets)
         self.semiarc_count = total
 
-        writhe = []
-        for ci, comp in enumerate(comps):
-            w = 0
-            for cid, cr in crossings.items():
-                if cr.over[0] == ci and cr.under[0] == ci:
-                    w += cr.sign
-            writhe.append(w)
+        writhe = [0] * len(comps)
+        for cr in crossings.values():
+            if cr.over[0] == cr.under[0]:
+                writhe[cr.over[0]] += cr.sign
         self.writhe_vector = tuple(writhe)
 
     # ---------- semiarc indexing ----------

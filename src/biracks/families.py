@@ -30,6 +30,7 @@ treated as checks, never as the source of truth.
 
 from __future__ import annotations
 
+import itertools
 from math import gcd
 
 from .core import FiniteBirack, Perm, compose_perms
@@ -99,33 +100,14 @@ def tsr_birack(n: int, t: int, s: int, r: int, m: int = 1) -> FiniteBirack:
     if (k * tinv * rinv * (1 - s)) % n != 1 % n:
         raise ConstructionError("RingIdentityFails", "(tr + s) t^-1 r^-1 (1 - s) != 1")
 
-    size = n ** m
-
-    def unflatten(e: int) -> tuple[int, ...]:
-        coords = []
-        for _ in range(m):
-            coords.append(e % n)
-            e //= n
-        return tuple(coords)
-
-    def flatten(coords) -> int:
-        e = 0
-        for c in reversed(coords):
-            e = e * n + c
-        return e
-
-    elements = [unflatten(e) for e in range(size)]
-    b1 = [[0] * size for _ in range(size)]
-    b2 = [[0] * size for _ in range(size)]
-    for xi, x in enumerate(elements):
-        for yi, y in enumerate(elements):
-            b1[xi][yi] = flatten(tuple((t * yc + s * xc) % n for xc, yc in zip(x, y)))
-            b2[xi][yi] = flatten(tuple((r * xc) % n for xc in x))
+    elements = [p[::-1] for p in itertools.product(range(n), repeat=m)]
+    index = {x: e for e, x in enumerate(elements)}
+    b1 = [[index[tuple((t * yc + s * xc) % n for xc, yc in zip(x, y))] for y in elements]
+          for x in elements]
+    b2 = [[index[tuple((r * xc) % n for xc in x)]] * len(elements) for x in elements]
     b = FiniteBirack(b1, b2)
 
-    expected_pi = tuple(
-        flatten(tuple((k * c) % n for c in elements[e])) for e in range(size)
-    )
+    expected_pi = tuple(index[tuple((k * c) % n for c in x)] for x in elements)
     if b.pi != expected_pi:
         raise ConstructionError("KinkMapMismatch", "kink map is not multiplication by tr + s")
     order = 1

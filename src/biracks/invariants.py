@@ -56,8 +56,8 @@ from math import prod
 from operator import itemgetter
 
 from .core import FiniteBirack, is_subbirack, perm_cycles
-# with_framing and enumerate_labelings are no longer called here; they stay
-# importable from this module as before.
+# with_framing and enumerate_labelings are not called here; they stay
+# because bench/spans.py binds both names on this module.
 from .diagram import Diagram, framed_semiarc_sources, unlink, with_framing  # noqa: F401
 from .errors import KindMismatch, LengthMismatch, NotASubbirack
 from .homsearch import (  # noqa: F401
@@ -280,20 +280,20 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
             if None not in key:
                 uses[labels] += m * prod(N // period for _, period in key)
         signature: dict[frozenset[int], object] = {}
-        totals: Counter = Counter()
+        totals: Counter = Counter()  # image size or MultiPoly -> labelings
         for labels, m in uses.items():
             image = labeling_image(Labeling(tuple(labels)), b)
             if image not in signature:
                 signature[image] = (
-                    len(image) if kind == "image"
-                    else _statistics_sum(b, sorted(image)).canonical_string()
+                    len(image) if kind == "image" else _statistics_sum(b, sorted(image))
                 )
             totals[signature[image]] += m
-        multiset = tuple(sorted(totals.items()))
         if kind == "image":
+            multiset = tuple(sorted(totals.items()))
             value = MultiPoly({(("z", size),): m for size, m in multiset})
         else:
-            value = NestedPoly(dict(multiset))
+            multiset = tuple(sorted((p.canonical_string(), m) for p, m in totals.items()))
+            value = NestedPoly(totals)
     return InvariantValue(kind, value, multiset, per_framing, survey=cut)
 
 

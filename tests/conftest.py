@@ -120,22 +120,26 @@ KNOT_CODES = {
 # Seeded random signed Gauss codes
 # ---------------------------------------------------------------------------
 
-def random_gauss_code(rng: random.Random) -> str:
-    """A legal signed Gauss code with 1-2 components and random signs.
+def random_gauss_code(rng: random.Random, crossings: int = 5, components: int = 2) -> str:
+    """A legal signed Gauss code with random signs, up to crossings
+    crossings and up to components components.
 
-    The passes of up to 5 crossings are shuffled and cut into components,
-    so any O/U pairing occurs, virtual ones included; a component may be
-    a crossing-free circle.
+    The passes are shuffled, so any O/U pairing occurs, virtual ones
+    included.  Half the codes are knots; the rest are cut at sorted random
+    points into 2 to components components (into exactly components when
+    that bound is at most 2, which keeps the default draws).  A component
+    may be a crossing-free circle.
     """
     passes = []
-    for cid in range(1, rng.randint(0, 5) + 1):
+    for cid in range(1, rng.randint(0, crossings) + 1):
         sign = rng.choice("+-")
         passes += [f"O{cid}{sign}", f"U{cid}{sign}"]
     rng.shuffle(passes)
     if rng.random() < 0.5:
         return ",".join(passes)
-    cut = rng.randint(0, len(passes))
-    return ",".join(passes[:cut]) + ";" + ",".join(passes[cut:])
+    count = rng.randint(2, components) if components > 2 else components
+    cuts = [0, *sorted(rng.randint(0, len(passes)) for _ in range(count - 1)), len(passes)]
+    return ";".join(",".join(passes[i:j]) for i, j in zip(cuts, cuts[1:]))
 
 
 def relabel_crossings(code: str, rng: random.Random) -> str:

@@ -47,6 +47,11 @@ def _tables(tsr=TSR) -> list[FiniteBirack]:
 
 
 @functools.cache
+def _three_element() -> tuple[FiniteBirack, ...]:
+    return tuple(enumerate_biracks(3))
+
+
+@functools.cache
 def _oracle_cases() -> tuple:
     """(birack, seeds, their naive closures, naive lattice) for
     _tables(ORACLE_TSR), every birack on 3 elements and the order-8 group
@@ -58,7 +63,7 @@ def _oracle_cases() -> tuple:
     dihedral8 = tau_sigma_rho_birack(dihedral8_cayley(), tau, sigma, tau)
     rng = random.Random(1)
     cases = []
-    for b in [*_tables(ORACLE_TSR), *enumerate_biracks(3), dihedral8]:
+    for b in [*_tables(ORACLE_TSR), *_three_element(), dihedral8]:
         sizes = (1, 2) if b.n <= 8 else (1,)
         seeds = [set(c) for k in sizes for c in itertools.combinations(range(b.n), k)]
         seeds += [set(rng.sample(range(b.n), rng.randint(1, min(4, b.n))))
@@ -361,17 +366,22 @@ class TestDerivedStructure:
     """The defining relations, checked directly against the tables."""
 
     def test_sideways_relation(self, test_biracks):
-        for b in test_biracks.values():
+        for b in [*test_biracks.values(), *_tables(ORACLE_TSR), *_three_element()]:
             for x in range(b.n):
                 for y in range(b.n):
                     assert b.sideways(b.b1[x][y], x) == (b.b2[x][y], y)
 
     def test_inverses(self, test_biracks):
-        for b in test_biracks.values():
+        for b in [*test_biracks.values(), *_tables(ORACLE_TSR), *_three_element()]:
+            # an entry left unwritten would index a row without an error
+            for table in (b.b1inv, b.b2inv, b.s1, b.s2, b.s1inv, b.s2inv):
+                assert all(0 <= v < b.n for row in table for v in row)
             for x in range(b.n):
                 for y in range(b.n):
                     assert b.apply_inverse(*b.apply(x, y)) == (x, y)
+                    assert b.apply(*b.apply_inverse(x, y)) == (x, y)
                     assert b.sideways_inverse(*b.sideways(x, y)) == (x, y)
+                    assert b.sideways(*b.sideways_inverse(x, y)) == (x, y)
 
     def test_kink_relation(self, test_biracks):
         # S(pi(x), x) = (alpha(x), alpha(x)): a positive kink with in-label

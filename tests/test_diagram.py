@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -12,7 +13,7 @@ from biracks import (
     writhe_vector,
 )
 from biracks.diagram import framed_semiarc_sources
-from conftest import FIGURE_EIGHT, HOPF, TREFOIL, braid_closure
+from conftest import FIGURE_EIGHT, HOPF, TREFOIL, braid_closure, random_gauss_code
 
 
 class TestParse:
@@ -179,3 +180,37 @@ class TestBraidClosure:
     def test_torus_25(self):
         d = braid_closure(2, [1] * 5)
         assert d.writhe_vector == (5,) and len(d.crossings) == 5
+
+
+class TestRandomGaussCode:
+    def test_default_draws_pinned(self):
+        # every seeded test built on the default bounds keeps its inputs
+        assert [random_gauss_code(random.Random(seed)) for seed in (5, 19, 24)] == [
+            "U4-,O2-,O3+,O4-,U1-,O1-;U3+,U2-",
+            "O4-;U2+,U1+,U3+,O1+,U4-,U5-,O2+,O3+,O5-",
+            "U2+,O3+,O5+,O1-,U4+,U3+,O4+,U5+,U1-,O2+;",
+        ]
+
+    def test_bounds(self):
+        drawn = [parse_gauss(random_gauss_code(random.Random(seed), crossings=12, components=6))
+                 for seed in range(200)]
+        assert {len(d.components) for d in drawn} == {1, 2, 3, 4, 5, 6}
+        assert max(len(d.crossings) for d in drawn) == 12
+
+
+class TestWrithe:
+    def test_self_crossing_signs(self):
+        # the passes of each crossing, read from the code text: a crossing
+        # adds its sign to a component that holds both of its passes
+        for seed in range(200):
+            code = random_gauss_code(random.Random(seed), crossings=12, components=6)
+            fields = code.split(";")
+            passes: dict[str, list[tuple[int, str]]] = {}
+            for ci, field in enumerate(fields):
+                for token in filter(None, field.split(",")):
+                    passes.setdefault(token[1:-1], []).append((ci, token[-1]))
+            expected = [0] * len(fields)
+            for (c1, sign), (c2, _) in passes.values():
+                if c1 == c2:
+                    expected[c1] += 1 if sign == "+" else -1
+            assert writhe_vector(parse_gauss(code)) == tuple(expected), code

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from biracks import (
@@ -115,6 +117,22 @@ class TestTsr:
     def test_z4_m2_size_and_rank(self):
         b = tsr_birack(4, 3, 2, 3, m=2)
         assert b.n == 16 and b.rank == 2
+
+    @pytest.mark.parametrize("n,t,s,r,m", [(3, 1, 2, 2, 2), (4, 3, 2, 3, 2), (2, 1, 0, 1, 3)])
+    def test_tuple_tables(self, n, t, s, r, m):
+        # B(x, y) = (ty + sx, rx) on (Z_n)^m, element x0 + x1*n + ...
+        b = tsr_birack(n, t, s, r, m)
+        assert b.n == n ** m
+
+        def flat(coords):
+            return sum(c * n ** i for i, c in enumerate(coords))
+
+        for x in itertools.product(range(n), repeat=m):
+            for y in itertools.product(range(n), repeat=m):
+                assert b.apply(flat(x), flat(y)) == (
+                    flat([(t * yc + s * xc) % n for xc, yc in zip(x, y)]),
+                    flat([(r * xc) % n for xc in x]),
+                )
 
     def test_trefoil_birack_is_rank_one(self):
         b = tsr_birack(3, 1, 2, 2)

@@ -7,6 +7,7 @@ import pytest
 
 import biracks.core
 import biracks.homsearch
+import biracks.poly
 from biracks import (
     KindMismatch,
     LengthMismatch,
@@ -370,6 +371,30 @@ class TestCutMatchesFramedReference:
         rank6 = tsr_birack(7, 3, 0, 1)
         for code in RANDOM_CODES[:20]:
             _assert_matches_framed_reference(parse_gauss(code), rank6, multisets=False)
+
+
+class TestRhoRendersOnce:
+    def test_signatures_are_never_parsed(self, monkeypatch):
+        # each image's MultiPoly keys the total, so no canonical string is
+        # parsed back into a polynomial
+        cases = [(parse_gauss(code), read_matrix_file(str(DATA / f"{birack}.txt")))
+                 for birack in DATA_BIRACKS for _, code in _sample_links()]
+
+        def values():
+            out = []
+            for d, b in cases:
+                v = compute_invariant(d, b, "rho")
+                nv = normalize(v, d, b)
+                out.append((v, v.value_string(), nv, nv.value_string()))
+            return out
+
+        expected = values()
+
+        def forbidden(text):
+            raise AssertionError(f"parsed {text!r}")
+
+        monkeypatch.setattr(biracks.poly, "parse_multipoly", forbidden)
+        assert values() == expected
 
 
 class TestLinearOracle:

@@ -427,9 +427,11 @@ def _block_tables(n: int, block) -> tuple[list[list[int]], list[list[int]]]:
 
 def _labels(entries, n: int) -> list:
     """The 0-indexed labels of 1-indexed entries; ValueError names the
-    first entry outside 1..n."""
+    first entry that is not an integer in 1..n."""
     for v in entries:
-        if not 1 <= int(v) <= n:
+        if not isinstance(v, int):
+            raise ValueError(f"entry {v!r} is not an integer")
+        if not 1 <= v <= n:
             raise ValueError(f"entry {v} out of range 1..{n}")
     return [v - 1 for v in entries]
 

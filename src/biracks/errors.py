@@ -76,4 +76,4 @@ class NotASubbirack(BirackError):
 
 
 class KindMismatch(BirackError):
-    """An invariant value of an unknown kind was passed to normalize()."""
+    """compute_invariant() was given an unknown kind, maybe by normalize()."""

@@ -40,8 +40,9 @@ close each distinct cut label set once, weighted by its framings, and
 compute one signature per distinct image.  framed_labelings writes the
 labelings of every framed diagram out of the same survey on request.
 
-normalize() subtracts the same invariant of the crossing-free unlink
-with the same number of components, so unlinks normalize to zero.
+normalize() subtracts the signature counts of the crossing-free unlink
+with the same number of components, so unlinks normalize to zero, and
+packages the difference through compute_invariant's step.
 
 Framing vectors are always enumerated in lexicographic order, making
 multiset forms and per-framing counts deterministic.
@@ -219,10 +220,11 @@ class InvariantValue:
 
     kind: "integral" | "writhe" | "image" | "rho"
     value: int (integral), MultiPoly (writhe/image) or NestedPoly (rho)
-    multiset: (signature, multiplicity) pairs; signatures are framing
-      vectors (writhe), image sizes (image) or canonical subbirack
-      polynomial strings (rho).  The integral invariant, having no
-      signature, uses the single pair ((), total).
+    multiset: (signature, multiplicity) pairs sorted by signature, raw
+      and normalized alike; signatures are framing vectors (writhe,
+      lexicographic), image sizes (image, numeric) or canonical subbirack
+      polynomial strings (rho, by code point).  The integral invariant,
+      having no signature, uses the single pair ((), total).
     per_framing: (framing vector, labeling count) pairs in lexicographic
       order; for normalized values these are count differences.
     normalized: True when an unlink value has been subtracted.
@@ -239,9 +241,27 @@ class InvariantValue:
     survey: CutLabelings | None = field(default=None, compare=False, repr=False)
 
     def value_string(self) -> str:
-        if isinstance(self.value, int):
-            return str(self.value)
-        return self.value.canonical_string()
+        return str(self.value)  # a polynomial's str is its canonical string
+
+
+def _package(kind, counts: dict, per_framing, normalized=False, survey=None) -> InvariantValue:
+    """The value of kind, raw or normalized alike, from signature counts:
+    zero counts dropped, the multiset sorted by signature and the value
+    built from it.  Each signature gives one term, its key built in
+    canonical form (rho signatures are canonical strings already)."""
+    multiset = tuple(sorted((s, m) for s, m in counts.items() if m))
+    value: int | MultiPoly | NestedPoly
+    if kind == "integral":
+        value = sum(m for _, m in multiset)
+    elif kind == "writhe":
+        value = MultiPoly._of({
+            tuple((f"q{i}", e) for i, e in enumerate(w, 1) if e): m for w, m in multiset
+        })
+    elif kind == "image":
+        value = MultiPoly._of({(("z", size),): m for size, m in multiset})
+    else:
+        value = NestedPoly._of(dict(multiset))
+    return InvariantValue(kind, value, multiset, per_framing, normalized, survey)
 
 
 def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
@@ -251,23 +271,17 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
     cut = cut_labelings(d, b)
     N = b.rank
     keys = _framing_keys(cut)
-    counts: Counter = Counter()
+    counts: Counter = Counter()  # framing vector -> labelings
     for key, m in Counter(keys).items():
         if None not in key:
             for w in _framings(key, N):
                 counts[w] += m
-    per_framing = tuple(
-        (w, counts[w]) for w in product(range(N), repeat=len(d.components))
-    )
-    value: int | MultiPoly | NestedPoly
+    framings = product(range(N), repeat=len(d.components))
+    per_framing = tuple((w, counts[w]) for w in framings)
     if kind == "integral":
-        value = sum(m for _, m in per_framing)
-        multiset = (((), value),) if value else ()
+        counts = {(): sum(counts.values())}
     elif kind == "writhe":
-        multiset = tuple((w, m) for w, m in per_framing if m)
-        value = MultiPoly({
-            tuple((f"q{i + 1}", wi) for i, wi in enumerate(w)): m for w, m in multiset
-        })
+        counts = dict(per_framing)  # in lexicographic order, so sorting is linear
     else:
         # A framed labeling's labels lie between its cut labels and their
         # closure (kink labels are alpha and pi images, and a set closed
@@ -280,32 +294,17 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
             if None not in key:
                 uses[labels] += m * prod(N // period for _, period in key)
         signature: dict[frozenset[int], object] = {}
-        totals: Counter = Counter()  # image size or MultiPoly -> labelings
+        counts = Counter()  # image size or MultiPoly -> labelings
         for labels, m in uses.items():
             image = labeling_image(Labeling(tuple(labels)), b)
             if image not in signature:
                 signature[image] = (
                     len(image) if kind == "image" else _statistics_sum(b, sorted(image))
                 )
-            totals[signature[image]] += m
-        if kind == "image":
-            multiset = tuple(sorted(totals.items()))
-            value = MultiPoly({(("z", size),): m for size, m in multiset})
-        else:
-            multiset = tuple(sorted((p.canonical_string(), m) for p, m in totals.items()))
-            value = NestedPoly(totals)
-    return InvariantValue(kind, value, multiset, per_framing, survey=cut)
-
-
-def _merge_multisets(a, bneg):
-    counts: dict[object, int] = {}
-    for key, m in a:
-        counts[key] = counts.get(key, 0) + m
-    for key, m in bneg:
-        counts[key] = counts.get(key, 0) - m
-        if counts[key] == 0:
-            del counts[key]
-    return tuple(sorted(counts.items(), key=lambda km: (repr(km[0]), km[1])))
+            counts[signature[image]] += m
+        if kind == "rho":
+            counts = {p.canonical_string(): m for p, m in counts.items()}
+    return _package(kind, counts, per_framing, survey=cut)
 
 
 def normalize(v: InvariantValue, d: Diagram, b: FiniteBirack) -> InvariantValue:
@@ -321,10 +320,8 @@ def normalize(v: InvariantValue, d: Diagram, b: FiniteBirack) -> InvariantValue:
             f"the value's framing vectors differ from those of the "
             f"{len(d.components)}-component unlink over a rank-{b.rank} birack"
         )
-    return InvariantValue(
-        v.kind,
-        v.value - base.value,
-        _merge_multisets(v.multiset, base.multiset),
-        tuple((w, m - bm) for (w, m), (_, bm) in zip(v.per_framing, base.per_framing)),
-        normalized=True,
-    )
+    counts = Counter(dict(v.multiset))
+    counts.subtract(dict(base.multiset))
+    rows = zip(v.per_framing, base.per_framing)
+    per_framing = tuple((w, m - bm) for (w, m), (_, bm) in rows)
+    return _package(v.kind, counts, per_framing, normalized=True)

@@ -320,17 +320,14 @@ def per_labeling_multiset(d: Diagram, b: FiniteBirack, kind: str,
 
     Every labeling of framed_reference gets its own subbirack_closure
     and signature (image size, or canonical subbirack polynomial string).
-    Plain multisets sort by signature; normalized ones subtract the
-    unlink's counts, drop zeros and sort by (repr(signature), count), the
-    order normalize documents.
+    Normalized ones subtract the unlink's counts and drop zeros.  Both
+    sort by signature, the order InvariantValue documents.
     """
     counts = _per_labeling_counts(d, b, kind)
-    if not normalized:
-        return tuple(sorted(counts.items()))
-    for key, m in _per_labeling_counts(unlink(len(d.components)), b, kind).items():
-        counts[key] = counts.get(key, 0) - m
-    return tuple(sorted(((key, m) for key, m in counts.items() if m),
-                        key=lambda km: (repr(km[0]), km[1])))
+    if normalized:
+        for key, m in _per_labeling_counts(unlink(len(d.components)), b, kind).items():
+            counts[key] = counts.get(key, 0) - m
+    return tuple(sorted((key, m) for key, m in counts.items() if m))
 
 
 def _per_labeling_counts(d: Diagram, b: FiniteBirack, kind: str) -> dict:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +166,14 @@ class TestInvariantCommand:
         assert payload["value_canonical_string"] == "4q1q2"
         assert payload["multiset"] == [[[1, 1], 4]]
         assert [[0, 0], 0] in payload["per_framing_counts"]
+
+    def test_json_normalized_multiset_sorted_by_signature(self, capsys):
+        # image sizes sort numerically in normalized form too, 10 after 5 and 6
+        ten_element = str(Path(__file__).resolve().parent.parent / "data" / "ten_element.txt")
+        assert main(["invariant", "--birack", ten_element, "--gauss", HOPF + ";",
+                     "--type", "image", "--normalize", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["multiset"] == [[5, -200], [6, -120], [10, -80]]
 
     def test_batch(self, two_element_file, tmp_path, capsys):
         links = tmp_path / "links.txt"

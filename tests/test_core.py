@@ -101,6 +101,15 @@ class TestFromMatrix:
         with pytest.raises(ValueError):
             from_matrix(2, [[1, 1, 2, 3], [2, 2, 1, 1]])
 
+    @pytest.mark.parametrize("entry,message", [
+        (1.5, "entry 1.5 is not an integer"),
+        ("2", "entry '2' is not an integer"),
+    ])
+    def test_rejects_non_integer(self, entry, message):
+        with pytest.raises(ValueError) as exc:
+            from_matrix(2, [[entry, 1, 2, 2], [2, 2, 1, 1]])
+        assert str(exc.value) == message
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             from_matrix(2, [[1, 1, 2, 2]])

@@ -397,6 +397,59 @@ class TestRhoRendersOnce:
         assert values() == expected
 
 
+class TestOnePackagingStep:
+    """normalize packages its counts through the same step as
+    compute_invariant."""
+
+    CASES = [(birack, name, kind) for birack in DATA_BIRACKS
+             for name, _ in _sample_links() for kind in ("integral", "writhe", "image", "rho")]
+
+    @pytest.mark.parametrize("birack,name,kind", CASES)
+    def test_normalize_matches_subtraction(self, birack, name, kind):
+        b = read_matrix_file(str(DATA / f"{birack}.txt"))
+        d = parse_gauss(dict(_sample_links())[name])
+        v = compute_invariant(d, b, kind)
+        base = compute_invariant(unlink(len(d.components)), b, kind)
+        difference = dict(v.multiset)
+        for key, m in base.multiset:
+            difference[key] = difference.get(key, 0) - m
+        nv = normalize(v, d, b)
+        assert nv.value == v.value - base.value
+        assert (v.value, nv.value) == (self._rebuilt(v), self._rebuilt(nv))
+        assert dict(nv.multiset) == {key: m for key, m in difference.items() if m}
+        assert [key for key, _ in nv.multiset] == sorted(key for key, m in difference.items() if m)
+        assert nv.per_framing == tuple(
+            (w, m - bm) for (w, m), (_, bm) in zip(v.per_framing, base.per_framing))
+
+    @staticmethod
+    def _rebuilt(v):
+        """v's value rebuilt from its multiset by the normalizing constructors."""
+        if v.kind == "integral":
+            return sum(m for _, m in v.multiset)
+        if v.kind == "rho":
+            return NestedPoly(dict(v.multiset))
+        return MultiPoly({
+            tuple((f"q{i + 1}", e) for i, e in enumerate(s)) if v.kind == "writhe"
+            else (("z", s),): m
+            for s, m in v.multiset
+        })
+
+    def test_rho_renders_each_polynomial_once(self, monkeypatch):
+        cases = [(parse_gauss(code), read_matrix_file(str(DATA / f"{birack}.txt")))
+                 for birack in DATA_BIRACKS for _, code in _sample_links()]
+        calls = []
+        render = MultiPoly.canonical_string
+
+        def counting(self):
+            calls.append(self)
+            return render(self)
+
+        monkeypatch.setattr(MultiPoly, "canonical_string", counting)
+        for d, b in cases:
+            normalize(compute_invariant(d, b, "rho"), d, b)
+        assert len(calls) == 109
+
+
 class TestLinearOracle:
     """Per-framing counts over tsr biracks against the kernel of the
     crossing matrix mod n, at sizes brute force cannot reach."""

@@ -190,11 +190,8 @@ def _cmd_poly(args) -> int:
         entries = sorted(entries)
         if not entries:
             raise BirackError("--subbirack lists no elements")
-        for v in entries:
-            if not 1 <= v <= b.n:
-                raise BirackError(f"entry {v} out of range 1..{b.n}")
         try:
-            value = subbirack_polynomial(b, {v - 1 for v in entries})
+            value = subbirack_polynomial(b, _labels(entries, b.n))
         except NotASubbirack:
             raise NotASubbirack(f"{entries} is not closed under B and S") from None
     else:
@@ -230,8 +227,6 @@ def _sig_json(sig):
 
 def _cmd_invariant(args) -> int:
     b = read_matrix_file(args.birack)
-    if (args.gauss is None) == (args.batch is None):
-        raise UsageError("provide exactly one of --gauss or --batch")
     jobs: list[tuple[str, str]] = []
     if args.gauss is not None:
         jobs.append(("-", args.gauss))
@@ -300,10 +295,6 @@ def _cmd_enumerate(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-class UsageError(Exception):
-    pass
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls."""
@@ -365,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariant", help="counting invariant of a Gauss code")
     p.add_argument("--birack", required=True, help="birack matrix file")
-    p.add_argument("--gauss", help="signed Gauss code")
-    p.add_argument("--batch", help="file of name<TAB>gauss-code lines")
+    links = p.add_mutually_exclusive_group(required=True)
+    links.add_argument("--gauss", help="signed Gauss code")
+    links.add_argument("--batch", help="file of name<TAB>gauss-code lines")
     p.add_argument("--type", required=True, choices=KINDS)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--labelings", action="store_true",
@@ -390,9 +382,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except (BirackError, ValueError, OSError, RecursionError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

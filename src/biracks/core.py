@@ -182,22 +182,29 @@ class ValidationReport:
         return "\n".join([head] + ["  " + c.describe() for c in self.checks])
 
 
-def _as_table(rows) -> Table:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+def _entries(values, low: int, high: int) -> tuple:
+    """values as a tuple; ValueError names the first entry that is not an
+    int in low..high.  Every element label from outside passes here."""
+    values = tuple(values)
+    for v in values:
+        if not isinstance(v, int):
+            raise ValueError(f"entry {v!r} is not an integer")
+        if not low <= v <= high:
+            raise ValueError(f"entry {v} out of range {low}..{high}")
+    return values
 
 
-def _check_shape(b1, b2) -> int:
+def _tables(b1, b2) -> tuple[Table, Table]:
+    """b1 and b2 as tuples of rows, checked to be n x n tables of labels
+    in 0..n-1; ValueError otherwise."""
+    b1, b2 = tuple(b1), tuple(b2)
     n = len(b1)
     if n == 0 or len(b2) != n:
         raise ValueError("tables must be non-empty and of equal size")
-    for t in (b1, b2):
-        for row in t:
-            if len(row) != n:
-                raise ValueError("tables must be square")
-            for v in row:
-                if not 0 <= v < n:
-                    raise ValueError(f"table entry {v} out of range 0..{n - 1}")
-    return n
+    tables = tuple(tuple(_entries(row, 0, n - 1) for row in t) for t in (b1, b2))
+    if any(len(row) != n for t in tables for row in t):
+        raise ValueError("tables must be square")
+    return tables
 
 
 def _ybe_witness(b1: Table, b2: Table, n: int) -> tuple[tuple | None, str]:
@@ -224,7 +231,8 @@ def _ybe_witness(b1: Table, b2: Table, n: int) -> tuple[tuple | None, str]:
 
 
 def _analyze(b1: Table, b2: Table):
-    """Run every axiom check in one pass; return (report, derived-or-None).
+    """Run every axiom check on tables from _tables in one pass; return
+    (report, derived-or-None).
 
     derived is (B1^-1, B2^-1, S1, S2, S1^-1, S2^-1) as tables, all filled
     by the one sweep over the n^2 pairs, then the kink maps alpha and pi.
@@ -232,7 +240,7 @@ def _analyze(b1: Table, b2: Table):
     check fails, the axioms after it need the structure it was meant to
     provide and are reported as skipped.
     """
-    n = _check_shape(b1, b2)
+    n = len(b1)
     rng = range(n)
     checks: list[CheckResult] = []
 
@@ -298,12 +306,7 @@ def _analyze(b1: Table, b2: Table):
     # Kink structure: alpha = (S2^-1 o diag)^-1, pi = (S1^-1 o diag) o alpha.
     alpha = invert_perm(diag["S2^-1 o diag"])
     derived = (
-        _as_table(b1inv),
-        _as_table(b2inv),
-        _as_table(s1),
-        _as_table(s2),
-        _as_table(s1inv),
-        _as_table(s2inv),
+        *(tuple(map(tuple, t)) for t in (b1inv, b2inv, s1, s2, s1inv, s2inv)),
         alpha,
         compose_perms(diag["S1^-1 o diag"], alpha),
     )
@@ -317,7 +320,7 @@ def verify_axioms(b1, b2) -> ValidationReport:
     with the first witness.  The report passes exactly when FiniteBirack
     would construct successfully from the same tables.
     """
-    report, _ = _analyze(_as_table(b1), _as_table(b2))
+    report, _ = _analyze(*_tables(b1, b2))
     return report
 
 
@@ -341,8 +344,7 @@ class FiniteBirack:
     )
 
     def __init__(self, b1, b2):
-        b1 = _as_table(b1)
-        b2 = _as_table(b2)
+        b1, b2 = _tables(b1, b2)
         report, derived = _analyze(b1, b2)
         if not report.ok:
             bad = report.first_failure
@@ -428,12 +430,7 @@ def _block_tables(n: int, block) -> tuple[list[list[int]], list[list[int]]]:
 def _labels(entries, n: int) -> list:
     """The 0-indexed labels of 1-indexed entries; ValueError names the
     first entry that is not an integer in 1..n."""
-    for v in entries:
-        if not isinstance(v, int):
-            raise ValueError(f"entry {v!r} is not an integer")
-        if not 1 <= v <= n:
-            raise ValueError(f"entry {v} out of range 1..{n}")
-    return [v - 1 for v in entries]
+    return [v - 1 for v in _entries(entries, 1, n)]
 
 
 def to_matrix(b: FiniteBirack) -> list[list[int]]:
@@ -516,11 +513,7 @@ def subbirack_closure(b: FiniteBirack, seed) -> frozenset[int]:
     and S(a, x) = (B2(x, y), y) lies in Y x Y.  B and S map Y x Y
     injectively into itself, hence onto, so B^-1 and S^-1 keep Y too.
     """
-    seed = set(seed)
-    for x in seed:
-        if not 0 <= x < b.n:
-            raise ValueError(f"seed element {x} out of range")
-    return _close(b, set(), seed)
+    return _close(b, set(), set(_entries(seed, 0, b.n - 1)))
 
 
 def _close(b: FiniteBirack, closed, frontier) -> frozenset[int]:

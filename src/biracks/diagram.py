@@ -76,13 +76,14 @@ class Diagram:
 
     def __init__(self, components: Iterable[Iterable[Pass]]):
         comps: list[tuple[Pass, ...]] = [
-            tuple(Pass(int(c), r, int(s)) for c, r, s in comp)
+            tuple(Pass(c, r, s) for c, r, s in comp)
             for comp in components
         ]
         occurrences: dict[int, list[tuple[int, int, str, int]]] = {}
         for ci, comp in enumerate(comps):
             for pi, p in enumerate(comp):
-                if p.role not in ("O", "U") or p.sign not in (1, -1) or p.crossing <= 0:
+                if not (isinstance(p.crossing, int) and p.crossing > 0 and p.role in ("O", "U")
+                        and isinstance(p.sign, int) and p.sign in (1, -1)):
                     raise ParseError(f"bad pass {p!r}")
                 occurrences.setdefault(p.crossing, []).append(
                     (ci, pi, p.role, p.sign)
@@ -217,7 +218,10 @@ def writhe_vector(d: Diagram) -> tuple[int, ...]:
 
 def _kink_counts(d: Diagram, target, N: int) -> list[int]:
     """Positive kinks per component taking d's writhe to target mod N."""
-    target = tuple(int(v) for v in target)
+    target = tuple(target)
+    for v in target:
+        if not isinstance(v, int):
+            raise ValueError(f"framing entry {v!r} is not an integer")
     if len(target) != len(d.components):
         raise LengthMismatch(
             f"target has {len(target)} entries for {len(d.components)} component(s)"

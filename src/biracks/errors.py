@@ -41,6 +41,8 @@ class ConstructionError(BirackError):
       "NotAutomorphism", "NotEndomorphism", "NotCommuting", "Eq4Fails",
       or, when a closed form disagrees with the built tables,
       "KinkMapMismatch", "RankMismatch", "RingIdentityFails"
+    An entry that is not an element label (not an int, or out of range)
+    raises ValueError before any of these checks.
     """
 
     def __init__(self, reason: str, detail: str = "", witness=None):

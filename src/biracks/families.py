@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from .core import FiniteBirack, Perm, compose_perms
+from .core import FiniteBirack, _entries, compose_perms
 from .errors import ConstructionError
 
 
@@ -41,20 +41,15 @@ from .errors import ConstructionError
 # Constant action biracks
 # ---------------------------------------------------------------------------
 
-def _check_perm(p, name: str) -> Perm:
-    p = tuple(int(v) for v in p)
-    if sorted(p) != list(range(len(p))):
-        raise ValueError(f"{name} is not a permutation of 0..{len(p) - 1}")
-    return p
-
-
 def constant_action(tau, rho) -> FiniteBirack:
     """The birack B(x, y) = (tau(y), rho(x)); requires tau o rho = rho o tau."""
-    tau = _check_perm(tau, "tau")
-    rho = _check_perm(rho, "rho")
-    if len(tau) != len(rho):
-        raise ValueError("tau and rho must act on the same set")
+    tau, rho = tuple(tau), tuple(rho)
     n = len(tau)
+    if len(rho) != n:
+        raise ValueError("tau and rho must act on the same set")
+    for name, p in (("tau", tau), ("rho", rho)):
+        if len(set(_entries(p, 0, n - 1))) != n:
+            raise ValueError(f"{name} is not a permutation of 0..{n - 1}")
     if compose_perms(tau, rho) != compose_perms(rho, tau):
         raise ConstructionError("NonCommuting", "tau and rho do not commute")
     b1 = [[tau[y] for y in range(n)] for _ in range(n)]
@@ -128,16 +123,11 @@ class CayleyGroup:
     """A finite group presented by its Cayley table (0-indexed)."""
 
     def __init__(self, table):
-        table = tuple(tuple(int(v) for v in row) for row in table)
+        table = tuple(table)
         n = len(table)
+        table = tuple(_entries(row, 0, n - 1) for row in table)
         if n == 0 or any(len(row) != n for row in table):
             raise ConstructionError("NotAGroup", "Cayley table must be square")
-        for row in table:
-            for v in row:
-                if not 0 <= v < n:
-                    raise ConstructionError(
-                        "NotAGroup", f"table entry {v} out of range 0..{n - 1}"
-                    )
         self.n = n
         self.table = table
 
@@ -190,12 +180,10 @@ def tau_sigma_rho_birack(cayley, tau, sigma, rho) -> FiniteBirack:
     """
     group = cayley if isinstance(cayley, CayleyGroup) else CayleyGroup(cayley)
     n = group.n
-    tau = tuple(int(v) for v in tau)
-    sigma = tuple(int(v) for v in sigma)
-    rho = tuple(int(v) for v in rho)
+    tau, sigma, rho = (_entries(f, 0, n - 1) for f in (tau, sigma, rho))
     for name, f in (("tau", tau), ("sigma", sigma), ("rho", rho)):
-        if len(f) != n or any(not 0 <= v < n for v in f):
-            raise ValueError(f"{name} must map onto 0..{n - 1}")
+        if len(f) != n:
+            raise ValueError(f"{name} must list {n} images")
 
     for name, f in (("tau", tau), ("rho", rho)):
         if sorted(f) != list(range(n)) or not group.is_homomorphism(f):

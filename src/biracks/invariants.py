@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import compress, product, repeat
 from math import prod
 from operator import itemgetter
 
@@ -254,9 +254,8 @@ def _package(kind, counts: dict, per_framing, normalized=False, survey=None) -> 
     if kind == "integral":
         value = sum(m for _, m in multiset)
     elif kind == "writhe":
-        value = MultiPoly._of({
-            tuple((f"q{i}", e) for i, e in enumerate(w, 1) if e): m for w, m in multiset
-        })
+        names = [f"q{i}" for i in range(1, len(per_framing[0][0]) + 1)]
+        value = MultiPoly._of({tuple(compress(zip(names, w), w)): m for w, m in multiset})
     elif kind == "image":
         value = MultiPoly._of({(("z", size),): m for size, m in multiset})
     else:

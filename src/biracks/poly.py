@@ -60,12 +60,13 @@ def _var_key(name: str) -> tuple:
 
 
 def _normalize_key(exponents) -> ExponentKey:
-    items = [(v, int(e)) for v, e in dict(exponents).items() if int(e) != 0]
+    items = dict(exponents).items()
     for v, e in items:
+        if not isinstance(e, int):
+            raise ValueError(f"exponent {e!r} for variable {v} is not an integer")
         if e < 0:
             raise ValueError(f"negative exponent {e} for variable {v}")
-    items.sort(key=lambda ve: _var_key(ve[0]))
-    return tuple(items)
+    return tuple(sorted(((v, e) for v, e in items if e), key=lambda ve: _var_key(ve[0])))
 
 
 class _Combination:
@@ -83,7 +84,8 @@ class _Combination:
         clean: dict = {}
         if terms:
             for key, coeff in terms.items():
-                coeff = int(coeff)
+                if not isinstance(coeff, int):
+                    raise ValueError(f"coefficient {coeff!r} is not an integer")
                 if coeff == 0:
                     continue
                 nkey = self._normalize(key)

@@ -9,6 +9,7 @@ import pytest
 import biracks.core
 from biracks import (
     AxiomViolation,
+    CayleyGroup,
     CheckResult,
     FiniteBirack,
     SizeTooLarge,
@@ -119,6 +120,33 @@ class TestFromMatrix:
         with pytest.raises(AxiomViolation) as exc:
             from_matrix(2, [[1, 1, 2, 2], [1, 2, 1, 1]])
         assert exc.value.reason in ("NotPairBijective", "SidewaysNotUnique")
+
+
+Z2 = [[0, 1], [1, 0]]
+# Each takes one 0-indexed element label from outside, on two elements.
+LABEL_TAKERS = {
+    "FiniteBirack": lambda v: FiniteBirack([[v, 0], [1, 0]], [[0, 0], [1, 1]]),
+    "verify_axioms": lambda v: verify_axioms([[v, 0], [1, 0]], [[0, 0], [1, 1]]),
+    "CayleyGroup": lambda v: CayleyGroup([[0, 1], [1, v]]),
+    "constant_action": lambda v: constant_action([1, v], [0, 1]),
+    "tau_sigma_rho_birack": lambda v: tau_sigma_rho_birack(Z2, [0, 1], [0, v], [0, 1]),
+    "subbirack_closure": lambda v: subbirack_closure(identity_birack(2), {v}),
+}
+
+
+class TestLabelCheck:
+    """Every element label from outside is checked, never coerced."""
+
+    @pytest.mark.parametrize("entry,message", [
+        (1.5, "entry 1.5 is not an integer"),
+        ("1", "entry '1' is not an integer"),
+        (2, "entry 2 out of range 0..1"),
+    ], ids=["float", "str", "range"])
+    @pytest.mark.parametrize("taker", sorted(LABEL_TAKERS))
+    def test_rejects_bad_label(self, taker, entry, message):
+        with pytest.raises(ValueError) as exc:
+            LABEL_TAKERS[taker](entry)
+        assert str(exc.value) == message
 
 
 class TestVerifyAxioms:

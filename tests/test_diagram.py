@@ -12,7 +12,7 @@ from biracks import (
     with_framing,
     writhe_vector,
 )
-from biracks.diagram import framed_semiarc_sources
+from biracks.diagram import Diagram, framed_semiarc_sources
 from conftest import FIGURE_EIGHT, HOPF, TREFOIL, braid_closure, random_gauss_code
 
 
@@ -71,6 +71,12 @@ class TestParse:
         with pytest.raises(exc):
             parse_gauss(bad)
 
+    @pytest.mark.parametrize("bad", [(1.7, "O", 1), ("1", "O", 1), (1, "O", 1.0)],
+                             ids=["float-id", "str-id", "float-sign"])
+    def test_rejects_non_integer_pass(self, bad):
+        with pytest.raises(ParseError, match="^bad pass "):
+            Diagram([[bad, (1, "U", 1)]])
+
 
 class TestSerialize:
     @pytest.mark.parametrize("code", [TREFOIL, FIGURE_EIGHT, HOPF, "", ";", "O1-,U1-"])
@@ -116,6 +122,11 @@ class TestFraming:
 
     def test_unknot_kink(self):
         assert with_framing(parse_gauss(""), (1,), 2).serialize() == "O1+,U1+"
+
+    @pytest.mark.parametrize("entry", [1.9, "1"])
+    def test_rejects_non_integer_target(self, entry):
+        with pytest.raises(ValueError, match="is not an integer"):
+            with_framing(parse_gauss(""), (entry,), 3)
 
     def test_fresh_ids_and_original_untouched(self):
         d = parse_gauss(HOPF)

@@ -68,6 +68,16 @@ class TestMultiPoly:
         with pytest.raises(ValueError):
             MultiPoly.monomial({"z": -1})
 
+    @pytest.mark.parametrize("terms,message", [
+        ({(("z", 2.7),): 1}, "exponent 2.7 for variable z is not an integer"),
+        ({(("z", "2"),): 1}, "exponent '2' for variable z is not an integer"),
+        ({(("z", 2),): 1.9}, "coefficient 1.9 is not an integer"),
+    ], ids=["float-exponent", "str-exponent", "float-coefficient"])
+    def test_non_integer_rejected(self, terms, message):
+        with pytest.raises(ValueError) as exc:
+            MultiPoly(terms)
+        assert str(exc.value) == message
+
     def test_zero_coefficients_skipped_before_normalizing(self):
         assert MultiPoly({(("z", -1),): 0}).is_zero()
         assert NestedPoly({"not a poly": 0}).is_zero()

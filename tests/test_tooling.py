@@ -4,7 +4,8 @@ bench/spans.py rebinds functions and methods of biracks by name, and its
 install() fails on the first one that is gone.  This loads the module by
 path, without installing anything, and resolves every name.  The public
 names of the package are pinned: dropping one means editing the pin and
-deprecating the name in CHANGES.md.  No package module uses assert.
+deprecating the name in CHANGES.md.  No package module uses assert, and
+only the text parsers call int().
 """
 
 import ast
@@ -73,5 +74,35 @@ def test_no_assert_in_package():
         for path in paths
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+# The functions that parse integers out of text; int() coerces nothing else.
+TEXT_PARSERS = {"parse_cycles", "_int_row", "_parse_table", "parse_gauss", "_var_key",
+                "parse_multipoly", "parse_nestedpoly", "_cmd_poly"}
+
+
+def _int_calls(node, owner=None):
+    """(innermost enclosing function, line) of each int(...) call under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _int_calls(child, child.name)
+            continue
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == "int"):
+            yield owner, child.lineno
+        yield from _int_calls(child, owner)
+
+
+def test_int_only_in_text_parsers():
+    """Values from outside are checked, not coerced with int()."""
+    paths = sorted((ROOT / "src" / "biracks").glob("*.py"))
+    assert paths
+    found = [
+        f"{path.name}:{line} in {owner}"
+        for path in paths
+        for owner, line in _int_calls(ast.parse(path.read_text(encoding="utf-8")))
+        if owner not in TEXT_PARSERS
     ]
     assert found == []

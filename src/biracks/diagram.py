@@ -47,6 +47,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
+from .core import _int_params
 from .errors import BadPairing, LengthMismatch, ParseError
 
 _PASS_RE = re.compile(r"^([OU])(\d+)([+-])$")
@@ -206,6 +207,7 @@ def parse_gauss(text: str) -> Diagram:
 
 def unlink(c: int) -> Diagram:
     """The crossing-free unlink with c components."""
+    _int_params(c=c)
     if c < 1:
         raise ValueError("component count must be positive")
     return Diagram([[] for _ in range(c)])

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from .core import FiniteBirack, _entries, compose_perms
+from .core import FiniteBirack, _entries, _int_params, compose_perms
 from .errors import ConstructionError
 
 
@@ -70,6 +70,7 @@ def tsr_birack(n: int, t: int, s: int, r: int, m: int = 1) -> FiniteBirack:
     Elements of (Z_n)^m are flattened by lexicographic index
     x0 + x1*n + ... + x_{m-1}*n^{m-1}.
     """
+    _int_params(n=n, t=t, s=s, r=r, m=m)
     if n < 2:
         raise ValueError("modulus must be at least 2")
     if m < 1:

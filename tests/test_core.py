@@ -28,6 +28,7 @@ from biracks import (
     tau_sigma_rho_birack,
     to_matrix,
     tsr_birack,
+    unlink,
     verify_axioms,
 )
 from biracks.cli import main
@@ -146,6 +147,19 @@ class TestLabelCheck:
     def test_rejects_bad_label(self, taker, entry, message):
         with pytest.raises(ValueError) as exc:
             LABEL_TAKERS[taker](entry)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: tsr_birack(5, 2.0, 0, 1), "t must be an integer, got 2.0"),
+        (lambda: tsr_birack(5.0, 2, 0, 1), "n must be an integer, got 5.0"),
+        (lambda: tsr_birack(5, 2, 0, 1, 1.5), "m must be an integer, got 1.5"),
+        (lambda: enumerate_biracks(2.5), "n must be an integer, got 2.5"),
+        (lambda: unlink(1.5), "c must be an integer, got 1.5"),
+        (lambda: parse_cycles("(1 2)", 2.5), "n must be an integer, got 2.5"),
+    ], ids=["tsr_t", "tsr_n", "tsr_m", "enumerate_biracks", "unlink", "parse_cycles"])
+    def test_rejects_non_integer_parameter(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
         assert str(exc.value) == message
 
 
@@ -397,6 +411,120 @@ class TestFailingReports:
             "ok": False,
         }
         assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
+
+
+def _nondegenerate(rows, columns) -> tuple[list, list]:
+    """Tables (B1, B2) whose B1 rows are rows and whose B2 columns are columns."""
+    n = len(rows)
+    return [list(r) for r in rows], [[columns[y][x] for y in range(n)] for x in range(n)]
+
+
+def _ybe_conditions(b1, b2) -> tuple[bool, bool, bool]:
+    """(i), (ii) and (iii) of core._ybe_holds, elementwise from their
+    definitions, for bijective B1 rows."""
+    n = len(b1)
+    s1 = [[0] * n for _ in range(n)]
+    for x, y in itertools.product(range(n), repeat=2):
+        s1[b1[x][y]][x] = b2[x][y]
+
+    def op(x, y):
+        return b1[y][s1[y][x]]
+
+    triples = list(itertools.product(range(n), repeat=3))
+    return (
+        all(b1[x][b1[y][z]] == b1[b1[x][y]][b1[b2[x][y]][z]] for x, y, z in triples),
+        all(op(op(x, y), z) == op(op(x, z), op(y, z)) for x, y, z in triples),
+        all(b1[x][op(y, z)] == op(b1[x][y], b1[x][z]) for x, y, z in triples),
+    )
+
+
+@pytest.fixture
+def ybe_outcomes(monkeypatch):
+    """(permutation form, scan passes) for every core._ybe_holds call."""
+    outcomes = []
+    holds = biracks.core._ybe_holds
+
+    def checking(b1, b2, s1, n):
+        fast = holds(b1, b2, s1, n)
+        outcomes.append((fast, biracks.core._ybe_witness(b1, b2, n)[0] is None))
+        return fast
+
+    monkeypatch.setattr(biracks.core, "_ybe_holds", checking)
+    return outcomes
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The element count n of every core._ybe_witness call."""
+    calls = []
+    scan = biracks.core._ybe_witness
+
+    def counting(b1, b2, n):
+        calls.append(n)
+        return scan(b1, b2, n)
+
+    monkeypatch.setattr(biracks.core, "_ybe_witness", counting)
+    return calls
+
+
+class TestYangBaxterForm:
+    """core._ybe_holds against the triple scan core._ybe_witness."""
+
+    def test_agrees_with_scan_on_small_tables(self, ybe_outcomes):
+        # every table on <= 3 elements with bijective B1 rows and B2
+        # columns, so every one that reaches the Yang-Baxter check
+        for n in (1, 2, 3):
+            perms = list(itertools.permutations(range(n)))
+            for rows, columns in itertools.product(
+                    itertools.product(perms, repeat=n), repeat=2):
+                biracks.core._analyze(*_nondegenerate(rows, columns))
+        assert all(fast == scan for fast, scan in ybe_outcomes)
+        # tables that reach the check, and Yang-Baxter solutions among them
+        assert (len(ybe_outcomes), sum(scan for _, scan in ybe_outcomes)) == (509, 71)
+
+    def test_agrees_with_scan_on_random_tables(self, ybe_outcomes):
+        rng = random.Random(14)
+        for n in range(2, 7):
+            for _ in range(300):
+                rows = [rng.sample(range(n), n) for _ in range(n)]
+                columns = [rng.sample(range(n), n) for _ in range(n)]
+                biracks.core._analyze(*_nondegenerate(rows, columns))
+                # constant actions B(x, y) = (tau y, rho x) pass (i) and (ii)
+                tau, rho = rng.sample(range(n), n), rng.sample(range(n), n)
+                biracks.core._analyze(*_nondegenerate([tau] * n, [rho] * n))
+        assert all(fast == scan for fast, scan in ybe_outcomes)
+        assert (len(ybe_outcomes), sum(scan for _, scan in ybe_outcomes)) == (1576, 629)
+
+    def test_condition_iii_is_needed(self, ybe_outcomes):
+        # tau = (1 2) and rho = (2 3) do not commute: every sigma_x is tau
+        # and every R_z is tau rho, so (i) and (ii) hold and (iii) fails
+        tau, rho = parse_cycles("(1 2)", 3), parse_cycles("(2 3)", 3)
+        b1, b2 = _nondegenerate([tau] * 3, [rho] * 3)
+        assert _ybe_conditions(b1, b2) == (True, True, False)
+        assert verify_axioms(b1, b2).first_failure.name == YBE
+        assert ybe_outcomes == [(False, False)]
+
+    def test_valid_biracks_skip_scan(self, scans):
+        for path in sorted(DATA.glob("*.txt")):
+            if path.name != "sample_links.txt":
+                read_matrix_file(path)
+        tsr_birack(67, 2, 0, 1)
+        assert scans == []
+
+    @pytest.mark.parametrize("case", ["ybe_1", "ybe_2", "ybe_3"])
+    def test_failing_table_scans_once(self, case, scans):
+        b1, b2, checks, _, _ = FAILING_REPORTS[case]
+        assert verify_axioms(b1, b2).checks == tuple(CheckResult(*c) for c in checks)
+        assert len(scans) == 1
+
+    def test_above_256_elements_scans(self, scans):
+        # bytes.translate needs byte labels; tau = (1 2) and rho = (2 3)
+        # break component equation 2 at the first triple
+        n = 257
+        tau, rho = parse_cycles("(1 2)", n), parse_cycles("(2 3)", n)
+        report = verify_axioms(*_nondegenerate([tau] * n, [rho] * n))
+        assert report.checks[3] == CheckResult(YBE, "fail", (0, 0, 0), "component equation 2")
+        assert scans == [n]
 
 
 class TestDerivedStructure:

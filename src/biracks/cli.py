@@ -53,6 +53,7 @@ from .core import (
 from .diagram import parse_gauss
 from .errors import BirackError, NotASubbirack, ParseError
 from .families import CayleyGroup, constant_action, tau_sigma_rho_birack, tsr_birack
+from .homsearch import cut_labelings
 from .invariants import (
     KINDS,
     birack_polynomial,
@@ -241,8 +242,11 @@ def _cmd_invariant(args) -> int:
     for name, code in jobs:
         d = parse_gauss(code)
         value = compute_invariant(d, b, args.type)
-        # Frame the survey's labelings only if the output prints them.
-        labelings = framed_labelings(value.survey) if args.labelings else None
+        # Frame the labelings only if the output prints them, off the
+        # whole-diagram search (a split diagram's value carries none).
+        labelings = None
+        if args.labelings:
+            labelings = framed_labelings(value.survey or cut_labelings(d, b))
         value = replace(value, survey=None)
         if args.normalize:
             value = normalize(value, d, b)

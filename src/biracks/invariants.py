@@ -31,14 +31,29 @@ kinks to component i, which carry its tail label t to pi^m_i(t).  A cut
 labeling is therefore a labeling of with_framing(d, w, N) exactly when
 pi^m_i(tail label) = head label on every component, and the kink labels
 follow from the tail label.  All four kinds, with their multiset forms
-and per-framing counts, come from one fold of that survey in
-compute_invariant; phi_* return its value.  Integral and writhe count the
-framings of each cut labeling without building labelings.  The image and
-the subbirack polynomial depend on a labeling only through the closure of
-its labels, which is the closure of its cut labels, so image and rho
-close each distinct cut label set once, weighted by its framings, and
-compute one signature per distinct image.  framed_labelings writes the
-labelings of every framed diagram out of the same survey on request.
+and per-framing counts, come from one fold in compute_invariant; phi_*
+return its value.  Integral and writhe count the framings of each cut
+labeling without building labelings.  The image and the subbirack
+polynomial depend on a labeling only through the closure of its labels,
+which is the closure of its cut labels, so image and rho close each
+distinct cut label set once, weighted by its framings, and compute one
+signature per distinct image.
+
+A connected diagram is surveyed by one search of the whole diagram.  A
+split one is surveyed group by group: components that share crossings
+form a group, and each group's sub-diagram gets its own search.  Its
+labelings are the tuples of its groups' labelings, on the framings
+that concatenate theirs, so per-framing counts are products of the
+groups' counts, and the image of a labeling is the join (the closure of
+the union) of its groups' images.  Image and rho fold the groups' image
+weights through the subbirack lattice, joining each distinct pair of
+closed sets once, so a c-unlink over n elements costs c searches of n
+labelings and at most as many states as subbiracks, not n^c labelings
+(the split case of counting homomorphisms by decomposition, Diaz, Serna
+and Thilikos, "Counting H-colorings of partial k-trees", 2002).
+framed_labelings writes the labelings of every framed diagram out of a
+whole-diagram search on request: the connected value's survey, or a
+fresh cut_labelings of the split diagram.
 
 normalize() subtracts the signature counts of the crossing-free unlink
 with the same number of components, so unlinks normalize to zero, and
@@ -56,6 +71,7 @@ from itertools import compress, product, repeat
 from math import prod
 from operator import itemgetter
 
+from . import core
 from .core import FiniteBirack, is_subbirack, perm_cycles
 # with_framing and enumerate_labelings are not called here; they stay
 # because bench/spans.py binds both names on this module.
@@ -228,8 +244,10 @@ class InvariantValue:
     per_framing: (framing vector, labeling count) pairs in lexicographic
       order; for normalized values these are count differences.
     normalized: True when an unlink value has been subtracted.
-    survey: the cut search the value was folded from (framed_labelings
-      reads the labelings of every framing off it); None once normalized.
+    survey: the cut search of the whole diagram the value was folded
+      from (framed_labelings reads the labelings of every framing off
+      it); None for a split diagram, whose value is folded from one
+      search per group of linked components, and None once normalized.
       Equality and repr ignore it.
     """
 
@@ -263,11 +281,39 @@ def _package(kind, counts: dict, per_framing, normalized=False, survey=None) -> 
     return InvariantValue(kind, value, multiset, per_framing, normalized, survey)
 
 
-def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
-    """Compute one invariant with multiset and per-framing bookkeeping."""
-    if kind not in KINDS:
-        raise KindMismatch(f"unknown invariant kind {kind!r}")
-    cut = cut_labelings(d, b)
+def _linked_groups(d: Diagram) -> list[list[int]]:
+    """d's components grouped by the crossings they share (union-find),
+    each group in increasing order and the groups by their first
+    component."""
+    if len(d.components) < 2:  # knots, mostly: no union-find on that path
+        return [list(range(len(d.components)))]
+    root = list(range(len(d.components)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for cr in d.crossings.values():
+        root[find(cr.over[0])] = find(cr.under[0])
+    groups: dict[int, list[int]] = {}
+    for i in range(len(root)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _fold_survey(cut: CutLabelings, images: bool) -> tuple[list[int], dict]:
+    """The labeling count of each framing of cut's diagram, in lexicographic
+    order, and, if images is set, the labelings over every framing by image.
+
+    A framed labeling's labels lie between its cut labels and their
+    closure (kink labels are alpha and pi images, and a set closed under B
+    is closed under S and S^-1 by subbirack_closure's theorem), so its
+    image is the closure of the cut label set: each distinct set is closed
+    once.
+    """
+    b = cut.birack
     N = b.rank
     keys = _framing_keys(cut)
     counts: Counter = Counter()  # framing vector -> labelings
@@ -275,39 +321,91 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
         if None not in key:
             for w in _framings(key, N):
                 counts[w] += m
-    framings = product(range(N), repeat=len(d.components))
-    per_framing = tuple((w, counts[w]) for w in framings)
-    if kind == "integral":
-        counts = {(): sum(counts.values())}
-    elif kind == "writhe":
-        counts = dict(per_framing)  # in lexicographic order, so sorting is linear
-    else:
-        # A framed labeling's labels lie between its cut labels and their
-        # closure (kink labels are alpha and pi images, and a set closed
-        # under B is closed under S and S^-1 by subbirack_closure's
-        # theorem), so its image is the closure of the cut label set: each
-        # distinct set is closed once, each distinct image one signature.
+    per_framing = [counts[w] for w in product(range(N), repeat=len(cut.tails))]
+    by_image: dict[frozenset[int], int] = {}  # image -> labelings over every framing
+    if images:
         label_sets = list(map(frozenset, cut.assignments))
         uses: Counter = Counter()  # label set -> labelings over every framing
         for (key, labels), m in Counter(zip(keys, label_sets)).items():
             if None not in key:
                 uses[labels] += m * prod(N // period for _, period in key)
-        signature: dict[frozenset[int], object] = {}
-        counts = Counter()  # image size or MultiPoly -> labelings
         for labels, m in uses.items():
             image = labeling_image(Labeling(tuple(labels)), b)
-            if image not in signature:
-                signature[image] = (
-                    len(image) if kind == "image" else _statistics_sum(b, sorted(image))
-                )
-            counts[signature[image]] += m
+            by_image[image] = by_image.get(image, 0) + m
+    return per_framing, by_image
+
+
+def _join_images(b: FiniteBirack, parts: list[dict]) -> dict:
+    """{image: labelings} of a split diagram from each group's.
+
+    A labeling of a split diagram is one labeling per group, and its image
+    is the join (the closure of the union) of theirs, so the fold keeps
+    one weight per closed set.  Each pair of sets, neither inside the
+    other, is joined once.
+    """
+    states: dict[frozenset[int], int] = {frozenset(): 1}
+    joins: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
+    for by_image in parts:
+        folded: dict[frozenset[int], int] = {}
+        for s, m in states.items():
+            for t, k in by_image.items():
+                if t <= s:
+                    joined = s
+                elif s <= t:
+                    joined = t
+                else:
+                    joined = joins.get((s, t))
+                    if joined is None:
+                        joined = joins[s, t] = joins[t, s] = core._close(b, s, t - s)
+                folded[joined] = folded.get(joined, 0) + m * k
+        states = folded
+    return states
+
+
+def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
+    """Compute one invariant with multiset and per-framing bookkeeping."""
+    if kind not in KINDS:
+        raise KindMismatch(f"unknown invariant kind {kind!r}")
+    images = kind in ("image", "rho")
+    groups = _linked_groups(d)
+    framings = product(range(b.rank), repeat=len(d.components))
+    if len(groups) <= 1:
+        survey = cut_labelings(d, b)
+        totals, by_image = _fold_survey(survey, images)
+        per_framing = tuple(zip(framings, totals))
+    else:
+        # Split: a labeling is one labeling per group, on every framing of
+        # each, so counts multiply and images join across groups.
+        survey = None
+        parts = [_fold_survey(cut_labelings(Diagram([d.components[i] for i in g]), b), images)
+                 for g in groups]
+        per_framing = tuple(zip(framings, map(prod, product(*(t for t, _ in parts)))))
+        # those framing vectors list the components group by group; when
+        # groups interleave, put them back in component order
+        order = [i for g in groups for i in g]
+        if order != sorted(order):
+            place = itemgetter(*map(order.index, range(len(order))))
+            per_framing = tuple(sorted((place(w), m) for w, m in per_framing))
+        by_image = _join_images(b, [image for _, image in parts])
+    if kind == "integral":
+        counts = {(): sum(m for _, m in per_framing)}
+    elif kind == "writhe":
+        counts = dict(per_framing)  # in lexicographic order, so sorting is linear
+    else:
+        counts = Counter()  # image size or MultiPoly -> labelings
+        for image, m in by_image.items():
+            counts[len(image) if kind == "image" else _statistics_sum(b, sorted(image))] += m
         if kind == "rho":
             counts = {p.canonical_string(): m for p, m in counts.items()}
-    return _package(kind, counts, per_framing, survey=cut)
+    return _package(kind, counts, per_framing, survey=survey)
 
 
 def normalize(v: InvariantValue, d: Diagram, b: FiniteBirack) -> InvariantValue:
     """Subtract the invariant of the unlink with d's component count.
+
+    The c-unlink is split, so its value costs c searches of b's n labels
+    and a fold through the subbirack lattice, not a search of n^c
+    labelings.
 
     Raises LengthMismatch when v's framing vectors are not those of that
     unlink over b: v was computed for a diagram with another component

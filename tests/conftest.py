@@ -11,7 +11,9 @@ labeling's image of that reference separately, sharing nothing between
 labelings.  naive_closure applies B and S to every pair of the set in
 every round (S too, so it does not lean on the closure theorem), and
 naive_subbiracks joins every found subbirack with every other.
-Acceptance and property tests compare the production code against these.
+unlink_closed_form counts the c-component unlink's labelings by image
+through Moebius inversion over the subbirack lattice.  Acceptance and
+property tests compare the production code against these.
 random_gauss_code draws legal signed Gauss codes from a seeded generator
 for differential tests.
 """
@@ -339,6 +341,53 @@ def _per_labeling_counts(d: Diagram, b: FiniteBirack, kind: str) -> dict:
                    else subbirack_polynomial(b, image).canonical_string())
             counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def unlink_closed_form(b: FiniteBirack, c: int) -> dict:
+    """Per-framing counts and the multiset of every kind for the
+    c-component unlink over b, in closed form.
+
+    A crossing-free component labeled x lies on framing w exactly when
+    pi^w(x) = x, that is when the length of x's pi-cycle divides w, so
+    per_framing(w) = prod_i fix(pi^(w_i)), and x lies on N / |cycle of x|
+    of the N framings.  The labelings over every framing with every label
+    in a closed set S number f(S) = (sum over x in S of N / |cycle of x|)^c,
+    and a labeling's labels lie in S exactly when its image does, so the
+    ones whose image is S number g(S) = f(S) - sum of g(T) over the closed
+    T strictly inside S (Moebius inversion over naive_subbiracks, which
+    shares no code with the joins of compute_invariant's fold).
+    """
+    N = b.rank
+    cycle = []
+    for x in range(b.n):
+        y, length = b.pi[x], 1
+        while y != x:
+            y, length = b.pi[y], length + 1
+        cycle.append(length)
+    fixed = [sum(1 for x in range(b.n) if m % cycle[x] == 0) for m in range(N)]
+    per_framing = []
+    for w in product(range(N), repeat=c):
+        count = 1
+        for m in w:
+            count *= fixed[m]
+        per_framing.append((w, count))
+    exact: dict[frozenset[int], int] = {}
+    for sub in naive_subbiracks(b):  # by size, so every T inside S comes first
+        exact[sub] = (sum(N // cycle[x] for x in sub) ** c
+                      - sum(g for t, g in exact.items() if t < sub))
+    image: dict = {}
+    rho: dict = {}
+    for sub, g in exact.items():
+        image[len(sub)] = image.get(len(sub), 0) + g
+        key = subbirack_polynomial(b, sub).canonical_string()
+        rho[key] = rho.get(key, 0) + g
+    return {
+        "per_framing": tuple(per_framing),
+        "integral": (((), sum(m for _, m in per_framing)),),
+        "writhe": tuple((w, m) for w, m in per_framing if m),
+        "image": tuple(sorted((k, m) for k, m in image.items() if m)),
+        "rho": tuple(sorted((k, m) for k, m in rho.items() if m)),
+    }
 
 
 def rack_counting_oracle(d: Diagram, b: FiniteBirack) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -231,6 +232,21 @@ class TestInvariantCommand:
                          "--type", "rho", "--labelings", *extra]) == 0
             assert len(calls) == 3  # one search per link, whatever the rank
         capsys.readouterr()
+
+    @pytest.mark.parametrize("kind,digest", [
+        ("integral", "f923aa39f83fe70b3638ca8af54ff0812fc4158da05f50b13bb815288c521bf2"),
+        ("writhe", "5da1754687b455cdb4700ac9606ae9c74ee63f8243d32551e39bd5ef0475114a"),
+        ("image", "692f7ae3eb6afa6cb1d5478beee8d1ef461fc57272a354e5b9c3d57c352f0745"),
+        ("rho", "61d2bfef432851a5dc3ed198ca349ea4beeebc797da22941f6401eb48f5280fa"),
+    ])
+    def test_split_labeling_dump_bytes(self, kind, digest, monkeypatch, capsys):
+        # the 3-unlink's value is folded group by group, while --labelings
+        # lists the labelings of one whole-diagram search; the sha256 of
+        # stdout is the one recorded before the fold existed
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        assert main(["invariant", "--birack", "data/four_element_two_orbits.txt",
+                     "--gauss", ";;", "--type", kind, "--labelings", "--json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_labeling_dump_json(self, two_element_file, capsys):
         assert main(["invariant", "--birack", two_element_file,

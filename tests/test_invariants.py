@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -7,8 +8,10 @@ import pytest
 
 import biracks.core
 import biracks.homsearch
+import biracks.invariants
 import biracks.poly
 from biracks import (
+    Diagram,
     KindMismatch,
     LengthMismatch,
     MultiPoly,
@@ -30,7 +33,7 @@ from biracks import (
     with_framing,
 )
 from biracks.homsearch import cut_labelings
-from biracks.invariants import framed_labelings
+from biracks.invariants import KINDS, framed_labelings
 from conftest import (
     FIGURE_EIGHT,
     HOPF,
@@ -43,6 +46,7 @@ from conftest import (
     rack_counting_oracle,
     random_gauss_code,
     tsr_labeling_count,
+    unlink_closed_form,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -301,12 +305,16 @@ class TestSurvey:
 
         monkeypatch.setattr(biracks.core, "subbirack_closure", counted)
         monkeypatch.setattr(biracks.homsearch, "subbirack_closure", counted)
-        for d in (unlink(2), parse_gauss(HOPF), parse_gauss(TREFOIL)):
-            cut = cut_labelings(d, b)
-            # the distinct label sets of the cut labelings on some framing
-            label_sets = {frozenset(a) for a in cut.assignments
-                          if all(a[h] in _pi_orbit(b, a[t])
-                                 for t, h in zip(cut.tails, cut.heads))}
+        # a split diagram is searched group by group: unlink(2) is two unknots
+        for d, groups in ((unlink(2), [unlink(1)] * 2), (parse_gauss(HOPF), [parse_gauss(HOPF)]),
+                          (parse_gauss(TREFOIL), [parse_gauss(TREFOIL)])):
+            label_sets = []
+            for group in groups:
+                cut = cut_labelings(group, b)
+                # the distinct label sets of the cut labelings on some framing
+                label_sets += {frozenset(a) for a in cut.assignments
+                               if all(a[h] in _pi_orbit(b, a[t])
+                                      for t, h in zip(cut.tails, cut.heads))}
             calls.clear()
             compute_invariant(d, b, kind)
             assert len(calls) == len(label_sets)
@@ -341,7 +349,7 @@ def _assert_matches_framed_reference(d, b, multisets: bool) -> None:
     reference = [(w, [lab.assignment for lab in labs]) for w, labs in framed_reference(d, b)]
     v = compute_invariant(d, b, "writhe")
     assert list(v.per_framing) == [(w, len(labs)) for w, labs in reference]
-    framed = framed_labelings(v.survey)
+    framed = framed_labelings(v.survey or cut_labelings(d, b))
     assert [(w, [lab.assignment for lab in labs]) for w, labs in framed] == reference
     if multisets:
         for kind in ("image", "rho"):
@@ -371,6 +379,103 @@ class TestCutMatchesFramedReference:
         rank6 = tsr_birack(7, 3, 0, 1)
         for code in RANDOM_CODES[:20]:
             _assert_matches_framed_reference(parse_gauss(code), rank6, multisets=False)
+
+
+def _shifted(code: str, offset: int) -> list[str]:
+    """The components of code with every crossing id raised by offset."""
+    return re.sub(r"\d+", lambda m: str(int(m.group()) + offset), code).split(";")
+
+
+def _split_unions(seed: int) -> list[str]:
+    """Two seeded random codes A and B with B's crossing ids after A's, as
+    A;B, B;A and A's components around B's first."""
+    rng = random.Random(seed)
+    a = random_gauss_code(rng).split(";")
+    b = _shifted(random_gauss_code(rng), 10)
+    return [";".join(a + b), ";".join(b + a), ";".join(a[:1] + b[:1] + a[1:] + b[1:])]
+
+
+# linked components around a crossing-free circle, and around a trefoil
+AROUND = ["O1+,U2+;;U1+,O2+", ";".join([HOPF.split(";")[0], *_shifted(TREFOIL, 2),
+                                         HOPF.split(";")[1]])]
+
+
+class TestSplitDiagrams:
+    """A split diagram is searched group by group and folded through the
+    subbirack lattice; its values equal the whole-diagram references."""
+
+    def test_random_unions(self, two_element, constant4, two_orbit4):
+        interleaved = 0
+        for seed in range(8):
+            for code in _split_unions(seed):
+                d = parse_gauss(code)
+                order = [i for g in biracks.invariants._linked_groups(d) for i in g]
+                interleaved += order != sorted(order)
+                for b in (two_element, constant4, two_orbit4):
+                    _assert_matches_framed_reference(d, b, multisets=True)
+        assert interleaved == 3
+
+    @pytest.mark.parametrize("code", AROUND)
+    def test_components_around_others(self, code, test_biracks):
+        d = parse_gauss(code)
+        assert biracks.invariants._linked_groups(d) == [[0, 2], [1]]
+        for b in test_biracks.values():
+            _assert_matches_framed_reference(d, b, multisets=True)
+
+    @pytest.mark.parametrize("kind", ["integral", "writhe", "image", "rho"])
+    def test_one_search_per_group(self, kind, two_orbit4, monkeypatch):
+        calls = []
+        search = biracks.homsearch._search
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(biracks.homsearch, "_search", counted)
+        cases = [(unlink(3), 3), (parse_gauss(AROUND[0]), 2), (parse_gauss(AROUND[1]), 2),
+                 (parse_gauss(HOPF), 1), (Diagram([]), 1)]
+        for d, groups in cases:
+            calls.clear()
+            v = compute_invariant(d, two_orbit4, kind)
+            assert len(calls) == groups
+            # only a connected diagram's value carries its search
+            assert (v.survey is None) == (groups > 1)
+
+    @pytest.mark.parametrize("kind", ["image", "rho"])
+    def test_join_count(self, kind, ten_element, monkeypatch):
+        # 6 groups of 10 labelings each close 10 singletons; the fold then
+        # joins each pair of closed sets, neither inside the other, once,
+        # whichever order it meets them in
+        closures, joins = [], []
+        close = biracks.core._close
+
+        def counted(b, closed, frontier):
+            (joins if closed else closures).append(frontier)
+            return close(b, closed, frontier)
+
+        monkeypatch.setattr(biracks.core, "_close", counted)
+        compute_invariant(unlink(6), ten_element, kind)
+        assert (len(closures), len(joins)) == (60, 119)
+
+    def test_empty_diagram(self, test_biracks):
+        for b in test_biracks.values():
+            values = [compute_invariant(Diagram([]), b, kind) for kind in KINDS]
+            assert [v.value_string() for v in values] == ["1", "1", "z^0", "z^{0}"]
+            assert all(v.per_framing == (((), 1),) for v in values)
+
+
+class TestUnlinkClosedForm:
+    """c-unlinks against Moebius inversion over the subbirack lattice."""
+
+    @pytest.mark.parametrize("birack", DATA_BIRACKS)
+    def test_unlinks(self, birack):
+        b = read_matrix_file(str(DATA / f"{birack}.txt"))
+        for c in range(1, 9):
+            expected = unlink_closed_form(b, c)
+            for kind in KINDS:
+                v = compute_invariant(unlink(c), b, kind)
+                assert v.multiset == expected[kind], (c, kind)
+                assert v.per_framing == expected["per_framing"], (c, kind)
 
 
 class TestRhoRendersOnce:

@@ -70,7 +70,8 @@ class LengthMismatch(BirackError):
 
 
 class SizeTooLarge(BirackError):
-    """Exhaustive enumeration was requested beyond its supported size."""
+    """Exhaustive enumeration, or a --labelings dump, was requested beyond
+    its supported size."""
 
 
 class NotASubbirack(BirackError):

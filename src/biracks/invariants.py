@@ -24,7 +24,7 @@ and each element contributes s1^c1 s2^c2 t1^r1 t2^r2.  In matrix-block
 terms c_i(x) counts fixed points down column x of block i and r_i(x)
 counts occurrences of x along row x of block i.
 
-The framing period is surveyed with one search, not one per framing:
+The framing period is surveyed without a search per framing:
 cut_labelings searches the diagram cut open at each component's closing
 semiarc, and framing w appends m_i = (w_i - writhe_i) mod N positive
 kinks to component i, which carry its tail label t to pi^m_i(t).  A cut
@@ -39,21 +39,20 @@ which is the closure of its cut labels, so image and rho close each
 distinct cut label set once, weighted by its framings, and compute one
 signature per distinct image.
 
-A connected diagram is surveyed by one search of the whole diagram.  A
-split one is surveyed group by group: components that share crossings
-form a group, and each group's sub-diagram gets its own search.  Its
-labelings are the tuples of its groups' labelings, on the framings
-that concatenate theirs, so per-framing counts are products of the
-groups' counts, and the image of a labeling is the join (the closure of
-the union) of its groups' images.  Image and rho fold the groups' image
-weights through the subbirack lattice, joining each distinct pair of
-closed sets once, so a c-unlink over n elements costs c searches of n
-labelings and at most as many states as subbiracks, not n^c labelings
-(the split case of counting homomorphisms by decomposition, Diaz, Serna
-and Thilikos, "Counting H-colorings of partial k-trees", 2002).
-framed_labelings writes the labelings of every framed diagram out of a
-whole-diagram search on request: the connected value's survey, or a
-fresh cut_labelings of the split diagram.
+Every diagram is surveyed group by group: components that share
+crossings form a group, and each group's diagram gets one search (a
+connected diagram is one group, searched whole).  A labeling is a tuple
+of its groups' labelings, on the framing that concatenates theirs, so
+per-framing counts are products of the groups' counts, and the image of
+a labeling is the join (the closure of the union) of its groups' images.
+Image and rho fold the groups' image weights through the subbirack
+lattice, joining each distinct pair of closed sets once, so a c-unlink
+over n elements costs c searches of n labelings and at most as many
+states as subbiracks, not n^c labelings (the split case of counting
+homomorphisms by decomposition, Diaz, Serna and Thilikos, "Counting
+H-colorings of partial k-trees", 2002).  The value keeps those searches
+as its survey, and framed_labelings writes the labelings of every framed
+diagram out of them on request, with no further search.
 
 normalize() subtracts the signature counts of the crossing-free unlink
 with the same number of components, so unlinks normalize to zero, and
@@ -80,6 +79,7 @@ from .errors import KindMismatch, LengthMismatch, NotASubbirack
 from .homsearch import (  # noqa: F401
     CutLabelings,
     Labeling,
+    _crossing_quads,
     cut_labelings,
     enumerate_labelings,
     labeling_image,
@@ -161,18 +161,32 @@ def _framings(key, N: int):
 
 
 def framed_labelings(
-    cut: CutLabelings,
+    d: Diagram, survey: tuple[CutLabelings, ...],
 ) -> list[tuple[tuple[int, ...], list[Labeling]]]:
-    """(w, labelings of with_framing(d, w, N)) over (Z_N)^c, read off a cut
-    search of d, in lexicographic order.
+    """(w, labelings of with_framing(d, w, N)) over (Z_N)^c, read off the
+    cut searches of d's groups (InvariantValue.survey), in lexicographic
+    order.
 
-    A cut labeling labels d's semiarcs by d's own indices, so framed
-    semiarc (s, h) of framed_semiarc_sources carries the label h
-    half-kinks past cut label s: alpha(pi^j(x)) for h = 2j + 1 and
-    pi^(j+1)(x) for h = 2j + 2.
+    A labeling of d cut open is one cut labeling per group, laid out as
+    homsearch._crossing_quads numbers d's cut semiarcs: d's own, then one
+    head per cut component.  Framed semiarc (s, h) of
+    framed_semiarc_sources carries the label h half-kinks past cut label
+    s: alpha(pi^j(x)) for h = 2j + 1 and pi^(j+1)(x) for h = 2j + 2.
     """
-    d, b = cut.diagram, cut.birack
+    b = survey[0].birack
     N = b.rank
+    _, size, tails, heads = _crossing_quads(d, cut=N > 1)
+    place: list[int] = []  # d's cut semiarc at each position of the groups' joined labels
+    for g in _linked_groups(d):
+        for i in g:
+            first = d.semiarc_after(i, 0)
+            place += range(first, first + max(len(d.components[i]), 1))
+        place += (heads[i] for i in g if heads[i] != tails[i])
+    pick = sorted(range(size), key=place.__getitem__)
+    joined = (sum(parts, ()) for parts in product(*(c.assignments for c in survey)))
+    if pick != list(range(size)):  # groups interleave, or cut heads follow a group
+        joined = map(itemgetter(*pick), joined)
+    cut = CutLabelings(d, b, tails, heads, tuple(joined), sum(c.nodes for c in survey))
     steps = [list(range(b.n))]  # steps[h][x]: the label h half-kinks past x
     for _ in range(N - 1):
         steps += [[b.alpha[x] for x in steps[-1]], [b.pi[x] for x in steps[-1]]]
@@ -199,7 +213,7 @@ def labelings_by_framing(
     d: Diagram, b: FiniteBirack
 ) -> list[tuple[tuple[int, ...], list[Labeling]]]:
     """(framing vector, labelings) over (Z_N)^c in lexicographic order."""
-    return framed_labelings(cut_labelings(d, b))
+    return framed_labelings(d, _survey(d, b, _linked_groups(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +258,11 @@ class InvariantValue:
     per_framing: (framing vector, labeling count) pairs in lexicographic
       order; for normalized values these are count differences.
     normalized: True when an unlink value has been subtracted.
-    survey: the cut search of the whole diagram the value was folded
-      from (framed_labelings reads the labelings of every framing off
-      it); None for a split diagram, whose value is folded from one
-      search per group of linked components, and None once normalized.
-      Equality and repr ignore it.
+    survey: the cut searches the value was folded from, one per group of
+      linked components in group order (a connected diagram's is its one
+      whole-diagram search); framed_labelings reads the labelings of
+      every framing off them.  () once normalized.  Equality and repr
+      ignore it.
     """
 
     kind: str
@@ -256,13 +270,13 @@ class InvariantValue:
     multiset: tuple[tuple[object, int], ...]
     per_framing: tuple[tuple[tuple[int, ...], int], ...]
     normalized: bool = False
-    survey: CutLabelings | None = field(default=None, compare=False, repr=False)
+    survey: tuple[CutLabelings, ...] = field(default=(), compare=False, repr=False)
 
     def value_string(self) -> str:
         return str(self.value)  # a polynomial's str is its canonical string
 
 
-def _package(kind, counts: dict, per_framing, normalized=False, survey=None) -> InvariantValue:
+def _package(kind, counts: dict, per_framing, normalized=False, survey=()) -> InvariantValue:
     """The value of kind, raw or normalized alike, from signature counts:
     zero counts dropped, the multiset sorted by signature and the value
     built from it.  Each signature gives one term, its key built in
@@ -303,6 +317,16 @@ def _linked_groups(d: Diagram) -> list[list[int]]:
     return list(groups.values())
 
 
+def _survey(d: Diagram, b: FiniteBirack, groups: list[list[int]]) -> tuple[CutLabelings, ...]:
+    """One cut search per group of d's linked components, each of the
+    group's own diagram (d itself for a group of every component)."""
+    whole = len(d.components)
+    return tuple([
+        cut_labelings(Diagram([d.components[i] for i in g]) if len(g) < whole else d, b)
+        for g in groups
+    ])
+
+
 def _fold_survey(cut: CutLabelings, images: bool) -> tuple[list[int], dict]:
     """The labeling count of each framing of cut's diagram, in lexicographic
     order, and, if images is set, the labelings over every framing by image.
@@ -335,10 +359,10 @@ def _fold_survey(cut: CutLabelings, images: bool) -> tuple[list[int], dict]:
     return per_framing, by_image
 
 
-def _join_images(b: FiniteBirack, parts: list[dict]) -> dict:
-    """{image: labelings} of a split diagram from each group's.
+def _join_images(b: FiniteBirack, parts: tuple[dict, ...]) -> dict:
+    """{image: labelings} of a diagram from each group's.
 
-    A labeling of a split diagram is one labeling per group, and its image
+    A labeling of a diagram is one labeling per group, and its image
     is the join (the closure of the union) of theirs, so the fold keeps
     one weight per closed set.  Each pair of sets, neither inside the
     other, is joined once.
@@ -368,32 +392,25 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
         raise KindMismatch(f"unknown invariant kind {kind!r}")
     images = kind in ("image", "rho")
     groups = _linked_groups(d)
+    survey = _survey(d, b, groups)
+    # A labeling is one labeling per group, on every framing of each, so
+    # counts multiply and images join across groups.
+    totals, by_images = zip(*[_fold_survey(cut, images) for cut in survey])
     framings = product(range(b.rank), repeat=len(d.components))
-    if len(groups) <= 1:
-        survey = cut_labelings(d, b)
-        totals, by_image = _fold_survey(survey, images)
-        per_framing = tuple(zip(framings, totals))
-    else:
-        # Split: a labeling is one labeling per group, on every framing of
-        # each, so counts multiply and images join across groups.
-        survey = None
-        parts = [_fold_survey(cut_labelings(Diagram([d.components[i] for i in g]), b), images)
-                 for g in groups]
-        per_framing = tuple(zip(framings, map(prod, product(*(t for t, _ in parts)))))
-        # those framing vectors list the components group by group; when
-        # groups interleave, put them back in component order
-        order = [i for g in groups for i in g]
-        if order != sorted(order):
-            place = itemgetter(*map(order.index, range(len(order))))
-            per_framing = tuple(sorted((place(w), m) for w, m in per_framing))
-        by_image = _join_images(b, [image for _, image in parts])
+    per_framing = tuple(zip(framings, map(prod, product(*totals))))
+    # those framing vectors list the components group by group; when
+    # groups interleave, put them back in component order
+    order = [i for g in groups for i in g]
+    if order != sorted(order):
+        place = itemgetter(*map(order.index, range(len(order))))
+        per_framing = tuple(sorted((place(w), m) for w, m in per_framing))
     if kind == "integral":
         counts = {(): sum(m for _, m in per_framing)}
     elif kind == "writhe":
         counts = dict(per_framing)  # in lexicographic order, so sorting is linear
     else:
         counts = Counter()  # image size or MultiPoly -> labelings
-        for image, m in by_image.items():
+        for image, m in _join_images(b, by_images).items():
             counts[len(image) if kind == "image" else _statistics_sum(b, sorted(image))] += m
         if kind == "rho":
             counts = {p.canonical_string(): m for p, m in counts.items()}

@@ -14,6 +14,7 @@ from conftest import (
     TREFOIL,
     kink_chain,
 )
+from test_invariants import AROUND
 
 
 @pytest.fixture
@@ -240,13 +241,63 @@ class TestInvariantCommand:
         ("rho", "61d2bfef432851a5dc3ed198ca349ea4beeebc797da22941f6401eb48f5280fa"),
     ])
     def test_split_labeling_dump_bytes(self, kind, digest, monkeypatch, capsys):
-        # the 3-unlink's value is folded group by group, while --labelings
-        # lists the labelings of one whole-diagram search; the sha256 of
-        # stdout is the one recorded before the fold existed
+        # the 3-unlink's value and its --labelings dump both come from one
+        # search per component; the sha256 of stdout is the one recorded
+        # when the dump came from one search of the whole diagram
         monkeypatch.chdir(Path(__file__).resolve().parent.parent)
         assert main(["invariant", "--birack", "data/four_element_two_orbits.txt",
                      "--gauss", ";;", "--type", kind, "--labelings", "--json"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("code,groups", [(";;", 3), *((code, 2) for code in AROUND)])
+    def test_split_labeling_dump_searches_each_group_once(self, code, groups, monkeypatch,
+                                                           capsys):
+        import biracks.homsearch
+
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        calls = []
+        search = biracks.homsearch._search
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(biracks.homsearch, "_search", counted)
+        for extra in ([], ["--json"]):
+            calls.clear()
+            assert main(["invariant", "--birack", "data/four_element_two_orbits.txt",
+                         "--gauss", code, "--type", "rho", "--labelings", *extra]) == 0
+            assert len(calls) == groups  # the dump reuses the value's searches
+        capsys.readouterr()
+
+    def test_labeling_dump_bound(self, monkeypatch, capsys):
+        import biracks.cli
+
+        def forbidden(*args):
+            raise AssertionError("framed the labelings of an oversized dump")
+
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        monkeypatch.setattr(biracks.cli, "framed_labelings", forbidden)
+        for kind in ("integral", "writhe", "image", "rho"):
+            code, out, err = _run(["invariant", "--birack", "data/ten_element.txt",
+                                   "--gauss", ";" * 6, "--type", kind, "--labelings"], capsys)
+            assert (code, out, err) == (
+                1, "", "error: --labelings would print 10000000 labelings, more than 1000000\n")
+
+    def test_labeling_dump_bound_is_inclusive(self, monkeypatch, capsys):
+        import biracks.cli
+
+        # 10^4 labelings of the 4-unlink print at a bound of 10^4; the
+        # 5-unlink's 10^5 do not
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        monkeypatch.setattr(biracks.cli, "LABELING_DUMP_LIMIT", 10**4)
+        args = ["invariant", "--birack", "data/ten_element.txt", "--type", "integral",
+                "--labelings", "--gauss"]
+        code, out, err = _run([*args, ";;;"], capsys)
+        assert (code, len(out.splitlines()), err) == (0, 1 + 10**4, "")
+        code, out, err = _run([*args, ";;;;"], capsys)
+        assert (code, out, err) == (
+            1, "", "error: --labelings would print 100000 labelings, more than 10000\n")
 
     def test_labeling_dump_json(self, two_element_file, capsys):
         assert main(["invariant", "--birack", two_element_file,

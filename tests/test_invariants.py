@@ -245,7 +245,7 @@ def _pi_orbit(b, x) -> set[int]:
 
 
 class TestSurvey:
-    """The value carries the one cut search it was folded from."""
+    """The value carries the cut searches it was folded from, one per group."""
 
     @pytest.mark.parametrize("kind", ["integral", "writhe", "image", "rho"])
     def test_survey_is_one_cut_search(self, kind, two_orbit4, monkeypatch):
@@ -260,16 +260,16 @@ class TestSurvey:
         monkeypatch.setattr(biracks.homsearch, "_search", counted)
         v = compute_invariant(d, two_orbit4, kind)
         assert len(calls) == 1
-        assert v.survey == cut_labelings(d, two_orbit4)
-        assert isinstance(v.survey.assignments, tuple)
-        assert all(isinstance(a, tuple) for a in v.survey.assignments)
-        framed = framed_labelings(v.survey)
+        assert v.survey == (cut_labelings(d, two_orbit4),)
+        assert isinstance(v.survey[0].assignments, tuple)
+        assert all(isinstance(a, tuple) for a in v.survey[0].assignments)
+        framed = framed_labelings(d, v.survey)
         assert framed == labelings_by_framing(d, two_orbit4)
         assert [(w, [lab.assignment for lab in labs]) for w, labs in framed] == [
             (w, [lab.assignment for lab in labs])
             for w, labs in framed_reference(d, two_orbit4)
         ]
-        assert normalize(v, d, two_orbit4).survey is None
+        assert normalize(v, d, two_orbit4).survey == ()
 
     @pytest.mark.parametrize("kind", ["integral", "writhe"])
     def test_counts_build_no_labelings_or_framed_diagrams(self, kind, test_biracks,
@@ -288,7 +288,7 @@ class TestSurvey:
 
     def test_equality_ignores_survey(self, two_orbit4):
         v = compute_invariant(parse_gauss(TREFOIL), two_orbit4, "rho")
-        bare = replace(v, survey=None)
+        bare = replace(v, survey=())
         assert v == bare and hash(v) == hash(bare)
         assert repr(v) == repr(bare) and "survey" not in repr(v)
 
@@ -349,7 +349,7 @@ def _assert_matches_framed_reference(d, b, multisets: bool) -> None:
     reference = [(w, [lab.assignment for lab in labs]) for w, labs in framed_reference(d, b)]
     v = compute_invariant(d, b, "writhe")
     assert list(v.per_framing) == [(w, len(labs)) for w, labs in reference]
-    framed = framed_labelings(v.survey or cut_labelings(d, b))
+    framed = framed_labelings(d, v.survey)
     assert [(w, [lab.assignment for lab in labs]) for w, labs in framed] == reference
     if multisets:
         for kind in ("image", "rho"):
@@ -438,8 +438,8 @@ class TestSplitDiagrams:
             calls.clear()
             v = compute_invariant(d, two_orbit4, kind)
             assert len(calls) == groups
-            # only a connected diagram's value carries its search
-            assert (v.survey is None) == (groups > 1)
+            # the value carries each group's search
+            assert len(v.survey) == groups
 
     @pytest.mark.parametrize("kind", ["image", "rho"])
     def test_join_count(self, kind, ten_element, monkeypatch):

@@ -106,3 +106,31 @@ def test_int_only_in_text_parsers():
         if owner not in TEXT_PARSERS
     ]
     assert found == []
+
+
+def _called_names(tree):
+    """(name, line) of each call of a plain or dotted name under tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield func.id, node.lineno
+            elif isinstance(func, ast.Attribute):
+                yield func.attr, node.lineno
+
+
+def test_one_survey_path():
+    """Only compute_invariant's module searches a diagram cut open, so the
+    CLI prints --labelings from the value's own group searches."""
+    paths = sorted((ROOT / "src" / "biracks").glob("*.py"))
+    assert paths
+    found = [
+        f"{path.name}:{line}"
+        for path in paths
+        for name, line in _called_names(ast.parse(path.read_text(encoding="utf-8")))
+        if name == "cut_labelings" and path.name != "invariants.py"
+    ]
+    assert found == []
+    cli = ast.parse((ROOT / "src" / "biracks" / "cli.py").read_text(encoding="utf-8"))
+    imported = [node.module for node in ast.walk(cli) if isinstance(node, ast.ImportFrom)]
+    assert "homsearch" not in imported

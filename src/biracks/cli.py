@@ -12,7 +12,7 @@ Subcommands:
   enumerate --n N             list all biracks on N elements (N <= 3)
 
 Exit codes: 0 success, 1 domain error (axiom violation, parse failure,
-a --labelings dump over LABELING_DUMP_LIMIT labelings), a computation
+a --labelings dump over LABELING_DUMP_LIMIT labels), a computation
 that ran out of stack or memory, or any other failure inside a
 subcommand (reported as "error: <type>: <message>"), 2 usage error.
 All output is deterministic: two runs on the same inputs are
@@ -51,7 +51,7 @@ from .core import (
     verify_axioms,
     parse_matrix_text,
 )
-from .diagram import parse_gauss
+from .diagram import framed_semiarc_sources, parse_gauss
 from .errors import BirackError, NotASubbirack, ParseError, SizeTooLarge
 from .families import CayleyGroup, constant_action, tau_sigma_rho_birack, tsr_birack
 from .invariants import (
@@ -63,11 +63,12 @@ from .invariants import (
     subbirack_polynomial,
 )
 
-# The most labelings `invariant --labelings` prints for one link.  The dump
-# holds every labeling of every framing in memory before printing: 10^6
-# labelings of the 6-component unlink over a 10-element birack take about
-# 6 s and 330 MB, and each further component multiplies that by n.
-LABELING_DUMP_LIMIT = 10**6
+# The most labels `invariant --labelings` prints for one link, one per
+# semiarc of each framed labeling.  The dump holds every labeling of every
+# framing in memory before printing: the 10^6 labelings of 6 labels of the
+# 6-component unlink over a 10-element birack take about 4 s and 250 MB,
+# and time and memory grow with the labels.
+LABELING_DUMP_LIMIT = 6 * 10**6
 
 
 def _emit(text: str) -> None:
@@ -252,10 +253,11 @@ def _cmd_invariant(args) -> int:
         # value's group searches.
         labelings = None
         if args.labelings:
-            count = sum(m for _, m in value.per_framing)
+            count = sum(m * len(framed_semiarc_sources(d, w, b.rank))
+                        for w, m in value.per_framing if m)
             if count > LABELING_DUMP_LIMIT:
                 raise SizeTooLarge(
-                    f"--labelings would print {count} labelings, more than {LABELING_DUMP_LIMIT}"
+                    f"--labelings would print {count} labels, more than {LABELING_DUMP_LIMIT}"
                 )
             labelings = framed_labelings(d, value.survey)
         value = replace(value, survey=())

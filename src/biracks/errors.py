@@ -70,8 +70,8 @@ class LengthMismatch(BirackError):
 
 
 class SizeTooLarge(BirackError):
-    """Exhaustive enumeration, or a --labelings dump, was requested beyond
-    its supported size."""
+    """Exhaustive enumeration was requested beyond its supported size, or a
+    --labelings dump would print more labels than the CLI's bound."""
 
 
 class NotASubbirack(BirackError):

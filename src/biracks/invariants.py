@@ -51,8 +51,10 @@ over n elements costs c searches of n labelings and at most as many
 states as subbiracks, not n^c labelings (the split case of counting
 homomorphisms by decomposition, Diaz, Serna and Thilikos, "Counting
 H-colorings of partial k-trees", 2002).  The value keeps those searches
-as its survey, and framed_labelings writes the labelings of every framed
-diagram out of them on request, with no further search.
+as its survey.  On request, framed_labelings frames each group's
+labelings on the group's own framings and writes a labeling of framing w
+as one labeling per group on w's entries for its components, with no
+further search.
 
 normalize() subtracts the signature counts of the crossing-free unlink
 with the same number of components, so unlinks normalize to zero, and
@@ -66,7 +68,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, product, repeat
+from itertools import chain, compress, product, repeat
 from math import prod
 from operator import itemgetter
 
@@ -79,7 +81,6 @@ from .errors import KindMismatch, LengthMismatch, NotASubbirack
 from .homsearch import (  # noqa: F401
     CutLabelings,
     Labeling,
-    _crossing_quads,
     cut_labelings,
     enumerate_labelings,
     labeling_image,
@@ -167,53 +168,54 @@ def framed_labelings(
     cut searches of d's groups (InvariantValue.survey), in lexicographic
     order.
 
-    A labeling of d cut open is one cut labeling per group, laid out as
-    homsearch._crossing_quads numbers d's cut semiarcs: d's own, then one
-    head per cut component.  Framed semiarc (s, h) of
-    framed_semiarc_sources carries the label h half-kinks past cut label
-    s: alpha(pi^j(x)) for h = 2j + 1 and pi^(j+1)(x) for h = 2j + 2.
+    Each group's cut labelings are bucketed once by the framings of the
+    group's own components.  The labelings of framing w are the product of
+    the groups' buckets at w's entries for their components, each semiarc
+    of d read from its group's labeling.  Framed semiarc (s, h) of
+    framed_semiarc_sources carries the label h half-kinks past that of s:
+    alpha(pi^j(x)) for h = 2j + 1 and pi^(j+1)(x) for h = 2j + 2.
     """
     b = survey[0].birack
     N = b.rank
-    _, size, tails, heads = _crossing_quads(d, cut=N > 1)
-    place: list[int] = []  # d's cut semiarc at each position of the groups' joined labels
-    for g in _linked_groups(d):
-        for i in g:
-            first = d.semiarc_after(i, 0)
-            place += range(first, first + max(len(d.components[i]), 1))
-        place += (heads[i] for i in g if heads[i] != tails[i])
-    pick = sorted(range(size), key=place.__getitem__)
-    joined = (sum(parts, ()) for parts in product(*(c.assignments for c in survey)))
-    if pick != list(range(size)):  # groups interleave, or cut heads follow a group
-        joined = map(itemgetter(*pick), joined)
-    cut = CutLabelings(d, b, tails, heads, tuple(joined), sum(c.nodes for c in survey))
+    groups = _linked_groups(d)
+    source: dict[int, tuple[int, int]] = {}  # d's semiarc -> (group, the group diagram's semiarc)
+    buckets = []  # per group: its framing vector -> its cut labelings on that framing
+    for gi, (g, cut) in enumerate(zip(groups, survey)):
+        for j, i in enumerate(g):
+            for k in range(max(len(d.components[i]), 1)):
+                source[d.semiarc_after(i, k)] = (gi, cut.diagram.semiarc_after(j, k))
+        bucket: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for a, key in zip(cut.assignments, _framing_keys(cut)):
+            if None not in key:
+                for w in _framings(key, N):
+                    bucket.setdefault(w, []).append(a)
+        buckets.append(bucket)
     steps = [list(range(b.n))]  # steps[h][x]: the label h half-kinks past x
     for _ in range(N - 1):
         steps += [[b.alpha[x] for x in steps[-1]], [b.pi[x] for x in steps[-1]]]
-    by_key: dict[tuple, list[tuple[int, ...]]] = {}
-    for a, key in zip(cut.assignments, _framing_keys(cut)):
-        by_key.setdefault(key, []).append(a)
-    found: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for key, group in by_key.items():
-        if None in key:
-            continue
-        for w in _framings(key, N):
-            columns = [
-                map(steps[h].__getitem__, map(itemgetter(s), group))
-                for s, h in framed_semiarc_sources(d, w, N)
-            ]
-            found.setdefault(w, []).extend(zip(*columns))
-    return [
-        (w, [Labeling(f) for f in sorted(found.get(w, ()))])
-        for w in product(range(N), repeat=len(d.components))
-    ]
+    framed = []
+    for w in product(range(N), repeat=len(d.components)):
+        found = [bucket.get(tuple(w[i] for i in g), ()) for g, bucket in zip(groups, buckets)]
+        count = prod(map(len, found))
+        columns = []
+        for s, h in framed_semiarc_sources(d, w, N) if count else ():
+            gi, t = source[s]
+            # in product order (the last group fastest) each label of group
+            # gi repeats once per labeling of the later groups, and that
+            # run once per labeling of the earlier ones
+            later = prod(map(len, found[gi + 1:]))
+            run = list(chain.from_iterable(repeat(steps[h][a[t]], later) for a in found[gi]))
+            columns.append(chain.from_iterable(repeat(run, count // len(run))))
+        rows = zip(*columns) if columns else [()] * count
+        framed.append((w, [Labeling(f) for f in sorted(rows)]))
+    return framed
 
 
 def labelings_by_framing(
     d: Diagram, b: FiniteBirack
 ) -> list[tuple[tuple[int, ...], list[Labeling]]]:
     """(framing vector, labelings) over (Z_N)^c in lexicographic order."""
-    return framed_labelings(d, _survey(d, b, _linked_groups(d)))
+    return framed_labelings(d, compute_invariant(d, b, "integral").survey)
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +319,6 @@ def _linked_groups(d: Diagram) -> list[list[int]]:
     return list(groups.values())
 
 
-def _survey(d: Diagram, b: FiniteBirack, groups: list[list[int]]) -> tuple[CutLabelings, ...]:
-    """One cut search per group of d's linked components, each of the
-    group's own diagram (d itself for a group of every component)."""
-    whole = len(d.components)
-    return tuple([
-        cut_labelings(Diagram([d.components[i] for i in g]) if len(g) < whole else d, b)
-        for g in groups
-    ])
-
-
 def _fold_survey(cut: CutLabelings, images: bool) -> tuple[list[int], dict]:
     """The labeling count of each framing of cut's diagram, in lexicographic
     order, and, if images is set, the labelings over every framing by image.
@@ -392,7 +384,13 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
         raise KindMismatch(f"unknown invariant kind {kind!r}")
     images = kind in ("image", "rho")
     groups = _linked_groups(d)
-    survey = _survey(d, b, groups)
+    # one cut search per group, of the group's own diagram (d itself for
+    # a group of every component)
+    whole = len(d.components)
+    survey = tuple([
+        cut_labelings(Diagram([d.components[i] for i in g]) if len(g) < whole else d, b)
+        for g in groups
+    ])
     # A labeling is one labeling per group, on every framing of each, so
     # counts multiply and images join across groups.
     totals, by_images = zip(*[_fold_survey(cut, images) for cut in survey])

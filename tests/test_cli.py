@@ -119,6 +119,28 @@ class TestQueries:
         assert payload["is_simple"] is True
         assert payload["kink_map"] == "(1 2)"
 
+    def test_classify_text(self, two_orbit_file, capsys):
+        assert _run(["classify", two_orbit_file], capsys) == (0, (
+            "n: 4\n"
+            "rank: 2\n"
+            "kink map: (3 4)\n"
+            "is_biquandle: no\n"
+            "is_rack: no\n"
+            "is_quandle: no\n"
+            "is_semiquandle: no\n"
+            "is_simple: no\n"
+        ), "")
+
+    def test_subbiracks_json(self, two_orbit_file, capsys):
+        assert _run(["subbiracks", two_orbit_file, "--json"], capsys) == (
+            0, "[[1, 2], [3, 4], [1, 2, 3, 4]]\n", "")
+
+    def test_poly_json(self, two_orbit_file, capsys):
+        assert _run(["poly", two_orbit_file, "--json"], capsys) == (
+            0, '{"polynomial": "2s1^4s2^2t1^3t2 + s1^2t1^2t2^2 + s2^2t1^2t2^2"}\n', "")
+        assert _run(["poly", two_orbit_file, "--json", "--subbirack", "3,4"], capsys) == (
+            0, '{"polynomial": "2s1^4s2^2t1^3t2"}\n', "")
+
     def test_subbiracks(self, two_orbit_file, capsys):
         assert main(["subbiracks", two_orbit_file]) == 0
         assert capsys.readouterr().out.splitlines() == [
@@ -282,22 +304,44 @@ class TestInvariantCommand:
             code, out, err = _run(["invariant", "--birack", "data/ten_element.txt",
                                    "--gauss", ";" * 6, "--type", kind, "--labelings"], capsys)
             assert (code, out, err) == (
-                1, "", "error: --labelings would print 10000000 labelings, more than 1000000\n")
+                1, "", "error: --labelings would print 70000000 labels, more than 6000000\n")
 
     def test_labeling_dump_bound_is_inclusive(self, monkeypatch, capsys):
         import biracks.cli
 
-        # 10^4 labelings of the 4-unlink print at a bound of 10^4; the
-        # 5-unlink's 10^5 do not
+        # the 4 * 10^4 labels of the 4-unlink print at a bound of 4 * 10^4;
+        # the 5-unlink's 5 * 10^5 do not
         monkeypatch.chdir(Path(__file__).resolve().parent.parent)
-        monkeypatch.setattr(biracks.cli, "LABELING_DUMP_LIMIT", 10**4)
+        monkeypatch.setattr(biracks.cli, "LABELING_DUMP_LIMIT", 4 * 10**4)
         args = ["invariant", "--birack", "data/ten_element.txt", "--type", "integral",
                 "--labelings", "--gauss"]
         code, out, err = _run([*args, ";;;"], capsys)
         assert (code, len(out.splitlines()), err) == (0, 1 + 10**4, "")
         code, out, err = _run([*args, ";;;;"], capsys)
         assert (code, out, err) == (
-            1, "", "error: --labelings would print 100000 labelings, more than 10000\n")
+            1, "", "error: --labelings would print 500000 labels, more than 40000\n")
+
+    def test_labeling_dump_bound_counts_kink_labels(self, monkeypatch, capsys):
+        import biracks.cli
+
+        # four components of 30 kinks have as many labelings as the
+        # 4-unlink, 10^4, but 240 labels each where the unlink's have 4
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        monkeypatch.setattr(biracks.cli, "LABELING_DUMP_LIMIT", 4 * 10**4)
+        chains = ";".join(
+            ",".join(f"O{i}+,U{i}+" for i in range(30 * c + 1, 30 * c + 31)) for c in range(4))
+        args = ["invariant", "--birack", "data/ten_element.txt", "--type", "integral",
+                "--labelings", "--gauss"]
+        code, out, err = _run([*args, ";;;"], capsys)
+        assert (code, len(out.splitlines()), err) == (0, 1 + 10**4, "")
+
+        def forbidden(*args):
+            raise AssertionError("framed the labelings of an oversized dump")
+
+        monkeypatch.setattr(biracks.cli, "framed_labelings", forbidden)
+        code, out, err = _run([*args, chains], capsys)
+        assert (code, out, err) == (
+            1, "", "error: --labelings would print 2400000 labels, more than 40000\n")
 
     def test_labeling_dump_json(self, two_element_file, capsys):
         assert main(["invariant", "--birack", two_element_file,
@@ -414,7 +458,7 @@ class TestCommentAndBlankLines:
         ["subbiracks"], ["poly"],
     ])
     def test_matrix_file(self, two_orbit_file, tmp_path, capsys, command):
-        text = open(two_orbit_file, encoding="utf-8").read()
+        text = Path(two_orbit_file).read_text(encoding="utf-8")
         commented = tmp_path / "commented.txt"
         commented.write_text(_commented(text))
         argv = [command[0], two_orbit_file] + command[1:]
@@ -424,7 +468,7 @@ class TestCommentAndBlankLines:
 
     def test_invariant_birack_file(self, two_orbit_file, tmp_path, capsys):
         commented = tmp_path / "commented.txt"
-        commented.write_text(_commented(open(two_orbit_file, encoding="utf-8").read()))
+        commented.write_text(_commented(Path(two_orbit_file).read_text(encoding="utf-8")))
         rest = ["--gauss", HOPF, "--type", "rho", "--labelings"]
         plain = _run(["invariant", "--birack", two_orbit_file] + rest, capsys)
         assert plain[0] == 0
@@ -483,19 +527,32 @@ class TestCommentAndBlankLines:
 
 
 class TestOutOfRangeEntry:
+    RANGE = (
+        "4\n"
+        "2 2 2 2 1 1 1 1\n"
+        "1 1 1 1 2 2 2 2\n"
+        "3 3 3 3 4 4 5 4\n"
+        "4 4 4 4 3 3 3 3\n"
+    )
+
     def test_verify_reports_entry_and_exits_1(self, tmp_path, capsys):
         path = tmp_path / "range.txt"
-        path.write_text(
-            "4\n"
-            "2 2 2 2 1 1 1 1\n"
-            "1 1 1 1 2 2 2 2\n"
-            "3 3 3 3 4 4 5 4\n"
-            "4 4 4 4 3 3 3 3\n"
-        )
+        path.write_text(self.RANGE)
         assert main(["verify", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: entry 5 out of range 1..4\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", "{}"], ["classify", "{}"], ["classify", "{}", "--json"], ["subbiracks", "{}"],
+        ["poly", "{}"], ["invariant", "--birack", "{}", "--gauss", "", "--type", "integral"],
+    ])
+    def test_birack_loader(self, tmp_path, capsys, argv):
+        # every command but verify loads its birack through read_matrix_file
+        path = tmp_path / "range.txt"
+        path.write_text(self.RANGE)
+        assert _run([a.format(path) for a in argv], capsys) == (
+            1, "", "error: entry 5 out of range 1..4\n")
 
     def test_poly_subbirack_entry(self, tmp_path, capsys):
         path = tmp_path / "orbit4.txt"

@@ -12,6 +12,7 @@ from biracks import (
     CayleyGroup,
     CheckResult,
     FiniteBirack,
+    ParseError,
     SizeTooLarge,
     all_subbiracks,
     classify,
@@ -116,11 +117,42 @@ class TestFromMatrix:
         with pytest.raises(ValueError):
             from_matrix(2, [[1, 1, 2, 2]])
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_non_positive_n(self, n):
+        with pytest.raises(ValueError) as exc:
+            from_matrix(n, [])
+        assert str(exc.value) == "n must be positive"
+
+    def test_kink_map_hash_and_repr(self, two_orbit4):
+        assert two_orbit4.kink_map == two_orbit4.pi == (0, 1, 3, 2)
+        same = from_matrix(4, to_matrix(two_orbit4))
+        assert same is not two_orbit4 and hash(same) == hash(two_orbit4)
+        assert {two_orbit4: 1}[same] == 1
+        assert repr(two_orbit4) == "FiniteBirack(n=4, rank=2)"
+
     def test_axiom_violation_carries_reason(self):
         # B1 column (second argument fixed) with a repeat: B1(x,-) not bijective
         with pytest.raises(AxiomViolation) as exc:
             from_matrix(2, [[1, 1, 2, 2], [1, 2, 1, 1]])
         assert exc.value.reason in ("NotPairBijective", "SidewaysNotUnique")
+
+
+class TestParseCycles:
+    def test_cycles(self):
+        assert parse_cycles("(1 2)(3, 4)", 5) == (1, 0, 3, 2, 4)
+        assert parse_cycles(" () ", 2) == (0, 1)
+
+    @pytest.mark.parametrize("text,message", [
+        ("(1 a)", "bad cycle entry in '(1 a)'"),
+        ("(1 2.5)", "bad cycle entry in '(1 2.5)'"),
+        ("(1 2", "bad cycle notation '(1 2'"),
+        ("(1 4)", "cycle entry out of range 1..3 in '(1 4)'"),
+        ("(1 2)(2 3)", "repeated point in cycle notation '(1 2)(2 3)'"),
+    ])
+    def test_rejects(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_cycles(text, 3)
+        assert str(exc.value) == message
 
 
 Z2 = [[0, 1], [1, 0]]
@@ -168,6 +200,19 @@ class TestVerifyAxioms:
         report = verify_axioms(constant4.b1, constant4.b2)
         assert report.ok
         assert [c.status for c in report.checks] == ["pass"] * 4
+        assert report.first_failure is None
+
+    @pytest.mark.parametrize("b1,b2,message", [
+        ([], [], "tables must be non-empty and of equal size"),
+        ([[0]], [[0], [0]], "tables must be non-empty and of equal size"),
+        ([[0, 1], [0]], [[0, 0], [1, 1]], "tables must be square"),
+        ([[0, 1], [1, 0]], [[0, 0], [1, 1, 0]], "tables must be square"),
+    ], ids=["empty", "unequal", "short-row", "long-row"])
+    def test_rejects_bad_shape(self, b1, b2, message):
+        for check in (verify_axioms, FiniteBirack):
+            with pytest.raises(ValueError) as exc:
+                check(b1, b2)
+            assert str(exc.value) == message
 
     def test_noncommuting_constant_action_fails_ybe(self):
         tau = parse_cycles("(1 2)", 3)
@@ -808,6 +853,12 @@ class TestEnumerate:
     def test_too_large(self):
         with pytest.raises(SizeTooLarge):
             enumerate_biracks(4)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_non_positive(self, n):
+        with pytest.raises(ValueError) as exc:
+            enumerate_biracks(n)
+        assert str(exc.value) == "n must be positive"
 
     def test_one_analysis_per_candidate(self, monkeypatch):
         calls = []

@@ -87,6 +87,13 @@ class TestSerialize:
     def test_token_normalization(self):
         assert parse_gauss(" O1+ ,U2+; U1+,O2+").serialize() == HOPF
 
+    def test_hash_and_repr(self):
+        d = parse_gauss(HOPF)
+        same = parse_gauss(" O1+ ,U2+; U1+,O2+")
+        assert same is not d and hash(same) == hash(d) and {d: 1}[same] == 1
+        assert repr(d) == "Diagram('O1+,U2+;U1+,O2+')"
+        assert repr(unlink(2)) == "Diagram(';')"
+
     def test_json_export(self):
         d = parse_gauss(TREFOIL)
         payload = json.loads(d.to_json())
@@ -151,6 +158,12 @@ class TestFraming:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             with_framing(parse_gauss(HOPF), (1,), 2)
+
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_rank_must_be_positive(self, N):
+        with pytest.raises(ValueError) as exc:
+            with_framing(parse_gauss(HOPF), (0, 0), N)
+        assert str(exc.value) == "rank must be at least 1"
 
 
 class TestFramedSemiarcSources:

@@ -96,6 +96,16 @@ class TestConstantAction:
             constant_action(parse_cycles("(1 2)", 3), parse_cycles("(2 3)", 3))
         assert exc.value.reason == "NonCommuting"
 
+    @pytest.mark.parametrize("tau,rho,message", [
+        ([0, 1], [0], "tau and rho must act on the same set"),
+        ([0, 0], [0, 1], "tau is not a permutation of 0..1"),
+        ([0, 1], [1, 1], "rho is not a permutation of 0..1"),
+    ], ids=["length", "tau", "rho"])
+    def test_rejects_bad_maps(self, tau, rho, message):
+        with pytest.raises(ValueError) as exc:
+            constant_action(tau, rho)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize(
         "tau,rho",
         [("()", "()"), ("(1 2)", "(1 2)"), ("(1 2 3)", "(1 2 3)"), ("(1 2)", "(3 4)")],
@@ -161,6 +171,16 @@ class TestTsr:
                 tsr_birack(4, t, 2, r)
             assert exc.value.reason == "NotInvertible"
 
+    @pytest.mark.parametrize("args,message", [
+        ((1, 1, 0, 1), "modulus must be at least 2"),
+        ((0, 1, 0, 1), "modulus must be at least 2"),
+        ((5, 2, 0, 1, 0), "tuple length must be at least 1"),
+    ], ids=["n=1", "n=0", "m=0"])
+    def test_rejects_bad_size(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            tsr_birack(*args)
+        assert str(exc.value) == message
+
     def test_ideal_violation_rejected(self):
         with pytest.raises(ConstructionError) as exc:
             tsr_birack(4, 3, 1, 3)
@@ -225,6 +245,43 @@ class TestTauSigmaRho:
         with pytest.raises(ConstructionError) as exc:
             CayleyGroup([[0, 1], [1, 1]])
         assert exc.value.reason == "NotAGroup"
+
+    @pytest.mark.parametrize("table,message", [
+        ([], "NotAGroup: Cayley table must be square"),
+        ([[0], [0, 1]], "NotAGroup: Cayley table must be square"),
+        ([[0, 0], [1, 1]], "NotAGroup: no identity element"),
+        # 0 is the identity and every element its own inverse, but
+        # (1 * 1) * 2 = 2 while 1 * (1 * 2) = 0
+        ([[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+         "NotAGroup: multiplication is not associative (witness: (1, 1, 2))"),
+    ], ids=["empty", "non-square", "no-identity", "non-associative"])
+    def test_rejects_non_group_table(self, table, message):
+        with pytest.raises(ConstructionError) as exc:
+            CayleyGroup(table)
+        assert str(exc.value) == message
+
+    # the Klein four-group, elements 0..3 under exclusive or
+    KLEIN = [[x ^ y for y in range(4)] for x in range(4)]
+
+    @pytest.mark.parametrize("tau,sigma,rho,message", [
+        ([0, 1, 2], [0, 1, 0, 1], [0, 2, 1, 3], "tau must list 4 images"),
+        ([0, 1, 2, 3], [0, 1, 0, 1, 0], [0, 2, 1, 3], "sigma must list 4 images"),
+    ], ids=["tau", "sigma"])
+    def test_rejects_wrong_length_map(self, tau, sigma, rho, message):
+        with pytest.raises(ValueError) as exc:
+            tau_sigma_rho_birack(self.KLEIN, tau, sigma, rho)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("tau,sigma,message", [
+        # the automorphisms swapping 2, 3 and 1, 2 do not commute
+        ([0, 1, 3, 2], [0, 0, 0, 0], "NotCommuting: rho and tau do not commute"),
+        # the projection onto {0, 1} does not commute with swapping 1, 2
+        ([0, 1, 2, 3], [0, 1, 0, 1], "NotCommuting: rho and sigma do not commute"),
+    ], ids=["tau", "sigma"])
+    def test_rejects_non_commuting_rho(self, tau, sigma, message):
+        with pytest.raises(ConstructionError) as exc:
+            tau_sigma_rho_birack(self.KLEIN, tau, sigma, [0, 2, 1, 3])
+        assert str(exc.value) == message
 
     def test_rejects_non_endomorphism(self):
         z4 = [[(a + c) % 4 for c in range(4)] for a in range(4)]

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from biracks import (
+    Labeling,
     count_labelings,
     enumerate_labelings,
     labeling_image,
@@ -78,6 +79,15 @@ class TestOracleEquivalence:
             framed = with_framing(d, (w,), 2)
             labs = [l.assignment for l in enumerate_labelings(framed, two_orbit4)]
             assert labs == brute_force_labelings(framed, two_orbit4)
+
+
+class TestLabeling:
+    def test_sequence_access(self):
+        lab = Labeling((3, 1, 2))
+        assert len(lab) == 3
+        assert (lab[0], lab[2], lab[-1]) == (3, 2, 2)
+        assert list(lab) == [3, 1, 2]
+        assert len(Labeling(())) == 0
 
 
 class TestDeterminism:

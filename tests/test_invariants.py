@@ -13,6 +13,7 @@ import biracks.poly
 from biracks import (
     Diagram,
     KindMismatch,
+    Labeling,
     LengthMismatch,
     MultiPoly,
     NestedPoly,
@@ -370,6 +371,17 @@ class TestCutMatchesFramedReference:
     def test_sample_links_tsr(self, name, code, args):
         b = tsr_birack(*args)
         _assert_matches_framed_reference(parse_gauss(code), b, multisets=b.rank < 10)
+
+    @pytest.mark.parametrize("birack", DATA_BIRACKS)
+    def test_empty_diagram(self, birack):
+        # no component, no framing entry: the one framing () has the one
+        # empty labeling, as its count of 1 says
+        b = read_matrix_file(str(DATA / f"{birack}.txt"))
+        d = Diagram([])
+        v = compute_invariant(d, b, "integral")
+        assert v.per_framing == (((), 1),)
+        assert framed_labelings(d, v.survey) == [((), [Labeling(())])]
+        assert labelings_by_framing(d, b) == [((), [Labeling(())])]
 
     def test_random_codes(self, two_element, constant4, two_orbit4):
         tables = (two_element, constant4, two_orbit4, tsr_birack(5, 2, 0, 1))

@@ -95,6 +95,22 @@ class TestMultiPoly:
         assert p.canonical_string() == "q1^3 + 2q1q2^2 + 5q2 + 1"
         assert len(calls) == 1
 
+    def test_other_variables_sort_last_by_name(self):
+        assert mono(1, x=1, q1=1, a=2, z=1).canonical_string() == "q1za^2x"
+        assert mono(1, w2=1, t2=1).canonical_string() == "t2w2"
+
+    def test_equal_keys_cancel_in_the_constructor(self):
+        # (q1, s1^0) normalizes to q1, so the two terms meet and cancel
+        assert MultiPoly({(("q1", 1),): 1, (("s1", 0), ("q1", 1)): -1}).is_zero()
+        assert MultiPoly({(("q1", 1),): 2, (("q1", 1), ("s1", 0)): -1}) == mono(1, q1=1)
+
+    def test_coefficient(self):
+        p = mono(3, q1=2, z=1) + MultiPoly.constant(5)
+        assert p.coefficient({"z": 1, "q1": 2}) == 3
+        assert p.coefficient({"q1": 2, "z": 1, "s1": 0}) == 3
+        assert p.coefficient({}) == 5
+        assert p.coefficient({"z": 1}) == 0
+
     def test_mixed_types_do_not_combine(self):
         with pytest.raises(TypeError):
             MultiPoly.constant(1) + NestedPoly.single("1")
@@ -140,6 +156,18 @@ class TestRoundTrip:
         with pytest.raises(ParseError):
             parse_multipoly(bad)
 
+    @pytest.mark.parametrize("parse", [parse_multipoly, parse_nestedpoly])
+    @pytest.mark.parametrize("bad", ["z^{s1", "z^{s1}}", "z^{s1 + t1}} + z"])
+    def test_unbalanced_braces(self, parse, bad):
+        with pytest.raises(ParseError) as exc:
+            parse(bad)
+        assert str(exc.value) == f"unbalanced braces in {bad!r}"
+
+    def test_bad_term_message(self):
+        with pytest.raises(ParseError) as exc:
+            parse_multipoly("2q1 + ^3")
+        assert str(exc.value) == "bad polynomial term '^3'"
+
 
 class TestNestedPoly:
     PY = mono(1, s1=2, t1=2, t2=2) + mono(1, s2=2, t1=2, t2=2)
@@ -168,6 +196,18 @@ class TestNestedPoly:
         assert n.specialize_z_one() == 6
         # exponents at s=t=1 become image sizes: |Y| = 2, |Z| = 2
         assert n.specialize_exponents_one() == mono(6, z=2)
+
+    def test_parse_zero(self):
+        assert parse_nestedpoly("0") == NestedPoly.zero()
+        assert parse_nestedpoly(" 0 ").is_zero()
+
+    @pytest.mark.parametrize("bad,term", [
+        ("z^2", "z^2"), ("2z^{s1} + q1", "q1"), ("2q1 + ^3", "2q1"),
+    ])
+    def test_bad_nested_term(self, bad, term):
+        with pytest.raises(ParseError) as exc:
+            parse_nestedpoly(bad)
+        assert str(exc.value) == f"bad nested term {term!r}"
 
     def test_string_keys_are_renormalized(self):
         # a non-canonical exponent string is accepted and canonicalized

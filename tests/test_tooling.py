@@ -134,3 +134,23 @@ def test_one_survey_path():
     cli = ast.parse((ROOT / "src" / "biracks" / "cli.py").read_text(encoding="utf-8"))
     imported = [node.module for node in ast.walk(cli) if isinstance(node, ast.ImportFrom)]
     assert "homsearch" not in imported
+
+
+def test_cut_layout_owned_by_homsearch():
+    """Only homsearch builds a CutLabelings, and no module imports a private
+    homsearch name, so only homsearch knows how cut head semiarcs are
+    numbered."""
+    paths = sorted((ROOT / "src" / "biracks").glob("*.py"))
+    assert paths
+    built, private = [], []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        built += [f"{path.name}:{line}" for name, line in _called_names(tree)
+                  if name == "CutLabelings" and path.name != "homsearch.py"]
+        private += [
+            f"{path.name}:{node.lineno} {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "homsearch"
+            for alias in node.names if alias.name.startswith("_")
+        ]
+    assert (built, private) == ([], [])

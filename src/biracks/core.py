@@ -546,7 +546,7 @@ def _content_lines(lines) -> list[str]:
 
 def _int_row(line: str) -> list[int]:
     try:
-        return [int(tok) for tok in line.split()]
+        return list(map(int, line.split()))
     except ValueError:
         raise ParseError(f"non-integer entry in row {line!r}") from None
 
@@ -628,14 +628,43 @@ def is_subbirack(b: FiniteBirack, subset) -> bool:
     return bool(sub) and subbirack_closure(b, sub) == sub
 
 
+def _atoms(b: FiniteBirack):
+    """The distinct singleton closures, yielded lazily: one closure per
+    orbit of the kink maps alpha and pi, from the orbit's least element.
+    all_subbiracks' docstring proves that an orbit shares one closure."""
+    seen = [False] * b.n
+    for x in range(b.n):
+        if seen[x]:
+            continue
+        seen[x] = True
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for z in (b.alpha[y], b.pi[y]):
+                if not seen[z]:
+                    seen[z] = True
+                    stack.append(z)
+        yield subbirack_closure(b, {x})
+
+
 def all_subbiracks(b: FiniteBirack) -> list[frozenset[int]]:
     """Every non-empty closed subset, sorted by size then lexicographically.
 
     Every closed set is the join (closure of the union) of the singleton
     closures it holds, its atoms, so the search joins each found set with
     the atoms it lacks and never enumerates the 2^n seeds.
+
+    The atoms are closed once per orbit of the group generated by the kink
+    maps alpha and pi, because all elements of an orbit share one closure.
+    f(x) = S2^-1(x, x) and g(x) = S1^-1(x, x) lie in closure({x}) by
+    subbirack_closure's theorem, so closure({f(x)}) lies in closure({x}).
+    f is a bijection by the diagonal axiom: around a cycle of f the
+    closures can only shrink and must come back, so they are equal on the
+    cycle, and alpha = f^-1 has the same cycles.  pi(x) = g(alpha(x)) lies
+    in closure({alpha(x)}) = closure({x}), and pi is a permutation, so
+    its cycles share one closure too.  S is never read.
     """
-    atoms = {subbirack_closure(b, {x}) for x in range(b.n)}
+    atoms = set(_atoms(b))
     found = set(atoms)
     pending = list(atoms)
     while pending:
@@ -670,7 +699,14 @@ class BirackClass:
 def classify(b: FiniteBirack) -> BirackClass:
     """Special-case flags: biquandle (pi = id), rack (B2(x,y) = x),
     quandle (both), semiquandle (pi = id and B o B = id), and simple
-    (no proper non-empty subbirack)."""
+    (no proper non-empty subbirack).
+
+    Simplicity closes one singleton per orbit of the kink maps alpha and
+    pi, lazily, and stops at the first proper closure.  That suffices:
+    closure({x}) holds alpha^-1(x) = S2^-1(x, x), so closures are equal
+    along the cycles of alpha, and then it holds
+    pi(x) = S1^-1(alpha(x), alpha(x)), so they are equal along the cycles
+    of pi (all_subbiracks has the full proof)."""
     biquandle = b.is_biquandle()
     rack = b.is_rack()
     involutory = all(
@@ -680,7 +716,7 @@ def classify(b: FiniteBirack) -> BirackClass:
     )
     # A proper non-empty subbirack holds the closure of any of its
     # elements, so a birack is simple iff every singleton closes to it all.
-    simple = all(len(subbirack_closure(b, {x})) == b.n for x in range(b.n))
+    simple = all(len(atom) == b.n for atom in _atoms(b))
     return BirackClass(
         is_biquandle=biquandle,
         is_rack=rack,

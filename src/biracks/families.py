@@ -30,7 +30,6 @@ treated as checks, never as the source of truth.
 
 from __future__ import annotations
 
-import itertools
 from math import gcd
 
 from .core import FiniteBirack, _entries, _int_params, compose_perms
@@ -96,15 +95,26 @@ def tsr_birack(n: int, t: int, s: int, r: int, m: int = 1) -> FiniteBirack:
     if (k * tinv * rinv * (1 - s)) % n != 1 % n:
         raise ConstructionError("RingIdentityFails", "(tr + s) t^-1 r^-1 (1 - s) != 1")
 
-    elements = [p[::-1] for p in itertools.product(range(n), repeat=m)]
-    index = {x: e for e, x in enumerate(elements)}
-    b1 = [[index[tuple((t * yc + s * xc) % n for xc, yc in zip(x, y))] for y in elements]
-          for x in elements]
-    b2 = [[index[tuple((r * xc) % n for xc in x)]] * len(elements) for x in elements]
+    # Element e has digits d_i(e) = (e // n^i) mod n.  Digit i of B1(x, y)
+    # is (t d_i(y) + s d_i(x)) mod n, so row x of B1 is the sum over i of
+    # the columns cols[i][s d_i(x) mod n], cols[i][a][y] = ((t d_i(y) + a) mod n) n^i.
+    size = n ** m
+    powers = [n ** i for i in range(m)]
+    digits = [[(e // p) % n for e in range(size)] for p in powers]
+    cols = [[[((t * d + a) % n) * p for d in ds] for a in range(n)]
+            for ds, p in zip(digits, powers)]
+    b1 = [list(map(sum, zip(*(col[(s * ds[x]) % n] for col, ds in zip(cols, digits)))))
+          for x in range(size)]
+
+    def times(c) -> list[int]:
+        """The index of c x, componentwise, for every element x."""
+        return [sum(((c * ds[x]) % n) * p for ds, p in zip(digits, powers))
+                for x in range(size)]
+
+    b2 = [[v] * size for v in times(r)]
     b = FiniteBirack(b1, b2)
 
-    expected_pi = tuple(index[tuple((k * c) % n for c in x)] for x in elements)
-    if b.pi != expected_pi:
+    if b.pi != tuple(times(k)):
         raise ConstructionError("KinkMapMismatch", "kink map is not multiplication by tr + s")
     order = 1
     acc = k

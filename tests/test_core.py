@@ -762,6 +762,36 @@ class TestClosureUnderBAlone:
             assert all_subbiracks(fresh) == lattice
 
 
+class TestOrbitAtoms:
+    """One singleton closure per orbit of the kink maps alpha and pi."""
+
+    def test_orbits_share_one_closure(self):
+        for b, seeds, closures, _ in _oracle_cases():
+            atom = {next(iter(seed)): c for seed, c in zip(seeds, closures) if len(seed) == 1}
+            assert len(atom) == b.n
+            # closures agree along alpha and pi, so on every orbit
+            assert all(atom[b.alpha[x]] == atom[x] == atom[b.pi[x]] for x in range(b.n))
+            atoms = list(biracks.core._atoms(b))
+            assert set(atoms) == set(atom.values())
+            # observed on every case, not proven: distinct orbits, distinct atoms
+            assert len(atoms) == len(set(atoms))
+
+    @pytest.mark.parametrize("args,closures", [
+        ((67, 11, 0, 1), 2), ((67, 2, 0, 1), 2), ((16, 1, 0, 1), 16), ((3, 2, 0, 1, 2), 5),
+    ])
+    def test_closure_count(self, monkeypatch, args, closures):
+        calls = []
+        close = biracks.core.subbirack_closure
+
+        def counting(b, seed):
+            calls.append(seed)
+            return close(b, seed)
+
+        monkeypatch.setattr(biracks.core, "subbirack_closure", counting)
+        list(biracks.core._atoms(tsr_birack(*args)))
+        assert len(calls) == closures
+
+
 class TestAtomJoins:
     """all_subbiracks joins each found set only with the atoms it lacks.
 
@@ -784,7 +814,7 @@ class TestAtomJoins:
 
     def test_close_calls(self, monkeypatch):
         subs, calls = self._counted(monkeypatch, tsr_birack(3, 2, 0, 1, 2))
-        assert (len(subs), calls) == (31, 84)
+        assert (len(subs), calls) == (31, 80)
         # twist B(x, y) = (y, x): every subset is closed, the atoms are the
         # 8 singletons, and a set of size k is joined with 8 - k of them
         subs, calls = self._counted(monkeypatch, tsr_birack(8, 1, 0, 1))

@@ -144,6 +144,34 @@ class TestTsr:
                     flat([(r * xc) % n for xc in x]),
                 )
 
+    def test_digit_columns_match_tuple_index(self):
+        # the tables equal the construction over tuples of (Z_n)^m and a
+        # dict index, for every (t, s, r) that passes the parameter checks
+        def tuple_index_tables(n, t, s, r, m):
+            elements = [p[::-1] for p in itertools.product(range(n), repeat=m)]
+            index = {x: e for e, x in enumerate(elements)}
+            b1 = [[index[tuple((t * yc + s * xc) % n for xc, yc in zip(x, y))]
+                   for y in elements] for x in elements]
+            b2 = [[index[tuple((r * xc) % n for xc in x)]] * len(elements)
+                  for x in elements]
+            return b1, b2
+
+        checked = {1: 0, 2: 0, 3: 0}
+        for m, moduli in ((1, range(2, 9)), (2, range(2, 5)), (3, (2, 3))):
+            for n in moduli:
+                for t, s, r in itertools.product(range(n), repeat=3):
+                    try:
+                        b = tsr_birack(n, t, s, r, m)
+                    except ConstructionError as exc:
+                        assert exc.reason in ("NotInvertible", "IdealViolation",
+                                              "RingIdentityFails")
+                        continue
+                    b1, b2 = tuple_index_tables(n, t, s, r, m)
+                    assert b.b1 == tuple(map(tuple, b1))
+                    assert b.b2 == tuple(map(tuple, b2))
+                    checked[m] += 1
+        assert checked == {1: 163, 2: 15, 3: 7}
+
     def test_trefoil_birack_is_rank_one(self):
         b = tsr_birack(3, 1, 2, 2)
         assert b.rank == 1

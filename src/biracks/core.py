@@ -432,7 +432,18 @@ class FiniteBirack:
     )
 
     def __init__(self, b1, b2):
-        b1, b2 = _tables(b1, b2)
+        self._build(*_tables(b1, b2))
+
+    @classmethod
+    def _of(cls, b1, b2) -> FiniteBirack:
+        """A birack from square tables whose labels are already checked to
+        lie in 0..n-1, as built by the loader and the family constructors.
+        Every axiom is still checked."""
+        b = cls.__new__(cls)
+        b._build(tuple(map(tuple, b1)), tuple(map(tuple, b2)))
+        return b
+
+    def _build(self, b1: Table, b2: Table) -> None:
         report, derived = _analyze(b1, b2)
         if not report.ok:
             bad = report.first_failure
@@ -470,7 +481,8 @@ class FiniteBirack:
         return self.pi == identity_perm(self.n)
 
     def is_rack(self) -> bool:
-        return all(self.b2[x][y] == x for x in range(self.n) for y in range(self.n))
+        """Whether B2(x, y) = x for all x, y."""
+        return all(row.count(x) == self.n for x, row in enumerate(self.b2))
 
     # ---------- equality / hashing ----------
 
@@ -498,11 +510,12 @@ def from_matrix(n: int, block) -> FiniteBirack:
     Raises AxiomViolation (with the first witness) if the tables fail any
     axiom, ValueError on malformed input.
     """
-    return FiniteBirack(*_block_tables(n, block))
+    return FiniteBirack._of(*_block_tables(n, block))
 
 
 def _block_tables(n: int, block) -> tuple[list[list[int]], list[list[int]]]:
-    """The 0-indexed tables (B1, B2) of a [B1 | B2] block, axioms unchecked."""
+    """The 0-indexed tables (B1, B2) of a [B1 | B2] block, axioms unchecked.
+    Each entry is checked here, once, against the 1-indexed range."""
     if n <= 0:
         raise ValueError("n must be positive")
     rows = [list(r) for r in block]
@@ -757,7 +770,7 @@ def enumerate_biracks(n: int) -> list[FiniteBirack]:
         if any(len({b2[x][y] for x in rng}) != n for y in rng):
             continue
         try:
-            results.append(FiniteBirack(b1, b2))
+            results.append(FiniteBirack._of(b1, b2))
         except AxiomViolation:
             pass
     return results

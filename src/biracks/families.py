@@ -22,10 +22,11 @@
   holding for all y, z.  The kink map is x -> tau(rho(x)) * sigma(x).
 
 Every constructor builds explicit tables and runs them through the full
-axiom verification, then checks its family's closed-form kink map (and,
-for tsr, the rank and the coefficient-ring identities) against the
-tables, raising ConstructionError on a mismatch; the closed forms are
-treated as checks, never as the source of truth.
+axiom verification (FiniteBirack._of: the labels are in range by
+construction, so only the axioms are checked), then checks its family's
+closed-form kink map (and, for tsr, the rank and the coefficient-ring
+identities) against the tables, raising ConstructionError on a mismatch;
+the closed forms are treated as checks, never as the source of truth.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def constant_action(tau, rho) -> FiniteBirack:
         raise ConstructionError("NonCommuting", "tau and rho do not commute")
     b1 = [[tau[y] for y in range(n)] for _ in range(n)]
     b2 = [[rho[x]] * n for x in range(n)]
-    b = FiniteBirack(b1, b2)
+    b = FiniteBirack._of(b1, b2)
     if b.pi != compose_perms(tau, rho):
         raise ConstructionError("KinkMapMismatch", "kink map is not tau o rho")
     return b
@@ -112,7 +113,7 @@ def tsr_birack(n: int, t: int, s: int, r: int, m: int = 1) -> FiniteBirack:
                 for x in range(size)]
 
     b2 = [[v] * size for v in times(r)]
-    b = FiniteBirack(b1, b2)
+    b = FiniteBirack._of(b1, b2)
 
     if b.pi != tuple(times(k)):
         raise ConstructionError("KinkMapMismatch", "kink map is not multiplication by tr + s")
@@ -223,7 +224,7 @@ def tau_sigma_rho_birack(cayley, tau, sigma, rho) -> FiniteBirack:
 
     b1 = [[mul(tau[y], sigma[x]) for y in range(n)] for x in range(n)]
     b2 = [[rho[x]] * n for x in range(n)]
-    b = FiniteBirack(b1, b2)
+    b = FiniteBirack._of(b1, b2)
 
     expected_pi = tuple(mul(tau[rho[x]], sigma[x]) for x in range(n))
     if b.pi != expected_pi:

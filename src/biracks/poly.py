@@ -315,14 +315,11 @@ def parse_multipoly(text: str) -> MultiPoly:
             raise ParseError(f"bad polynomial term {body!r}")
         coeff = int(m.group(1)) if m.group(1) else 1
         exponents: dict[str, int] = {}
-        consumed = 0
+        # group 2 is a run of _FACTOR_RE matches, so finditer reads it whole
         for fm in _FACTOR_RE.finditer(m.group(2)):
             var = fm.group(1)
             exp = int(fm.group(2)) if fm.group(2) else 1
             exponents[var] = exponents.get(var, 0) + exp
-            consumed += len(fm.group(0))
-        if consumed != len(m.group(2)):
-            raise ParseError(f"bad polynomial term {body!r}")
         terms[tuple(exponents.items())] += sign * coeff
     return MultiPoly(terms)
 

@@ -195,6 +195,44 @@ class TestLabelCheck:
         assert str(exc.value) == message
 
 
+class TestLabelCheckedOnce:
+    """A file label is checked once, by the loader; tables the library
+    builds itself are not checked at all."""
+
+    @pytest.fixture
+    def entry_checks(self, monkeypatch):
+        calls = []
+        entries = biracks.core._entries
+
+        def counting(values, low, high):
+            calls.append((low, high))
+            return entries(values, low, high)
+
+        monkeypatch.setattr(biracks.core, "_entries", counting)
+        return calls
+
+    def test_matrix_file_rows(self, tmp_path, entry_checks):
+        b = tsr_birack(67, 2, 0, 1)
+        path = tmp_path / "tsr67.txt"
+        path.write_text(format_matrix(b), encoding="utf-8")
+        entry_checks.clear()
+        assert read_matrix_file(path) == b
+        assert entry_checks == [(1, 67)] * 67  # one 1-indexed check per file row
+
+    def test_family_tables(self, entry_checks):
+        tsr_birack(67, 2, 0, 1)
+        assert entry_checks == []
+
+    def test_enumerated_tables(self, entry_checks):
+        enumerate_biracks(3)
+        assert entry_checks == []
+
+    def test_caller_tables_still_checked(self, entry_checks, constant4):
+        FiniteBirack(constant4.b1, constant4.b2)
+        verify_axioms(constant4.b1, constant4.b2)
+        assert entry_checks == [(0, 3)] * 16  # both tables, both times
+
+
 class TestVerifyAxioms:
     def test_valid_tables_pass_every_axiom(self, constant4):
         report = verify_axioms(constant4.b1, constant4.b2)
@@ -680,6 +718,18 @@ class TestClassify:
     def test_rack_flag(self, test_biracks):
         assert classify(test_biracks["ts_rack_z4"]).is_rack
         assert classify(test_biracks["dihedral3"]).is_quandle
+
+
+class TestIsRack:
+    def test_matches_pairwise_definition(self):
+        tables = [read_matrix_file(p) for p in sorted(DATA.glob("*.txt"))
+                  if p.name != "sample_links.txt"]
+        tables += [b for n in (1, 2, 3) for b in enumerate_biracks(n)]
+        tables += [tsr_birack(*args) for args in [(67, 2, 0, 1), (5, 2, 0, 1, 2), (3, 1, 2, 2)]]
+        flags = [b.is_rack() for b in tables]
+        assert flags == [all(b.b2[x][y] == x for x in range(b.n) for y in range(b.n))
+                         for b in tables]
+        assert (len(flags), sum(flags)) == (78, 18)
 
 
 class TestIsSimple:

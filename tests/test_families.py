@@ -23,13 +23,15 @@ def compose(p, q):
 
 def tamper(monkeypatch, **changes):
     """Make the constructors see a FiniteBirack with attributes changed."""
-    def build(b1, b2):
-        b = FiniteBirack(b1, b2)
+    of = FiniteBirack._of
+
+    def build(cls, b1, b2):
+        b = of(b1, b2)
         for name, change in changes.items():
             setattr(b, name, change(getattr(b, name)))
         return b
 
-    monkeypatch.setattr("biracks.families.FiniteBirack", build)
+    monkeypatch.setattr(FiniteBirack, "_of", classmethod(build))
 
 
 def rotated(perm):

@@ -35,6 +35,9 @@ with in-label x has through-label alpha(x) and out-label pi(x).  Also
 pi = (S1 o D) o (S2 o D)^-1.  Both are theorems, checked by the tests
 rather than at construction.
 
+Subbiracks: _close is the semi-naive closure under B, and _join_fold the
+one join fold through their lattice, for all_subbiracks and invariants.
+
 Matrix file convention
 ----------------------
 An n-element birack is stored as the block matrix [B1 | B2]: n rows of
@@ -516,6 +519,7 @@ def from_matrix(n: int, block) -> FiniteBirack:
 def _block_tables(n: int, block) -> tuple[list[list[int]], list[list[int]]]:
     """The 0-indexed tables (B1, B2) of a [B1 | B2] block, axioms unchecked.
     Each entry is checked here, once, against the 1-indexed range."""
+    _int_params(n=n)
     if n <= 0:
         raise ValueError("n must be positive")
     rows = [list(r) for r in block]
@@ -660,12 +664,37 @@ def _atoms(b: FiniteBirack):
         yield subbirack_closure(b, {x})
 
 
+def _join_fold(b: FiniteBirack, parts) -> dict[frozenset[int], int]:
+    """Fold parts, {closed set: weight} dicts, from {frozenset(): 1}: a join
+    (closure of the union) of one set per part weighs the product of their
+    weights, summed.  Nested sets join to the larger; every other pair is
+    closed once, through _close, and memoized.
+    """
+    states: dict[frozenset[int], int] = {frozenset(): 1}
+    joins: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
+    for part in parts:
+        folded: dict[frozenset[int], int] = {}
+        for s, m in states.items():
+            for t, k in part.items():
+                if t <= s:
+                    joined = s
+                elif s <= t:
+                    joined = t
+                else:
+                    joined = joins.get((s, t))
+                    if joined is None:
+                        joined = joins[s, t] = joins[t, s] = _close(b, s, t - s)
+                folded[joined] = folded.get(joined, 0) + m * k
+        states = folded
+    return states
+
+
 def all_subbiracks(b: FiniteBirack) -> list[frozenset[int]]:
     """Every non-empty closed subset, sorted by size then lexicographically.
 
     Every closed set is the join (closure of the union) of the singleton
-    closures it holds, its atoms, so the search joins each found set with
-    the atoms it lacks and never enumerates the 2^n seeds.
+    closures it holds, its atoms, so it is a state of _join_fold over one
+    {empty set, atom} part per atom; the 2^n seeds are never enumerated.
 
     The atoms are closed once per orbit of the group generated by the kink
     maps alpha and pi, because all elements of an orbit share one closure.
@@ -677,18 +706,8 @@ def all_subbiracks(b: FiniteBirack) -> list[frozenset[int]]:
     in closure({alpha(x)}) = closure({x}), and pi is a permutation, so
     its cycles share one closure too.  S is never read.
     """
-    atoms = set(_atoms(b))
-    found = set(atoms)
-    pending = list(atoms)
-    while pending:
-        current = pending.pop()
-        for atom in atoms:
-            if not atom <= current:
-                joined = _close(b, current, atom - current)
-                if joined not in found:
-                    found.add(joined)
-                    pending.append(joined)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+    found = _join_fold(b, ({frozenset(): 1, atom: 1} for atom in _atoms(b)))
+    return sorted(filter(None, found), key=lambda s: (len(s), sorted(s)))
 
 
 @dataclass(frozen=True)

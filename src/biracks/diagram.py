@@ -228,6 +228,7 @@ def _kink_counts(d: Diagram, target, N: int) -> list[int]:
         raise LengthMismatch(
             f"target has {len(target)} entries for {len(d.components)} component(s)"
         )
+    _int_params(N=N)
     if N < 1:
         raise ValueError("rank must be at least 1")
     return [(t - w) % N for t, w in zip(target, d.writhe_vector)]

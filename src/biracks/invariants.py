@@ -46,15 +46,15 @@ of its groups' labelings, on the framing that concatenates theirs, so
 per-framing counts are products of the groups' counts, and the image of
 a labeling is the join (the closure of the union) of its groups' images.
 Image and rho fold the groups' image weights through the subbirack
-lattice, joining each distinct pair of closed sets once, so a c-unlink
-over n elements costs c searches of n labelings and at most as many
-states as subbiracks, not n^c labelings (the split case of counting
-homomorphisms by decomposition, Diaz, Serna and Thilikos, "Counting
-H-colorings of partial k-trees", 2002).  The value keeps those searches
-as its survey.  On request, framed_labelings frames each group's
-labelings on the group's own framings and writes a labeling of framing w
-as one labeling per group on w's entries for its components, with no
-further search.
+lattice by all_subbiracks' fold (core._join_fold), joining each distinct
+pair of closed sets once, so a c-unlink over n elements costs c searches
+of n labelings and at most as many states as subbiracks, not n^c
+labelings (the split case of counting homomorphisms by decomposition,
+Diaz, Serna and Thilikos, "Counting H-colorings of partial k-trees",
+2002).  The value keeps those searches as its survey.  On request,
+framed_labelings frames each group's labelings on the group's own
+framings and writes a labeling of framing w as one labeling per group on
+w's entries for its components, with no further search.
 
 normalize() subtracts the signature counts of the crossing-free unlink
 with the same number of components, so unlinks normalize to zero, and
@@ -139,17 +139,15 @@ def _framing_keys(cut: CutLabelings) -> list[tuple]:
     for cyc in perm_cycles(b.pi):
         for i, x in enumerate(cyc):
             cycle[x], position[x], length[x] = cyc[0], i, len(cyc)
-    uniform = len(set(length)) == 1  # every pi-cycle has one length (rank 1 included)
+    rng = range(b.n)
     columns = []
     for tail, head, writhe in zip(cut.tails, cut.heads, cut.diagram.writhe_vector):
-        # uncut, every label gives the same pair: no pass over the survey
-        if tail == head and uniform:
-            columns.append(repeat((writhe % length[0], length[0]), len(found)))
-            continue
+        # an uncut component (tail == head) meets only the n pairs (t, t)
+        pairs = zip(rng, rng) if tail == head else product(rng, repeat=2)
         pair = {
             (t, h): ((writhe + position[h] - position[t]) % length[t], length[t])
             if cycle[t] == cycle[h] else None
-            for t in range(b.n) for h in range(b.n)
+            for t, h in pairs
         }
         ends = zip(map(itemgetter(tail), found), map(itemgetter(head), found))
         columns.append(map(pair.__getitem__, ends))
@@ -351,33 +349,6 @@ def _fold_survey(cut: CutLabelings, images: bool) -> tuple[list[int], dict]:
     return per_framing, by_image
 
 
-def _join_images(b: FiniteBirack, parts: tuple[dict, ...]) -> dict:
-    """{image: labelings} of a diagram from each group's.
-
-    A labeling of a diagram is one labeling per group, and its image
-    is the join (the closure of the union) of theirs, so the fold keeps
-    one weight per closed set.  Each pair of sets, neither inside the
-    other, is joined once.
-    """
-    states: dict[frozenset[int], int] = {frozenset(): 1}
-    joins: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
-    for by_image in parts:
-        folded: dict[frozenset[int], int] = {}
-        for s, m in states.items():
-            for t, k in by_image.items():
-                if t <= s:
-                    joined = s
-                elif s <= t:
-                    joined = t
-                else:
-                    joined = joins.get((s, t))
-                    if joined is None:
-                        joined = joins[s, t] = joins[t, s] = core._close(b, s, t - s)
-                folded[joined] = folded.get(joined, 0) + m * k
-        states = folded
-    return states
-
-
 def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
     """Compute one invariant with multiset and per-framing bookkeeping."""
     if kind not in KINDS:
@@ -408,7 +379,7 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
         counts = dict(per_framing)  # in lexicographic order, so sorting is linear
     else:
         counts = Counter()  # image size or MultiPoly -> labelings
-        for image, m in _join_images(b, by_images).items():
+        for image, m in core._join_fold(b, by_images).items():
             counts[len(image) if kind == "image" else _statistics_sum(b, sorted(image))] += m
         if kind == "rho":
             counts = {p.canonical_string(): m for p, m in counts.items()}
@@ -424,8 +395,11 @@ def normalize(v: InvariantValue, d: Diagram, b: FiniteBirack) -> InvariantValue:
 
     Raises LengthMismatch when v's framing vectors are not those of that
     unlink over b: v was computed for a diagram with another component
-    count or over a birack of another rank.
+    count or over a birack of another rank.  Raises ValueError when v is
+    normalized already.
     """
+    if v.normalized:
+        raise ValueError("the value is normalized already")
     base = compute_invariant(unlink(len(d.components)), b, v.kind)
     if [w for w, _ in v.per_framing] != [w for w, _ in base.per_framing]:
         raise LengthMismatch(

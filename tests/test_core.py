@@ -31,8 +31,10 @@ from biracks import (
     tsr_birack,
     unlink,
     verify_axioms,
+    with_framing,
 )
 from biracks.cli import main
+from biracks.diagram import framed_semiarc_sources
 from conftest import TWO_ELEMENT_MATRIX, dihedral8_cayley, naive_closure, naive_subbiracks
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -188,7 +190,12 @@ class TestLabelCheck:
         (lambda: enumerate_biracks(2.5), "n must be an integer, got 2.5"),
         (lambda: unlink(1.5), "c must be an integer, got 1.5"),
         (lambda: parse_cycles("(1 2)", 2.5), "n must be an integer, got 2.5"),
-    ], ids=["tsr_t", "tsr_n", "tsr_m", "enumerate_biracks", "unlink", "parse_cycles"])
+        (lambda: from_matrix(2.0, [[1, 2, 1, 2], [2, 1, 2, 1]]), "n must be an integer, got 2.0"),
+        (lambda: with_framing(unlink(1), (1,), 2.0), "N must be an integer, got 2.0"),
+        (lambda: with_framing(unlink(1), (1,), "2"), "N must be an integer, got '2'"),
+        (lambda: framed_semiarc_sources(unlink(1), (1,), 2.0), "N must be an integer, got 2.0"),
+    ], ids=["tsr_t", "tsr_n", "tsr_m", "enumerate_biracks", "unlink", "parse_cycles",
+            "from_matrix", "with_framing", "with_framing_str", "framed_semiarc_sources"])
     def test_rejects_non_integer_parameter(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()
@@ -843,10 +850,10 @@ class TestOrbitAtoms:
 
 
 class TestAtomJoins:
-    """all_subbiracks joins each found set only with the atoms it lacks.
-
-    The counts are deterministic; the all-pairs search made up to one join
-    per pair of found sets (255^2 on the 8-point twist)."""
+    """all_subbiracks folds its atoms through core._join_fold: each state
+    is closed with an atom at most once, and not at all when it holds the
+    atom.  The counts are deterministic and include the atoms' own
+    closures."""
 
     @staticmethod
     def _counted(monkeypatch, b):
@@ -862,14 +869,20 @@ class TestAtomJoins:
         monkeypatch.undo()
         return subs, len(calls)
 
-    def test_close_calls(self, monkeypatch):
+    def test_close_calls(self, monkeypatch, ten_element):
         subs, calls = self._counted(monkeypatch, tsr_birack(3, 2, 0, 1, 2))
-        assert (len(subs), calls) == (31, 80)
+        assert (len(subs), calls) == (31, 31)
         # twist B(x, y) = (y, x): every subset is closed, the atoms are the
-        # 8 singletons, and a set of size k is joined with 8 - k of them
+        # 8 singletons, and each non-empty set is closed once, as a
+        # singleton or as the join of a set with the next atom
         subs, calls = self._counted(monkeypatch, tsr_birack(8, 1, 0, 1))
-        assert (len(subs), calls) == (255, 8 + 8 * 255 - 8 * 2 ** 7)
+        assert (len(subs), calls) == (255, 255)
         assert calls <= 255 * 8
+        # 10 atoms, then 50 joins for 24 sets: distinct states join to one
+        # set here, so a set can be closed more than once, and the count
+        # depends on the atom order
+        subs, calls = self._counted(monkeypatch, ten_element)
+        assert (len(subs), calls) == (24, 60)
 
     def test_twist_lists_every_subset(self, tmp_path, capsys):
         path = tmp_path / "twist10.txt"

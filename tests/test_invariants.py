@@ -210,6 +210,15 @@ class TestNormalize:
         v = compute_invariant(d, trefoil_birack, "integral")
         assert normalize(v, d, trefoil_birack).value == 9 - 3
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_normalized_value_is_refused(self, kind):
+        # subtracting the unlink twice would give the unknot's integral -3
+        # over tsr(3,1,2,2), still marked normalized
+        b, d = tsr_birack(3, 1, 2, 2), parse_gauss(UNKNOT)
+        nv = normalize(compute_invariant(d, b, kind), d, b)
+        with pytest.raises(ValueError, match="normalized already"):
+            normalize(nv, d, b)
+
     @pytest.mark.parametrize("kind", ["integral", "writhe", "image", "rho"])
     def test_mismatched_diagram_or_birack(self, kind, trefoil_birack, two_element):
         trefoil, hopf = parse_gauss(TREFOIL), parse_gauss(HOPF)

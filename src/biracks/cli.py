@@ -12,9 +12,11 @@ Subcommands:
   enumerate --n N             list all biracks on N elements (N <= 3)
 
 Exit codes: 0 success, 1 domain error (axiom violation, parse failure,
-a --labelings dump over LABELING_DUMP_LIMIT labels), a computation
-that ran out of stack or memory, or any other failure inside a
-subcommand (reported as "error: <type>: <message>"), 2 usage error.
+a link with more than invariants.FRAMING_LIMIT framings, a --labelings
+dump over LABELING_DUMP_LIMIT labels), a computation that ran out of
+stack or memory (reported as "error: <message>", or "error: <type>"
+when the message is empty), or any other failure inside a subcommand
+(reported as "error: <type>: <message>"), 2 usage error.
 All output is deterministic: two runs on the same inputs are
 byte-identical, and --json payloads are schema-stable.
 
@@ -400,7 +402,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (BirackError, ValueError, OSError, RecursionError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -70,7 +70,8 @@ class LengthMismatch(BirackError):
 
 
 class SizeTooLarge(BirackError):
-    """Exhaustive enumeration was requested beyond its supported size, or a
+    """Exhaustive enumeration was requested beyond its supported size, a
+    link has more framing vectors than compute_invariant surveys, or a
     --labelings dump would print more labels than the CLI's bound."""
 
 

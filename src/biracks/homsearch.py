@@ -12,26 +12,29 @@ homomorphism from the diagram's fundamental structure into the birack.
 
 Internally every crossing is normalized to a quadruple (x, y, z, w) of
 semiarc indices satisfying B(x, y) = (z, w): a positive crossing is
-(o, u, u', o'), a negative one (o', u', u, o).  Four exact determinations
-then drive propagation:
+(o, u, u', o'), a negative one (o', u', u, o).  Invertibility and
+sideways invertibility make four slot pairs each fix the other two; one
+rule table, _RULES, writes these determinations once, in this order:
 
     (x, y) known -> (z, w) = B(x, y)
     (z, w) known -> (x, y) = B^-1(z, w)
     (z, x) known -> (w, y) = S(z, x)
     (w, y) known -> (z, x) = S^-1(w, y)
 
-The aliased pairs (x, w) and (y, z) do not determine the rest and only
-get checked once more slots fill in.
-
-Before searching, a plan of branch semiarcs is built once per diagram:
-greedily, the semiarc whose closure under the four determinations grows
-the most, ties to the lowest index (the fail-first order of Haralick and
-Elliott, 1980).  Branching along a strand would mostly fill aliased
-pairs, which propagate nothing; the plan instead closes crossings early,
-so wrong values fail near the root.  The search tries the values of each
-plan semiarc in increasing order on an explicit stack, so its depth is
-not bounded by the interpreter's recursion limit; enumerate_labelings
-sorts the labelings into lexicographic order of the assignment vector.
+The aliased pairs (x, w) and (y, z) fix nothing.  Before searching, a
+plan of branch semiarcs is built once per diagram: greedily, the semiarc
+whose closure under the rules grows the most, ties to the lowest index
+(the fail-first order of Haralick and Elliott, 1980), so crossings close
+early and wrong values fail near the root.  Which rule fires at a quad
+depends only on which slots are known, never on their values, so each
+plan level compiles once into a list of steps, each writing or checking
+one slot from one table.  A quad fires once, by the first rule whose
+sources are known: its slots then satisfy B(x, y) = (z, w), to which
+every rule is equivalent, so it needs no second check.  The search tries
+the values of each plan semiarc in increasing order on an explicit
+stack, so its depth is not bounded by the interpreter's recursion limit;
+enumerate_labelings sorts the labelings into lexicographic order of the
+assignment vector.
 
 cut_labelings runs the same plan and search once on a diagram cut open:
 each component with crossings enters its pass 0 on a fresh head semiarc
@@ -40,7 +43,7 @@ serve every framing at once (a run of m positive kinks between tail and
 head is the edge head = pi^m(tail)); the invariants module reads them
 per framing.  A crossing-free component is never cut, its tail being its
 head, and at rank 1 nothing is cut: there is one framing only, and the
-closing crossings keep their propagation.
+closing crossings keep their determinations.
 """
 
 from __future__ import annotations
@@ -98,32 +101,68 @@ def _crossing_quads(d: Diagram, cut: bool = False
     return quads, size, tuple(tails), tuple(heads)
 
 
-def _plan(quads: list[Quad], touching: list[list[int]]) -> list[int]:
-    """Branch semiarcs, greedily picking the one whose closure grows most.
+# (source positions, target positions, tables) of a quad (x, y, z, w)
+_RULES = (
+    ((0, 1), (2, 3), ("b1", "b2")),        # (z, w) = B(x, y)
+    ((2, 3), (0, 1), ("b1inv", "b2inv")),  # (x, y) = B^-1(z, w)
+    ((2, 0), (3, 1), ("s1", "s2")),        # (w, y) = S(z, x)
+    ((3, 1), (2, 0), ("s1inv", "s2inv")),  # (z, x) = S^-1(w, y)
+)
 
-    A semiarc's closure is itself plus every semiarc the four
-    determinations then fix, given what earlier picks already fixed.
-    Ties go to the lowest index.  A candidate's closure can change only
-    if it holds a semiarc that shares a crossing with the semiarcs a pick
-    fixed, so only those candidates are recomputed after each pick.
+# (t, table, a, c, check): slot t gets table[a][c], or is compared with it
+# if check is set
+Step = tuple[int, str, int, int, bool]
+
+
+def _fire(quads: list[Quad], touching: list[list[int]], known: list[bool],
+          s: int) -> tuple[set[int], list[Step]]:
+    """The semiarcs that fixing s fixes given the known ones, and the steps
+    that fix them, in order.
+
+    The quads touching each newly fixed semiarc go on a stack; a popped
+    quad fires its first rule whose sources are fixed, once, writing its
+    unfixed targets and checking its fixed ones.
     """
-    size = len(touching)
-    known = [False] * size
-
-    def closure(s: int) -> set[int]:
-        grown = {s}
-        queue = list(touching[s])
-        while queue:
-            quad = quads[queue.pop()]
-            x, y, z, w = (known[t] or t in grown for t in quad)
-            if (x and y) or (z and w) or (z and x) or (w and y):
-                for t in quad:
-                    if not (known[t] or t in grown):
+    grown = {s}
+    fired: set[int] = set()
+    steps: list[Step] = []
+    stack = list(touching[s])
+    while stack:
+        qi = stack.pop()
+        if qi in fired:
+            continue
+        quad = quads[qi]
+        for (i, j), targets, tables in _RULES:
+            a, c = quad[i], quad[j]
+            if (known[a] or a in grown) and (known[c] or c in grown):
+                fired.add(qi)
+                for k, table in zip(targets, tables):
+                    t = quad[k]
+                    check = known[t] or t in grown
+                    steps.append((t, table, a, c, check))
+                    if not check:
                         grown.add(t)
-                        queue.extend(touching[t])
-        return grown
+                        stack.extend(touching[t])
+                break
+    return grown, steps
 
-    grows = [closure(s) for s in range(size)]
+
+def _plan(quads: list[Quad], size: int) -> list[tuple[int, list[Step]]]:
+    """Branch semiarcs, greedily picking the one whose closure grows most,
+    each with the steps that fix its closure.
+
+    A semiarc's closure is itself plus every semiarc the rules then fix,
+    given what earlier picks already fixed.  Ties go to the lowest index.
+    A candidate's closure can change only if it holds a semiarc that
+    shares a crossing with the semiarcs a pick fixed, so only those
+    candidates are recomputed after each pick.
+    """
+    touching: list[list[int]] = [[] for _ in range(size)]
+    for qi, quad in enumerate(quads):
+        for sm in set(quad):
+            touching[sm].append(qi)
+    known = [False] * size
+    grows = [_fire(quads, touching, known, s)[0] for s in range(size)]
     # watchers[t]: the unknown semiarcs whose closure holds t
     watchers: list[set[int]] = [set() for _ in range(size)]
     for s, grown in enumerate(grows):
@@ -131,13 +170,13 @@ def _plan(quads: list[Quad], touching: list[list[int]]) -> list[int]:
             watchers[t].add(s)
     heap = [(-len(grown), s) for s, grown in enumerate(grows)]
     heapify(heap)
-    plan = []
+    levels = []
     while heap:
         gain, s = heappop(heap)
         if known[s] or -gain != len(grows[s]):
             continue  # picked already, or a stale gain
-        plan.append(s)
-        fresh = grows[s]
+        fresh, steps = _fire(quads, touching, known, s)
+        levels.append((s, steps))
         for t in fresh:
             known[t] = True
         near = {u for t in fresh for qi in touching[t] for u in quads[qi]} | fresh
@@ -145,11 +184,11 @@ def _plan(quads: list[Quad], touching: list[list[int]]) -> list[int]:
             for t in grows[c]:
                 watchers[t].discard(c)
             if not known[c]:
-                grows[c] = closure(c)
+                grows[c] = _fire(quads, touching, known, c)[0]
                 for t in grows[c]:
                     watchers[t].add(c)
                 heappush(heap, (-len(grows[c]), c))
-    return plan
+    return levels
 
 
 def _search(quads: list[Quad], size: int,
@@ -157,76 +196,35 @@ def _search(quads: list[Quad], size: int,
     """Labeling assignments of size semiarcs under quads, in search order,
     and the search nodes tried.
 
-    One node is one value tried at a branch point.
+    One node is one value tried at a branch point.  A level sets its
+    branch semiarc and runs its steps, which read only what that level or
+    an earlier one wrote; below the last level every semiarc is written.
     """
-    touching: list[list[int]] = [[] for _ in range(size)]
-    for qi, quad in enumerate(quads):
-        for sm in set(quad):
-            touching[sm].append(qi)
-    plan = _plan(quads, touching)
-
-    assign: list[int | None] = [None] * size
-    trail: list[int] = []
+    levels = [(s, [(t, getattr(b, table), a, c, check) for t, table, a, c, check in steps])
+              for s, steps in _plan(quads, size)]
+    assign = [0] * size
     results: list[tuple[int, ...]] = []
-
-    def set_value(sm: int, value: int, queue: list[int]) -> bool:
-        current = assign[sm]
-        if current is not None:
-            return current == value
-        assign[sm] = value
-        trail.append(sm)
-        queue.extend(touching[sm])
-        return True
-
-    def propagate(queue: list[int]) -> bool:
-        while queue:
-            x, y, z, w = quads[queue.pop()]
-            vx, vy, vz, vw = assign[x], assign[y], assign[z], assign[w]
-            if vx is not None and vy is not None:
-                if not (set_value(z, b.b1[vx][vy], queue)
-                        and set_value(w, b.b2[vx][vy], queue)):
-                    return False
-            elif vz is not None and vw is not None:
-                if not (set_value(x, b.b1inv[vz][vw], queue)
-                        and set_value(y, b.b2inv[vz][vw], queue)):
-                    return False
-            elif vz is not None and vx is not None:
-                if not (set_value(w, b.s1[vz][vx], queue)
-                        and set_value(y, b.s2[vz][vx], queue)):
-                    return False
-            elif vw is not None and vy is not None:
-                if not (set_value(z, b.s1inv[vw][vy], queue)
-                        and set_value(x, b.s2inv[vw][vy], queue)):
-                    return False
-        return True
-
-    # Propagation fixes exactly the plan's closures, so every plan
-    # semiarc is still unassigned when its level is reached and the
-    # assignment is complete below the last level.  next_value[level] and
-    # mark[level] are the value to try next and the trail length on entry.
-    depth = len(plan)
-    next_value = [0] * (depth + 1)
-    mark = [0] * (depth + 1)
-    nodes = 0
-    level = 0
+    depth = len(levels)
+    next_value = [0] * (depth + 1)  # the value each level tries next
+    nodes = level = 0
     while level >= 0:
         if level == depth:
-            results.append(tuple(assign))  # propagation kept every crossing consistent
-            level -= 1
+            results.append(tuple(assign))  # every crossing checked on the way down
+        elif next_value[level] < b.n:
+            s, steps = levels[level]
+            assign[s] = next_value[level]
+            next_value[level] += 1
+            nodes += 1
+            for t, table, a, c, check in steps:
+                v = table[assign[a]][assign[c]]
+                if check and assign[t] != v:
+                    break
+                assign[t] = v
+            else:
+                level += 1
+                next_value[level] = 0
             continue
-        while len(trail) > mark[level]:
-            assign[trail.pop()] = None
-        value = next_value[level]
-        if value == b.n:
-            level -= 1
-            continue
-        next_value[level] = value + 1
-        nodes += 1
-        queue: list[int] = []
-        if set_value(plan[level], value, queue) and propagate(queue):
-            level += 1
-            next_value[level] = 0
-            mark[level] = len(trail)
+        level -= 1  # back from a leaf, or every value of this level tried
     return results, nodes
 
 

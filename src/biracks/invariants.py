@@ -77,7 +77,7 @@ from .core import FiniteBirack, is_subbirack, perm_cycles
 # with_framing and enumerate_labelings are not called here; they stay
 # because bench/spans.py binds both names on this module.
 from .diagram import Diagram, framed_semiarc_sources, unlink, with_framing  # noqa: F401
-from .errors import KindMismatch, LengthMismatch, NotASubbirack
+from .errors import KindMismatch, LengthMismatch, NotASubbirack, SizeTooLarge
 from .homsearch import (  # noqa: F401
     CutLabelings,
     Labeling,
@@ -88,6 +88,10 @@ from .homsearch import (  # noqa: F401
 from .poly import MultiPoly, NestedPoly
 
 KINDS = ("integral", "writhe", "image", "rho")
+
+# The most framing vectors compute_invariant surveys: it keeps one count
+# per vector of (Z_N)^c, so its time and memory grow as N^c.
+FRAMING_LIMIT = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +354,19 @@ def _fold_survey(cut: CutLabelings, images: bool) -> tuple[list[int], dict]:
 
 
 def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
-    """Compute one invariant with multiset and per-framing bookkeeping."""
+    """Compute one invariant with multiset and per-framing bookkeeping.
+
+    Raises SizeTooLarge, before any search, when d has more than
+    FRAMING_LIMIT framing vectors over b.
+    """
     if kind not in KINDS:
         raise KindMismatch(f"unknown invariant kind {kind!r}")
+    c, N = len(d.components), b.rank
+    if N ** c > FRAMING_LIMIT:
+        raise SizeTooLarge(
+            f"{c} components over a rank-{N} birack have {N}^{c} framings, "
+            f"more than {FRAMING_LIMIT}"
+        )
     images = kind in ("image", "rho")
     groups = _linked_groups(d)
     # one cut search per group, of the group's own diagram (d itself for

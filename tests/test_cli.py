@@ -306,6 +306,13 @@ class TestInvariantCommand:
             assert (code, out, err) == (
                 1, "", "error: --labelings would print 70000000 labels, more than 6000000\n")
 
+    def test_framing_bound(self, two_element_file, capsys):
+        code, out, err = _run(["invariant", "--birack", two_element_file, "--gauss", ";" * 22,
+                               "--type", "integral"], capsys)
+        assert (code, out, err) == (
+            1, "", "error: 23 components over a rank-2 birack have 2^23 framings, "
+                   "more than 1000000\n")
+
     def test_labeling_dump_bound_is_inclusive(self, monkeypatch, capsys):
         import biracks.cli
 
@@ -392,6 +399,16 @@ class TestInternalFailures:
         code, out, err = _run(["invariant", "--birack", two_element_file,
                                "--gauss", HOPF, "--type", "integral"], capsys)
         assert (code, out, err) == (1, "", line)
+
+    def test_empty_message_names_the_type(self, two_element_file, monkeypatch, capsys):
+        # the catch-all names the type anyway (AssertionError() above)
+        def fail(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr("biracks.cli.compute_invariant", fail)
+        code, out, err = _run(["invariant", "--birack", two_element_file,
+                               "--gauss", HOPF, "--type", "integral"], capsys)
+        assert (code, out, err) == (1, "", "error: MemoryError\n")
 
     def test_unexpected_exception_in_any_subcommand(self, two_element_file, monkeypatch,
                                                    capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 from pathlib import Path
@@ -242,6 +243,22 @@ class TestCutSearch:
             assert cut.heads == cut.tails
             assert cut.nodes == _closed_nodes(d, b)
             assert sorted(cut.assignments) == [lab.assignment for lab in enumerate_labelings(d, b)]
+
+
+class TestSearchOrder:
+    """The assignments in the order the search finds them, node counts
+    included; enumerate_labelings and the other tests sort them."""
+
+    def test_digest(self):
+        h = hashlib.sha256()
+        for name in ["constant_action_4", "four_element_two_orbits", "ten_element",
+                     "two_element"]:
+            b = read_matrix_file(str(DATA / f"{name}.txt"))
+            for _, code in _sample_links():
+                for cut in (False, True):
+                    quads, size, _, _ = _crossing_quads(parse_gauss(code), cut)
+                    h.update(repr(_search(quads, size, b)).encode())
+        assert h.hexdigest() == "f48cbea9802b779d1d1f60acffed69fc3870f8f9cfbfa2fbbd64e73865a569d8"
 
 
 class TestCountLabelings:

@@ -18,6 +18,7 @@ from biracks import (
     MultiPoly,
     NestedPoly,
     NotASubbirack,
+    SizeTooLarge,
     birack_polynomial,
     compute_invariant,
     labelings_by_framing,
@@ -483,6 +484,41 @@ class TestSplitDiagrams:
             values = [compute_invariant(Diagram([]), b, kind) for kind in KINDS]
             assert [v.value_string() for v in values] == ["1", "1", "z^0", "z^{0}"]
             assert all(v.per_framing == (((), 1),) for v in values)
+
+
+class TestFramingBound:
+    """compute_invariant refuses more than FRAMING_LIMIT framing vectors
+    before it searches anything."""
+
+    MESSAGE = "23 components over a rank-2 birack have 2^23 framings, more than 1000000"
+
+    def test_refused_before_any_search(self, two_element, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("searched a diagram with too many framings")
+
+        v = compute_invariant(Diagram([]), two_element, "integral")
+        monkeypatch.setattr(biracks.homsearch, "_search", forbidden)
+        d = unlink(23)
+        for kind in KINDS:
+            with pytest.raises(SizeTooLarge) as info:
+                compute_invariant(d, two_element, kind)
+            assert str(info.value) == self.MESSAGE
+        with pytest.raises(SizeTooLarge, match=re.escape(self.MESSAGE)):
+            labelings_by_framing(d, two_element)
+        with pytest.raises(SizeTooLarge, match=re.escape(self.MESSAGE)):
+            normalize(v, d, two_element)
+
+    def test_bound_is_inclusive(self, two_element, monkeypatch):
+        # the 8 framings of the 3-unlink pass a bound of 8; the 4-unlink's 16 do not
+        monkeypatch.setattr(biracks.invariants, "FRAMING_LIMIT", 8)
+        assert len(compute_invariant(unlink(3), two_element, "writhe").per_framing) == 8
+        with pytest.raises(SizeTooLarge) as info:
+            compute_invariant(unlink(4), two_element, "writhe")
+        assert str(info.value) == "4 components over a rank-2 birack have 2^4 framings, more than 8"
+
+    def test_rank_one_has_one_framing(self, ten_element):
+        v = compute_invariant(unlink(30), ten_element, "integral")
+        assert (v.value, v.per_framing) == (10**30, (((0,) * 30, 10**30),))
 
 
 class TestUnlinkClosedForm:

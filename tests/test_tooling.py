@@ -5,7 +5,8 @@ install() fails on the first one that is gone.  This loads the module by
 path, without installing anything, and resolves every name.  The public
 names of the package are pinned: dropping one means editing the pin and
 deprecating the name in CHANGES.md.  No package module uses assert, and
-only the text parsers call int().
+only the text parsers call int().  The labeling search writes its four
+determinations in one rule table.
 """
 
 import ast
@@ -154,3 +155,29 @@ def test_cut_layout_owned_by_homsearch():
             for alias in node.names if alias.name.startswith("_")
         ]
     assert (built, private) == ([], [])
+
+
+# The birack tables the four determinations at a crossing read, beyond B
+DETERMINATION_TABLES = {"b1inv", "b2inv", "s1", "s2", "s1inv", "s2inv"}
+
+
+def test_determinations_written_once():
+    """homsearch names each birack table of the determinations once, in
+    the rule table that the plan and the per-level steps both read."""
+    tree = ast.parse((ROOT / "src" / "biracks" / "homsearch.py").read_text(encoding="utf-8"))
+    found = []
+    for stmt in tree.body:
+        owner = (ast.unparse(stmt.targets[0]) if isinstance(stmt, ast.Assign)
+                 else getattr(stmt, "name", stmt.lineno))
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Constant):
+                name = node.value
+            else:
+                continue
+            if name in DETERMINATION_TABLES:
+                found.append((owner, name))
+    assert sorted(found) == sorted(("_RULES", name) for name in DETERMINATION_TABLES)

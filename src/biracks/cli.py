@@ -13,7 +13,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 domain error (axiom violation, parse failure,
 a link with more than invariants.FRAMING_LIMIT framings, a --labelings
-dump over LABELING_DUMP_LIMIT labels), a computation that ran out of
+dump over LABELING_DUMP_LIMIT labels, a count with more digits than
+Python converts to text), a computation that ran out of
 stack or memory (reported as "error: <message>", or "error: <type>"
 when the message is empty), or any other failure inside a subcommand
 (reported as "error: <type>: <message>"), 2 usage error.
@@ -34,6 +35,8 @@ import json
 import sys
 from dataclasses import replace
 from functools import cache
+from itertools import chain
+from math import log10
 
 from . import __version__
 from .core import (
@@ -58,9 +61,10 @@ from .errors import BirackError, NotASubbirack, ParseError, SizeTooLarge
 from .families import CayleyGroup, constant_action, tau_sigma_rho_birack, tsr_birack
 from .invariants import (
     KINDS,
+    _framed_rows,
     birack_polynomial,
     compute_invariant,
-    framed_labelings,
+    framed_labelings,  # noqa: F401  (the dump writes _framed_rows; the name stays importable here)
     normalize,
     subbirack_polynomial,
 )
@@ -68,7 +72,7 @@ from .invariants import (
 # The most labels `invariant --labelings` prints for one link, one per
 # semiarc of each framed labeling.  The dump holds every labeling of every
 # framing in memory before printing: the 10^6 labelings of 6 labels of the
-# 6-component unlink over a 10-element birack take about 4 s and 250 MB,
+# 6-component unlink over a 10-element birack take about 0.7 s and 240 MB,
 # and time and memory grow with the labels.
 LABELING_DUMP_LIMIT = 6 * 10**6
 
@@ -224,15 +228,34 @@ def _invariant_payload(name, kind, birack_file, code, value, labelings=None) -> 
         "per_framing_counts": [[list(w), m] for w, m in value.per_framing],
     }
     if labelings is not None:
-        payload["labelings"] = [
-            [list(w), [[v + 1 for v in lab.assignment] for lab in labs]]
-            for w, labs in labelings
-        ]
+        # json writes the rows' 1-indexed label tuples as lists
+        payload["labelings"] = [[list(w), rows] for w, rows in labelings]
     return payload
 
 
 def _sig_json(sig):
     return list(sig) if isinstance(sig, tuple) else sig
+
+
+def _check_digits(value, d, b) -> None:
+    """Raise SizeTooLarge when a count of value, a multiplicity or a
+    per-framing count, has more digits than Python converts to text
+    (sys.get_int_max_str_digits(); 0, or no such function, for no limit).
+
+    A labeling of a framing is fixed by its labels on d cut open, at most
+    semiarcs + c of them, so over the N^c framings every count, and every
+    difference from the unlink's counts, is at most N^c n^(semiarcs + c);
+    the counts are read only when that bound comes within a digit of the
+    limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    c = len(d.components)
+    if not limit or c * log10(b.rank) + (d.semiarc_count + c) * log10(b.n) < limit - 1:
+        return
+    counts = (m for _, m in chain(value.multiset, value.per_framing))
+    if max(map(abs, counts)) >= 10**limit:
+        raise SizeTooLarge(f"a count of the value has more than {limit} digits, "
+                           f"more than Python converts to text")
 
 
 def _cmd_invariant(args) -> int:
@@ -252,7 +275,7 @@ def _cmd_invariant(args) -> int:
         d = parse_gauss(code)
         value = compute_invariant(d, b, args.type)
         # Frame the labelings only if the output prints them, off the
-        # value's group searches.
+        # value's group searches, as rows of 1-indexed labels.
         labelings = None
         if args.labelings:
             count = sum(m * len(framed_semiarc_sources(d, w, b.rank))
@@ -261,10 +284,11 @@ def _cmd_invariant(args) -> int:
                 raise SizeTooLarge(
                     f"--labelings would print {count} labels, more than {LABELING_DUMP_LIMIT}"
                 )
-            labelings = framed_labelings(d, value.survey)
+            labelings = _framed_rows(d, value.survey, 1)
         value = replace(value, survey=())
         if args.normalize:
             value = normalize(value, d, b)
+        _check_digits(value, d, b)
         results.append((name, code, value, labelings))
     if args.json:
         payload = [
@@ -273,17 +297,16 @@ def _cmd_invariant(args) -> int:
         ]
         _emit(json.dumps(payload[0] if args.gauss is not None else payload, sort_keys=True))
     else:
+        text = list(map(str, range(b.n + 1)))  # a 1-indexed label's text
         for name, code, value, labelings in results:
             if args.gauss is not None:
                 _emit(value.value_string())
             else:
                 _emit(f"{name}\t{args.type}\t{value.value_string()}")
-            if labelings is not None:
-                for w, labs in labelings:
-                    framing = ",".join(str(v) for v in w)
-                    for lab in labs:
-                        row = " ".join(str(v + 1) for v in lab.assignment)
-                        _emit(f"  w=({framing}): {row}")
+            for w, rows in labelings or ():
+                framing = f"  w=({','.join(map(str, w))}): "
+                sys.stdout.write("".join(
+                    f"{framing}{' '.join(map(text.__getitem__, r))}\n" for r in rows))
     return 0
 
 

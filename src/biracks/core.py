@@ -664,14 +664,14 @@ def _atoms(b: FiniteBirack):
         yield subbirack_closure(b, {x})
 
 
-def _join_fold(b: FiniteBirack, parts) -> dict[frozenset[int], int]:
+def _join_fold(b: FiniteBirack, parts, joins: dict | None = None) -> dict[frozenset[int], int]:
     """Fold parts, {closed set: weight} dicts, from {frozenset(): 1}: a join
     (closure of the union) of one set per part weighs the product of their
     weights, summed.  Nested sets join to the larger; every other pair is
-    closed once, through _close, and memoized.
+    closed through _close, and memoized in joins, a dict, when one is
+    given.  all_subbiracks gives none: its rounds meet each pair once.
     """
     states: dict[frozenset[int], int] = {frozenset(): 1}
-    joins: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
     for part in parts:
         folded: dict[frozenset[int], int] = {}
         for s, m in states.items():
@@ -680,6 +680,8 @@ def _join_fold(b: FiniteBirack, parts) -> dict[frozenset[int], int]:
                     joined = s
                 elif s <= t:
                     joined = t
+                elif joins is None:
+                    joined = _close(b, s, t - s)
                 else:
                     joined = joins.get((s, t))
                     if joined is None:

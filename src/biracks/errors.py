@@ -71,8 +71,9 @@ class LengthMismatch(BirackError):
 
 class SizeTooLarge(BirackError):
     """Exhaustive enumeration was requested beyond its supported size, a
-    link has more framing vectors than compute_invariant surveys, or a
-    --labelings dump would print more labels than the CLI's bound."""
+    link has more framing vectors than compute_invariant surveys, a
+    --labelings dump would print more labels than the CLI's bound, or a
+    count has more digits than Python converts to text."""
 
 
 class NotASubbirack(BirackError):

@@ -40,21 +40,30 @@ distinct cut label set once, weighted by its framings, and compute one
 signature per distinct image.
 
 Every diagram is surveyed group by group: components that share
-crossings form a group, and each group's diagram gets one search (a
-connected diagram is one group, searched whole).  A labeling is a tuple
-of its groups' labelings, on the framing that concatenates theirs, so
-per-framing counts are products of the groups' counts, and the image of
-a labeling is the join (the closure of the union) of its groups' images.
-Image and rho fold the groups' image weights through the subbirack
-lattice by all_subbiracks' fold (core._join_fold), joining each distinct
-pair of closed sets once, so a c-unlink over n elements costs c searches
-of n labelings and at most as many states as subbiracks, not n^c
-labelings (the split case of counting homomorphisms by decomposition,
-Diaz, Serna and Thilikos, "Counting H-colorings of partial k-trees",
-2002).  The value keeps those searches as its survey.  On request,
-framed_labelings frames each group's labelings on the group's own
-framings and writes a labeling of framing w as one labeling per group on
-w's entries for its components, with no further search.
+crossings form a group, and each distinct group diagram gets one search
+and one fold, shared by the groups equal to it (a connected diagram is
+one group, searched whole; the c circles of a c-unlink are one circle,
+searched once).  A labeling is a tuple of its groups' labelings, on the
+framing that concatenates theirs, so per-framing counts are products of
+the groups' counts, and the image of a labeling is the join (the closure
+of the union) of its groups' images.  Image and rho fold the groups'
+image weights through the subbirack lattice by all_subbiracks' fold
+(core._join_fold), joining each distinct pair of closed sets once, so a
+c-unlink over n elements costs one search of n labelings and at most as
+many states as subbiracks, not n^c labelings (the split case of counting
+homomorphisms by decomposition, Diaz, Serna and Thilikos, "Counting
+H-colorings of partial k-trees", 2002).  The value keeps the searches as
+its survey, one per group.  On request, _framed_rows frames each
+search's labelings on its group's own framings and writes a labeling of
+framing w as one labeling per group on w's entries for its components,
+with no further search, as a tuple of labels: framed_labelings wraps the
+tuples in Labeling, and the CLI's --labelings dump prints them 1-indexed
+without building any.
+
+The rho signature of an image sums its elements' terms s1^c1 s2^c2 t1^r1
+t2^r2 from a table of the four statistics, counted along rows and
+columns once per element of some image per fold (and per element of the
+set for birack_polynomial and subbirack_polynomial).
 
 normalize() subtracts the signature counts of the crossing-free unlink
 with the same number of components, so unlinks normalize to zero, and
@@ -70,7 +79,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress, product, repeat
 from math import prod
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from . import core
 from .core import FiniteBirack, is_subbirack, perm_cycles
@@ -98,20 +107,31 @@ FRAMING_LIMIT = 10**6
 # Birack polynomials
 # ---------------------------------------------------------------------------
 
-def _statistics_sum(b: FiniteBirack, elements) -> MultiPoly:
+def _statistics(b: FiniteBirack, elements) -> dict[int, tuple[tuple[str, int], ...]]:
+    """The term key s1^c1 s2^c2 t1^r1 t2^r2 of each of elements, in
+    canonical form (zero exponents dropped); each count is one C-level
+    pass along a row or a column of B1 or B2."""
     rng = range(b.n)
-    return MultiPoly(Counter(
-        (("s1", sum(1 for y in rng if b.b1[x][y] == y)),
-         ("s2", sum(1 for y in rng if b.b2[y][x] == y)),
-         ("t1", sum(1 for y in rng if b.b1[y][x] == x)),
-         ("t2", sum(1 for y in rng if b.b2[x][y] == x)))
-        for x in elements
-    ))
+    table = {}
+    for x in elements:
+        column1, column2 = list(map(itemgetter(x), b.b1)), list(map(itemgetter(x), b.b2))
+        table[x] = tuple((v, e) for v, e in (
+            ("s1", sum(map(eq, b.b1[x], rng))),
+            ("s2", sum(map(eq, column2, rng))),
+            ("t1", column1.count(x)),
+            ("t2", b.b2[x].count(x))) if e)
+    return table
+
+
+def _statistics_sum(table, elements) -> MultiPoly:
+    """The sum of the table's term keys over elements."""
+    return MultiPoly._of(dict(Counter(map(table.__getitem__, elements))))
 
 
 def birack_polynomial(b: FiniteBirack) -> MultiPoly:
     """Sum of s1^c1 s2^c2 t1^r1 t2^r2 over every element."""
-    return _statistics_sum(b, range(b.n))
+    rng = range(b.n)
+    return _statistics_sum(_statistics(b, rng), rng)
 
 
 def subbirack_polynomial(b: FiniteBirack, subset) -> MultiPoly:
@@ -120,7 +140,7 @@ def subbirack_polynomial(b: FiniteBirack, subset) -> MultiPoly:
     sub = frozenset(subset)
     if not is_subbirack(b, sub):
         raise NotASubbirack(f"{sorted(sub)} is not closed under B and S")
-    return _statistics_sum(b, sorted(sub))
+    return _statistics_sum(_statistics(b, sub), sub)
 
 
 # ---------------------------------------------------------------------------
@@ -163,38 +183,43 @@ def _framings(key, N: int):
     return product(*(range(residue, N, period) for residue, period in key))
 
 
-def framed_labelings(
-    d: Diagram, survey: tuple[CutLabelings, ...],
-) -> list[tuple[tuple[int, ...], list[Labeling]]]:
-    """(w, labelings of with_framing(d, w, N)) over (Z_N)^c, read off the
-    cut searches of d's groups (InvariantValue.survey), in lexicographic
-    order.
+def _framed_rows(
+    d: Diagram, survey: tuple[CutLabelings, ...], offset: int,
+) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """(w, the sorted label tuples of with_framing(d, w, N)'s labelings,
+    each label plus offset) over (Z_N)^c, read off the cut searches of d's
+    groups (InvariantValue.survey), in lexicographic order.
 
-    Each group's cut labelings are bucketed once by the framings of the
-    group's own components.  The labelings of framing w are the product of
-    the groups' buckets at w's entries for their components, each semiarc
-    of d read from its group's labeling.  Framed semiarc (s, h) of
-    framed_semiarc_sources carries the label h half-kinks past that of s:
-    alpha(pi^j(x)) for h = 2j + 1 and pi^(j+1)(x) for h = 2j + 2.
+    Each distinct group search's cut labelings are bucketed once by the
+    framings of the group's own components.  The labelings of framing w
+    are the product of the groups' buckets at w's entries for their
+    components, each semiarc of d read from its group's labeling.  Framed
+    semiarc (s, h) of framed_semiarc_sources carries the label h
+    half-kinks past that of s: alpha(pi^j(x)) for h = 2j + 1 and
+    pi^(j+1)(x) for h = 2j + 2.  The offset is added once, in that table
+    of labels, so the CLI's 1-indexed rows cost nothing per labeling.
     """
     b = survey[0].birack
     N = b.rank
     groups = _linked_groups(d)
     source: dict[int, tuple[int, int]] = {}  # d's semiarc -> (group, the group diagram's semiarc)
     buckets = []  # per group: its framing vector -> its cut labelings on that framing
+    shared: dict[int, dict] = {}  # one bucket per distinct search
     for gi, (g, cut) in enumerate(zip(groups, survey)):
         for j, i in enumerate(g):
             for k in range(max(len(d.components[i]), 1)):
                 source[d.semiarc_after(i, k)] = (gi, cut.diagram.semiarc_after(j, k))
-        bucket: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for a, key in zip(cut.assignments, _framing_keys(cut)):
-            if None not in key:
-                for w in _framings(key, N):
-                    bucket.setdefault(w, []).append(a)
-        buckets.append(bucket)
+        if id(cut) not in shared:
+            bucket = shared[id(cut)] = {}
+            for a, key in zip(cut.assignments, _framing_keys(cut)):
+                if None not in key:
+                    for w in _framings(key, N):
+                        bucket.setdefault(w, []).append(a)
+        buckets.append(shared[id(cut)])
     steps = [list(range(b.n))]  # steps[h][x]: the label h half-kinks past x
     for _ in range(N - 1):
         steps += [[b.alpha[x] for x in steps[-1]], [b.pi[x] for x in steps[-1]]]
+    steps = [[x + offset for x in step] for step in steps]
     framed = []
     for w in product(range(N), repeat=len(d.components)):
         found = [bucket.get(tuple(w[i] for i in g), ()) for g, bucket in zip(groups, buckets)]
@@ -208,9 +233,17 @@ def framed_labelings(
             later = prod(map(len, found[gi + 1:]))
             run = list(chain.from_iterable(repeat(steps[h][a[t]], later) for a in found[gi]))
             columns.append(chain.from_iterable(repeat(run, count // len(run))))
-        rows = zip(*columns) if columns else [()] * count
-        framed.append((w, [Labeling(f) for f in sorted(rows)]))
+        framed.append((w, sorted(zip(*columns)) if columns else [()] * count))
     return framed
+
+
+def framed_labelings(
+    d: Diagram, survey: tuple[CutLabelings, ...],
+) -> list[tuple[tuple[int, ...], list[Labeling]]]:
+    """(w, labelings of with_framing(d, w, N)) over (Z_N)^c, read off the
+    cut searches of d's groups (InvariantValue.survey), in lexicographic
+    order; _framed_rows says how."""
+    return [(w, list(map(Labeling, rows))) for w, rows in _framed_rows(d, survey, 0)]
 
 
 def labelings_by_framing(
@@ -263,10 +296,10 @@ class InvariantValue:
       order; for normalized values these are count differences.
     normalized: True when an unlink value has been subtracted.
     survey: the cut searches the value was folded from, one per group of
-      linked components in group order (a connected diagram's is its one
-      whole-diagram search); framed_labelings reads the labelings of
-      every framing off them.  () once normalized.  Equality and repr
-      ignore it.
+      linked components in group order, equal groups sharing one (a
+      connected diagram's is its one whole-diagram search);
+      framed_labelings reads the labelings of every framing off them.
+      () once normalized.  Equality and repr ignore it.
     """
 
     kind: str
@@ -369,16 +402,18 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
         )
     images = kind in ("image", "rho")
     groups = _linked_groups(d)
-    # one cut search per group, of the group's own diagram (d itself for
-    # a group of every component)
+    # one cut search and fold per distinct group diagram (d itself for a
+    # group of every component): the c circles of a c-unlink share one
     whole = len(d.components)
-    survey = tuple([
-        cut_labelings(Diagram([d.components[i] for i in g]) if len(g) < whole else d, b)
-        for g in groups
-    ])
+    subs = [Diagram([d.components[i] for i in g]) if len(g) < whole else d for g in groups]
+    folded: dict[Diagram, tuple] = {}
+    for sub in subs:
+        if sub not in folded:
+            cut = cut_labelings(sub, b)
+            folded[sub] = cut, *_fold_survey(cut, images)
+    survey, totals, by_images = zip(*map(folded.__getitem__, subs))
     # A labeling is one labeling per group, on every framing of each, so
     # counts multiply and images join across groups.
-    totals, by_images = zip(*[_fold_survey(cut, images) for cut in survey])
     framings = product(range(b.rank), repeat=len(d.components))
     per_framing = tuple(zip(framings, map(prod, product(*totals))))
     # those framing vectors list the components group by group; when
@@ -393,8 +428,11 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
         counts = dict(per_framing)  # in lexicographic order, so sorting is linear
     else:
         counts = Counter()  # image size or MultiPoly -> labelings
-        for image, m in core._join_fold(b, by_images).items():
-            counts[len(image) if kind == "image" else _statistics_sum(b, sorted(image))] += m
+        joined = core._join_fold(b, by_images, joins={})
+        # each element's statistics once, for the elements of some image
+        table = _statistics(b, frozenset().union(*joined)) if kind == "rho" else None
+        for image, m in joined.items():
+            counts[len(image) if kind == "image" else _statistics_sum(table, image)] += m
         if kind == "rho":
             counts = {p.canonical_string(): m for p, m in counts.items()}
     return _package(kind, counts, per_framing, survey=survey)
@@ -403,9 +441,9 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
 def normalize(v: InvariantValue, d: Diagram, b: FiniteBirack) -> InvariantValue:
     """Subtract the invariant of the unlink with d's component count.
 
-    The c-unlink is split, so its value costs c searches of b's n labels
-    and a fold through the subbirack lattice, not a search of n^c
-    labelings.
+    The c-unlink is c equal circles, so its value costs one search of
+    b's n labels and a fold through the subbirack lattice, not a search
+    of n^c labelings.
 
     Raises LengthMismatch when v's framing vectors are not those of that
     unlink over b: v was computed for a diagram with another component

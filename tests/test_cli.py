@@ -1,11 +1,20 @@
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from biracks.cli import main
-from biracks import format_matrix, from_matrix, tsr_birack
+from biracks import (
+    compute_invariant,
+    format_matrix,
+    from_matrix,
+    parse_gauss,
+    read_matrix_file,
+    tsr_birack,
+)
+from biracks.invariants import KINDS, framed_labelings
 from conftest import (
     CONSTANT_ACTION_4_MATRIX,
     TWO_ELEMENT_MATRIX,
@@ -14,7 +23,7 @@ from conftest import (
     TREFOIL,
     kink_chain,
 )
-from test_invariants import AROUND
+from test_invariants import AROUND, DATA_BIRACKS, _sample_links
 
 
 @pytest.fixture
@@ -271,7 +280,8 @@ class TestInvariantCommand:
                      "--gauss", ";;", "--type", kind, "--labelings", "--json"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("code,groups", [(";;", 3), *((code, 2) for code in AROUND)])
+    # the 3-unlink's three equal circles share one search
+    @pytest.mark.parametrize("code,groups", [(";;", 1), *((code, 2) for code in AROUND)])
     def test_split_labeling_dump_searches_each_group_once(self, code, groups, monkeypatch,
                                                            capsys):
         import biracks.homsearch
@@ -371,6 +381,82 @@ class TestInvariantCommand:
         code, out, err = _run(["invariant", "--birack", str(path),
                                "--gauss", kink_chain(1200), "--type", "integral"], capsys)
         assert (code, out, err) == (0, "3\n", "")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+DUMP_CODES = [code for _, code in _sample_links()] + [";" * c for c in range(4)]
+
+
+class TestDumpRows:
+    """--labelings rows, in text and in --json, equal the rendering of
+    framed_labelings' Labeling objects with every label plus one."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("birack", DATA_BIRACKS)
+    def test_rows_match_labelings(self, birack, kind, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        path = f"data/{birack}.txt"
+        b = read_matrix_file(path)
+        for code in DUMP_CODES:
+            d = parse_gauss(code)
+            v = compute_invariant(d, b, kind)
+            reference = [(w, [[x + 1 for x in lab.assignment] for lab in labs])
+                         for w, labs in framed_labelings(d, v.survey)]
+            lines = [f"  w=({','.join(str(x) for x in w)}): {' '.join(str(x) for x in row)}"
+                     for w, rows in reference for row in rows]
+            args = ["invariant", "--birack", path, "--gauss", code, "--type", kind, "--labelings"]
+            assert _run(args, capsys) == (0, "\n".join([v.value_string(), *lines]) + "\n", "")
+            status, out, err = _run([*args, "--json"], capsys)
+            labelings = json.dumps([[list(w), rows] for w, rows in reference])
+            assert (status, err) == (0, "")
+            assert f'"labelings": {labelings}, "link": "-", ' in out
+            assert json.loads(out)["labelings"] == [[list(w), rows] for w, rows in reference]
+
+    def test_oversized_dump_writes_no_rows(self, monkeypatch, capsys):
+        import biracks.cli
+
+        def forbidden(*args):
+            raise AssertionError("wrote the rows of an oversized dump")
+
+        monkeypatch.chdir(ROOT)
+        monkeypatch.setattr(biracks.cli, "_framed_rows", forbidden)
+        code, out, err = _run(["invariant", "--birack", "data/ten_element.txt", "--gauss",
+                               ";" * 6, "--type", "rho", "--labelings", "--json"], capsys)
+        assert (code, out, err) == (
+            1, "", "error: --labelings would print 70000000 labels, more than 6000000\n")
+
+
+class TestDigitLimit:
+    """A count past Python's int-to-str limit is refused with the program's
+    own message.  Over the rank-1 ten-element birack the c-unlink has one
+    framing and 10^c labelings, and its c equal circles are one search."""
+
+    @pytest.fixture(autouse=True)
+    def limit(self, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    @pytest.mark.parametrize("circles", [4300, 4301])
+    def test_refused(self, circles, extra, capsys):
+        # 10^4300 has 4,301 digits
+        args = ["invariant", "--birack", "data/ten_element.txt", "--type", "integral"]
+        assert _run([*args, "--gauss", ";" * (circles - 1), *extra], capsys) == (
+            1, "", "error: a count of the value has more than 4300 digits, "
+                   "more than Python converts to text\n")
+
+    def test_below_limit_prints(self, capsys):
+        args = ["invariant", "--birack", "data/ten_element.txt", "--type", "integral",
+                "--gauss", ";" * 4298]
+        assert _run(args, capsys) == (0, "1" + "0" * 4299 + "\n", "")
+        status, out, err = _run([*args, "--json"], capsys)
+        assert (status, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["value_canonical_string"] == "1" + "0" * 4299
+        assert payload["per_framing_counts"] == [[[0] * 4299, 10**4299]]
 
 
 class TestInternalFailures:

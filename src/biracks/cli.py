@@ -64,7 +64,6 @@ from .invariants import (
     _framed_rows,
     birack_polynomial,
     compute_invariant,
-    framed_labelings,  # noqa: F401  (the dump writes _framed_rows; the name stays importable here)
     normalize,
     subbirack_polynomial,
 )
@@ -110,7 +109,7 @@ def _cmd_verify(args) -> int:
                 {
                     "axiom": c.name,
                     "status": c.status,
-                    "witness": list(c.witness) if isinstance(c.witness, tuple) else c.witness,
+                    "witness": c.witness,
                     "detail": c.detail,
                 }
                 for c in report.checks
@@ -167,10 +166,7 @@ def _cmd_classify(args) -> int:
     b = read_matrix_file(args.path)
     flags = classify(b).flags()
     if args.json:
-        payload = dict(flags)
-        payload["n"] = b.n
-        payload["rank"] = b.rank
-        payload["kink_map"] = cycle_string(b.pi)
+        payload = {**flags, "n": b.n, "rank": b.rank, "kink_map": cycle_string(b.pi)}
         _emit(json.dumps(payload, sort_keys=True))
     else:
         _emit(f"n: {b.n}")
@@ -224,17 +220,12 @@ def _invariant_payload(name, kind, birack_file, code, value, labelings=None) -> 
         "gauss_code": code,
         "link": name,
         "value_canonical_string": value.value_string(),
-        "multiset": [[_sig_json(sig), mult] for sig, mult in value.multiset],
-        "per_framing_counts": [[list(w), m] for w, m in value.per_framing],
+        "multiset": value.multiset,
+        "per_framing_counts": value.per_framing,
     }
     if labelings is not None:
-        # json writes the rows' 1-indexed label tuples as lists
-        payload["labelings"] = [[list(w), rows] for w, rows in labelings]
+        payload["labelings"] = labelings
     return payload
-
-
-def _sig_json(sig):
-    return list(sig) if isinstance(sig, tuple) else sig
 
 
 def _check_digits(value, d, b) -> None:

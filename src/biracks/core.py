@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import lcm
 from operator import getitem
 
@@ -721,13 +721,7 @@ class BirackClass:
     is_simple: bool
 
     def flags(self) -> dict[str, bool]:
-        return {
-            "is_biquandle": self.is_biquandle,
-            "is_rack": self.is_rack,
-            "is_quandle": self.is_quandle,
-            "is_semiquandle": self.is_semiquandle,
-            "is_simple": self.is_simple,
-        }
+        return asdict(self)
 
 
 def classify(b: FiniteBirack) -> BirackClass:

@@ -153,41 +153,43 @@ def _plan(quads: list[Quad], size: int) -> list[tuple[int, list[Step]]]:
 
     A semiarc's closure is itself plus every semiarc the rules then fix,
     given what earlier picks already fixed.  Ties go to the lowest index.
-    A candidate's closure can change only if it holds a semiarc that
-    shares a crossing with the semiarcs a pick fixed, so only those
-    candidates are recomputed after each pick.
+    A candidate's fire can change only if a quad it visits gains a fixed
+    semiarc, and then one of its closure's semiarcs shares that quad with
+    a semiarc the pick fixed; only those candidates are fired again after
+    each pick, so every candidate's last fire is current and a pick takes
+    its steps from it.
     """
     touching: list[list[int]] = [[] for _ in range(size)]
     for qi, quad in enumerate(quads):
         for sm in set(quad):
             touching[sm].append(qi)
     known = [False] * size
-    grows = [_fire(quads, touching, known, s)[0] for s in range(size)]
+    fires = [_fire(quads, touching, known, s) for s in range(size)]
     # watchers[t]: the unknown semiarcs whose closure holds t
     watchers: list[set[int]] = [set() for _ in range(size)]
-    for s, grown in enumerate(grows):
+    for s, (grown, _) in enumerate(fires):
         for t in grown:
             watchers[t].add(s)
-    heap = [(-len(grown), s) for s, grown in enumerate(grows)]
+    heap = [(-len(grown), s) for s, (grown, _) in enumerate(fires)]
     heapify(heap)
     levels = []
     while heap:
         gain, s = heappop(heap)
-        if known[s] or -gain != len(grows[s]):
+        fresh, steps = fires[s]
+        if known[s] or -gain != len(fresh):
             continue  # picked already, or a stale gain
-        fresh, steps = _fire(quads, touching, known, s)
         levels.append((s, steps))
         for t in fresh:
             known[t] = True
-        near = {u for t in fresh for qi in touching[t] for u in quads[qi]} | fresh
+        near = {u for t in fresh for qi in touching[t] for u in quads[qi]}
         for c in {c for t in near for c in watchers[t]}:
-            for t in grows[c]:
+            for t in fires[c][0]:
                 watchers[t].discard(c)
             if not known[c]:
-                grows[c] = _fire(quads, touching, known, c)[0]
-                for t in grows[c]:
+                fires[c] = _fire(quads, touching, known, c)
+                for t in fires[c][0]:
                     watchers[t].add(c)
-                heappush(heap, (-len(grows[c]), c))
+                heappush(heap, (-len(fires[c][0]), c))
     return levels
 
 

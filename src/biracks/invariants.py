@@ -40,16 +40,18 @@ distinct cut label set once, weighted by its framings, and compute one
 signature per distinct image.
 
 Every diagram is surveyed group by group: components that share
-crossings form a group, and each distinct group diagram gets one search
-and one fold, shared by the groups equal to it (a connected diagram is
-one group, searched whole; the c circles of a c-unlink are one circle,
-searched once).  A labeling is a tuple of its groups' labelings, on the
-framing that concatenates theirs, so per-framing counts are products of
-the groups' counts, and the image of a labeling is the join (the closure
-of the union) of its groups' images.  Image and rho fold the groups'
-image weights through the subbirack lattice by all_subbiracks' fold
-(core._join_fold), joining each distinct pair of closed sets once, so a
-c-unlink over n elements costs one search of n labelings and at most as
+crossings form a group, and each distinct group diagram, its crossings
+renumbered in order of first pass, gets one search and one fold, shared
+by the groups equal to it up to crossing ids (a connected diagram is one
+group, searched whole; the c circles of a c-unlink are one circle,
+searched once, and so are two Hopf links numbered apart).  A labeling is
+a tuple of its groups' labelings, on the framing that concatenates
+theirs, so per-framing counts are products of the groups' counts, and
+the image of a labeling is the join (the closure of the union) of its
+groups' images.  Image and rho fold the groups' image weights through
+the subbirack lattice by all_subbiracks' fold (core._join_fold),
+joining each distinct pair of closed sets once, so a c-unlink over n
+elements costs one search of n labelings and at most as
 many states as subbiracks, not n^c labelings (the split case of counting
 homomorphisms by decomposition, Diaz, Serna and Thilikos, "Counting
 H-colorings of partial k-trees", 2002).  The value keeps the searches as
@@ -354,6 +356,15 @@ def _linked_groups(d: Diagram) -> list[list[int]]:
     return list(groups.values())
 
 
+def _group_diagram(d: Diagram, group: list[int]) -> Diagram:
+    """The diagram of d's components in group, its crossings renumbered
+    1, 2, ... in order of first pass, so groups equal up to crossing ids
+    are equal diagrams; semiarc numbers do not depend on crossing ids."""
+    ids: dict[int, int] = {}
+    return Diagram([[(ids.setdefault(p.crossing, len(ids) + 1), p.role, p.sign)
+                     for p in d.components[i]] for i in group])
+
+
 def _fold_survey(cut: CutLabelings, images: bool) -> tuple[list[int], dict]:
     """The labeling count of each framing of cut's diagram, in lexicographic
     order, and, if images is set, the labelings over every framing by image.
@@ -403,9 +414,10 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
     images = kind in ("image", "rho")
     groups = _linked_groups(d)
     # one cut search and fold per distinct group diagram (d itself for a
-    # group of every component): the c circles of a c-unlink share one
+    # group of every component): the c circles of a c-unlink share one,
+    # and so do groups equal up to crossing ids
     whole = len(d.components)
-    subs = [Diagram([d.components[i] for i in g]) if len(g) < whole else d for g in groups]
+    subs = [_group_diagram(d, g) if len(g) < whole else d for g in groups]
     folded: dict[Diagram, tuple] = {}
     for sub in subs:
         if sub not in folded:

@@ -85,6 +85,19 @@ class TestMake:
         assert main(["make", "tsr", "--n", "4", "--t", "2", "--s", "2", "--r", "3"]) == 1
         assert "NotInvertible" in capsys.readouterr().err
 
+    def test_tsr_element_limit(self, monkeypatch, capsys):
+        import biracks.families
+
+        # (Z_100)^5 has 10^10 elements; at a limit of 8, (Z_3)^2 has too many
+        tsr = ["make", "tsr", "--t", "1", "--s", "0", "--r", "1"]
+        assert _run([*tsr, "--n", "100", "--m", "5"], capsys) == (
+            1, "", "error: (Z_100)^5 has 100^5 elements, more than 360\n")
+        monkeypatch.setattr(biracks.families, "TSR_ELEMENT_LIMIT", 8)
+        assert _run([*tsr, "--n", "3", "--m", "2"], capsys) == (
+            1, "", "error: (Z_3)^2 has 3^2 elements, more than 8\n")
+        code, out, _ = _run([*tsr, "--n", "2", "--m", "3"], capsys)
+        assert (code, out.splitlines()[0]) == (0, "8")
+
     def test_ca_matches_reference(self, capsys):
         assert main(["make", "ca", "--tau", "(1 2)", "--rho", "(3 4)", "--size", "4"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -309,7 +322,7 @@ class TestInvariantCommand:
             raise AssertionError("framed the labelings of an oversized dump")
 
         monkeypatch.chdir(Path(__file__).resolve().parent.parent)
-        monkeypatch.setattr(biracks.cli, "framed_labelings", forbidden)
+        monkeypatch.setattr(biracks.cli, "_framed_rows", forbidden)
         for kind in ("integral", "writhe", "image", "rho"):
             code, out, err = _run(["invariant", "--birack", "data/ten_element.txt",
                                    "--gauss", ";" * 6, "--type", kind, "--labelings"], capsys)
@@ -355,7 +368,7 @@ class TestInvariantCommand:
         def forbidden(*args):
             raise AssertionError("framed the labelings of an oversized dump")
 
-        monkeypatch.setattr(biracks.cli, "framed_labelings", forbidden)
+        monkeypatch.setattr(biracks.cli, "_framed_rows", forbidden)
         code, out, err = _run([*args, chains], capsys)
         assert (code, out, err) == (
             1, "", "error: --labelings would print 2400000 labels, more than 40000\n")

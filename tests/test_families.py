@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
+import biracks.families
 from biracks import (
     CayleyGroup,
     ConstructionError,
     FiniteBirack,
+    SizeTooLarge,
     classify,
     constant_action,
     parse_cycles,
@@ -210,6 +212,16 @@ class TestTsr:
         with pytest.raises(ValueError) as exc:
             tsr_birack(*args)
         assert str(exc.value) == message
+
+    def test_element_limit(self, monkeypatch):
+        # 2^3 = 8 elements build at a limit of 8; 3^2 = 9 do not, nor does
+        # an m whose n^m is far too large to compute
+        monkeypatch.setattr(biracks.families, "TSR_ELEMENT_LIMIT", 8)
+        assert tsr_birack(2, 1, 0, 1, 3).n == 8
+        for args, size in [((3, 2, 0, 1, 2), "3^2"), ((2, 1, 0, 1, 10**9), "2^1000000000")]:
+            with pytest.raises(SizeTooLarge) as exc:
+                tsr_birack(*args)
+            assert str(exc.value) == f"(Z_{args[0]})^{args[4]} has {size} elements, more than 8"
 
     def test_ideal_violation_rejected(self):
         with pytest.raises(ConstructionError) as exc:

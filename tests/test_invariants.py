@@ -499,8 +499,10 @@ class TestSplitDiagrams:
 
         monkeypatch.setattr(biracks.homsearch, "_search", counted)
         # (diagram, searches, groups): equal groups, the 3-unlink's three
-        # circles, share one search; a Hopf link and a circle get one each
-        cases = [(unlink(3), 1, 3), (parse_gauss(HOPF + ";"), 2, 2),
+        # circles or two Hopf links equal up to crossing ids, share one
+        # search; a Hopf link and a circle get one each
+        cases = [(unlink(3), 1, 3), (parse_gauss("O1+,U2+;U1+,O2+;O3+,U4+;U3+,O4+"), 1, 2),
+                 (parse_gauss(HOPF + ";"), 2, 2),
                  (parse_gauss(AROUND[0]), 2, 2), (parse_gauss(AROUND[1]), 2, 2),
                  (parse_gauss(HOPF), 1, 1), (Diagram([]), 1, 1)]
         for d, searches, groups in cases:

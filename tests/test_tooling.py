@@ -6,13 +6,17 @@ path, without installing anything, and resolves every name.  The public
 names of the package are pinned: dropping one means editing the pin and
 deprecating the name in CHANGES.md.  No package module uses assert, and
 only the text parsers call int().  The labeling search writes its four
-determinations in one rule table.
+determinations in one rule table.  Every source file parses as the
+oldest Python the package declares.
 """
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 import biracks
 
@@ -181,3 +185,23 @@ def test_determinations_written_once():
             if name in DETERMINATION_TABLES:
                 found.append((owner, name))
     assert sorted(found) == sorted(("_RULES", name) for name in DETERMINATION_TABLES)
+
+
+def test_python_310_syntax():
+    """pyproject.toml declares requires-python >= 3.10: every source file
+    parses as 3.10 grammar, which rejects later syntax such as except*."""
+    paths = sorted(path for top in ("src/biracks", "tests", "demos")
+                   for path in (ROOT / top).rglob("*.py"))
+    assert paths
+    failed = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+        except SyntaxError:
+            failed.append(path.relative_to(ROOT).as_posix())
+    assert failed == []
+    later = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    if sys.version_info >= (3, 11):
+        ast.parse(later)
+    with pytest.raises(SyntaxError):
+        ast.parse(later, feature_version=(3, 10))

@@ -1,4 +1,4 @@
-"""Finite biracks: verification, derived structure, matrix I/O.
+"""Finite biracks: verification, derived structure, table file I/O.
 
 A birack is a set X = {0, ..., n-1} with an invertible map
 B(x, y) = (B1(x, y), B2(x, y)) on X x X satisfying:
@@ -46,6 +46,13 @@ B1(x_j, x_i) (note the transposition: the row is the *second* argument)
 and row i, column j of the right block holds B2(x_i, x_j).  This is the
 convention the worked example tables in the biquandle literature follow,
 and it is pinned by this package's acceptance tests.
+
+One loader reads matrix, Cayley and map files: _label_rows looks each
+token up in one table of the spellings "1".."n", which checks it and
+gives its 0-indexed label in one pass.  A token spelled otherwise sends
+the file down the integer route (int() per token, then _entries per
+row), which names the error, or reads a spelling such as 01 or +1 as
+int() does.
 """
 
 from __future__ import annotations
@@ -193,7 +200,8 @@ class ValidationReport:
 
 def _entries(values, low: int, high: int) -> tuple:
     """values as a tuple; ValueError names the first entry that is not an
-    int in low..high.  Every element label from outside passes here."""
+    int in low..high.  Every element label a caller passes comes here; a
+    file's labels are read through _label_rows' table instead."""
     values = tuple(values)
     for v in values:
         if not isinstance(v, int):
@@ -318,8 +326,8 @@ def _ybe_holds(b1: Table, b2: Table, s1, n: int) -> bool:
 
 
 def _analyze(b1: Table, b2: Table):
-    """Run every axiom check on tables from _tables in one pass; return
-    (report, derived-or-None).
+    """Run every axiom check on checked tables, from _tables or the file
+    loader, in one pass; return (report, derived-or-None).
 
     derived is (B1^-1, B2^-1, S1, S2, S1^-1, S2^-1) as tables, all filled
     by the one sweep over the n^2 pairs, then the kink maps alpha and pi.
@@ -507,6 +515,15 @@ class FiniteBirack:
 # Matrix I/O
 # ---------------------------------------------------------------------------
 
+# The most elements a birack read from a matrix or Cayley file, or built by
+# families.tsr_birack, may have.  Its tables hold n^2 entries each, and
+# above 256 elements the axiom check runs the n^3 triple scan:
+# tsr_birack(257, 3, 0, 1) takes 1.9 s and 25 MB peak RSS, and
+# tsr_birack(359, 7, 0, 1) 5.5 s and 35 MB (process CPU, 2-vCPU Xeon,
+# Python 3.11.7).
+ELEMENT_LIMIT = 360
+
+
 def from_matrix(n: int, block) -> FiniteBirack:
     """Build a birack from an n x 2n block matrix [B1 | B2] of 1-indexed labels.
 
@@ -516,7 +533,7 @@ def from_matrix(n: int, block) -> FiniteBirack:
     return FiniteBirack._of(*_block_tables(n, block))
 
 
-def _block_tables(n: int, block) -> tuple[list[list[int]], list[list[int]]]:
+def _block_tables(n: int, block) -> tuple[Table, Table]:
     """The 0-indexed tables (B1, B2) of a [B1 | B2] block, axioms unchecked.
     Each entry is checked here, once, against the 1-indexed range."""
     _int_params(n=n)
@@ -525,11 +542,13 @@ def _block_tables(n: int, block) -> tuple[list[list[int]], list[list[int]]]:
     rows = [list(r) for r in block]
     if len(rows) != n or any(len(r) != 2 * n for r in rows):
         raise ValueError(f"expected {n} rows of {2 * n} entries")
-    rows = [_labels(r, n) for r in rows]
-    # Left block: row i, col j = B1(x_j, x_i); right: row i, col j = B2(x_i, x_j).
-    b1 = [[rows[y][x] for y in range(n)] for x in range(n)]
-    b2 = [[rows[x][n + y] for y in range(n)] for x in range(n)]
-    return b1, b2
+    return _split_block(n, [_labels(r, n) for r in rows])
+
+
+def _split_block(n: int, rows) -> tuple[Table, Table]:
+    """(B1, B2) of the 0-indexed rows of a [B1 | B2] block.  Row i, col j
+    of the left block is B1(x_j, x_i), of the right block B2(x_i, x_j)."""
+    return tuple(itertools.islice(zip(*rows), n)), tuple(tuple(row[n:]) for row in rows)
 
 
 def _labels(entries, n: int) -> list:
@@ -540,20 +559,15 @@ def _labels(entries, n: int) -> list:
 
 def to_matrix(b: FiniteBirack) -> list[list[int]]:
     """The n x 2n block matrix [B1 | B2], 1-indexed (inverse of from_matrix)."""
-    n = b.n
-    return [
-        [b.b1[x][y] + 1 for x in range(n)] + [b.b2[y][x] + 1 for x in range(n)]
-        for y in range(n)
-    ]
+    return [[v + 1 for v in col + row] for col, row in zip(zip(*b.b1), b.b2)]
 
 
 def format_matrix(b: FiniteBirack) -> str:
     """Matrix file text: first line n, then the block matrix rows."""
     width = len(str(b.n))
-    lines = [str(b.n)]
-    for row in to_matrix(b):
-        lines.append(" ".join(str(v).rjust(width) for v in row))
-    return "\n".join(lines) + "\n"
+    text = [str(v + 1).rjust(width) for v in range(b.n)]  # each label, right-justified
+    rows = (" ".join(map(text.__getitem__, col + row)) for col, row in zip(zip(*b.b1), b.b2))
+    return "\n".join([str(b.n), *rows]) + "\n"
 
 
 def _content_lines(lines) -> list[str]:
@@ -568,9 +582,20 @@ def _int_row(line: str) -> list[int]:
         raise ParseError(f"non-integer entry in row {line!r}") from None
 
 
-def _parse_table(text: str, noun: str, width: int) -> tuple[int, list[list[int]]]:
-    """Parse a count line n, then n rows of width * n integers; '#' lines
-    are comments.  noun names the file kind in the errors."""
+def _int_rows(lines, count: int) -> list[list[int]]:
+    """The integers of each line, each line checked to hold count of them."""
+    rows = []
+    for ln in lines:
+        row = _int_row(ln)
+        if len(row) != count:
+            raise ParseError(f"expected {count} entries per row, got {len(row)}")
+        rows.append(row)
+    return rows
+
+
+def _table_lines(text: str, noun: str) -> tuple[int, list[str]]:
+    """The count line n of table file text and its n row lines, stripped;
+    '#' lines are comments.  noun names the file kind in the errors."""
     lines = [ln.strip() for ln in _content_lines(text.splitlines())]
     if not lines:
         raise ParseError(f"empty {noun} file")
@@ -582,27 +607,71 @@ def _parse_table(text: str, noun: str, width: int) -> tuple[int, list[list[int]]
         raise ParseError("element count must be positive")
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} {noun} rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        row = _int_row(ln)
-        if len(row) != width * n:
-            raise ParseError(f"expected {width * n} entries per row, got {len(row)}")
-        rows.append(row)
+    return n, lines[1:]
+
+
+def _label_rows(lines, n: int) -> list[list[int]] | None:
+    """Each line's entries as 0-indexed labels, looked up in one table of
+    the spellings "1".."n"; None when an entry is spelled any other way.
+    Every file label from outside is read here."""
+    label = {str(v + 1): v for v in range(n)}
+    try:
+        return [list(map(label.__getitem__, ln.split())) for ln in lines]
+    except KeyError:
+        return None
+
+
+def _load_table(text: str, noun: str, width: int) -> tuple[int, list[list[int]]]:
+    """The element count n of a table file and its n rows of width * n
+    entries as 0-indexed labels.  '#' lines are comments; noun names the
+    file kind in the errors.  ParseError on a malformed file, SizeTooLarge
+    when n is above ELEMENT_LIMIT, ValueError naming the first entry that
+    is not an integer in 1..n."""
+    n, lines = _table_lines(text, noun)
+    if n > ELEMENT_LIMIT:
+        raise SizeTooLarge(f"the {noun} file has {n} elements, more than {ELEMENT_LIMIT}")
+    rows = _label_rows(lines, n)
+    if rows is None or any(len(row) != width * n for row in rows):
+        # The integer route names the first bad row or entry, or reads a
+        # label spelled otherwise, such as 01 or +1.
+        rows = [_labels(row, n) for row in _int_rows(lines, width * n)]
     return n, rows
+
+
+def _load_map(lines, n: int) -> list[int]:
+    """The entries of a map file's lines, in order, as 0-indexed labels in
+    0..n-1; '#' lines are comments.  ParseError on an entry that is not an
+    integer, ValueError naming the first one outside 1..n."""
+    lines = [ln.strip() for ln in _content_lines(lines)]
+    rows = _label_rows(lines, n)
+    if rows is None:
+        return _labels([v for ln in lines for v in _int_row(ln)], n)
+    return [v for row in rows for v in row]
+
+
+def _matrix_tables(text: str) -> tuple[Table, Table]:
+    """The checked 0-indexed tables (B1, B2) of matrix file text, axioms
+    unchecked."""
+    return _split_block(*_load_table(text, "matrix", 2))
 
 
 def parse_matrix_text(text: str) -> tuple[int, list[list[int]]]:
     """Parse matrix file text -> (n, block rows); '#' lines are comments."""
-    return _parse_table(text, "matrix", 2)
+    n, lines = _table_lines(text, "matrix")
+    return n, _int_rows(lines, 2 * n)
 
 
 def read_matrix_file(path) -> FiniteBirack:
+    """The birack of a matrix file.  ParseError on a malformed file or an
+    entry outside 1..n, SizeTooLarge above ELEMENT_LIMIT elements,
+    AxiomViolation when the tables fail an axiom."""
     with open(path, encoding="utf-8") as fh:
-        n, block = parse_matrix_text(fh.read())
+        text = fh.read()
     try:
-        return from_matrix(n, block)
+        tables = _matrix_tables(text)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    return FiniteBirack._of(*tables)
 
 
 # ---------------------------------------------------------------------------

@@ -33,15 +33,12 @@ from __future__ import annotations
 
 from math import gcd
 
-from .core import FiniteBirack, _entries, _int_params, compose_perms
+from .core import ELEMENT_LIMIT, FiniteBirack, _entries, _int_params, compose_perms
 from .errors import ConstructionError, SizeTooLarge
 
-# The most elements n^m tsr_birack builds.  Its tables hold n^2m entries,
-# and above 256 elements the axiom check runs the n^3 triple scan:
-# tsr_birack(257, 3, 0, 1) takes 1.9 s and 25 MB peak RSS, and
-# tsr_birack(359, 7, 0, 1) 5.5 s and 35 MB (process CPU, 2-vCPU Xeon,
-# Python 3.11.7).
-TSR_ELEMENT_LIMIT = 360
+# The most elements n^m tsr_birack builds: core.ELEMENT_LIMIT, which also
+# bounds table files; its comment gives the timings.
+TSR_ELEMENT_LIMIT = ELEMENT_LIMIT
 
 
 # ---------------------------------------------------------------------------

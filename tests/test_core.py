@@ -203,8 +203,9 @@ class TestLabelCheck:
 
 
 class TestLabelCheckedOnce:
-    """A file label is checked once, by the loader; tables the library
-    builds itself are not checked at all."""
+    """A file label is checked once, by the loader's label table, and only
+    a label spelled otherwise reaches _entries; tables the library builds
+    itself are not checked at all."""
 
     @pytest.fixture
     def entry_checks(self, monkeypatch):
@@ -224,7 +225,25 @@ class TestLabelCheckedOnce:
         path.write_text(format_matrix(b), encoding="utf-8")
         entry_checks.clear()
         assert read_matrix_file(path) == b
-        assert entry_checks == [(1, 67)] * 67  # one 1-indexed check per file row
+        assert entry_checks == []  # every entry is a key of the label table
+        # one 01 sends the file down the integer route: one check per row
+        path.write_text(format_matrix(b).replace("\n 1 ", "\n01 ", 1), encoding="utf-8")
+        assert read_matrix_file(path) == b
+        assert entry_checks == [(1, 67)] * 67
+
+    def test_verify_checks_file_labels_once(self, tmp_path, entry_checks, monkeypatch,
+                                            capsys):
+        tables = []
+        monkeypatch.setattr(biracks.core, "_tables", lambda *t: tables.append(t))
+        text = format_matrix(tsr_birack(11, 2, 0, 1))
+        path = tmp_path / "tsr11.txt"
+        for variant, checks in ((text, []), (text.replace("\n 1 ", "\n01 ", 1), [(1, 11)] * 11)):
+            path.write_text(variant, encoding="utf-8")
+            entry_checks.clear()
+            assert main(["verify", str(path)]) == 0
+            assert "valid birack" in capsys.readouterr().out
+            assert entry_checks == checks
+        assert tables == []  # verify runs no second check of the loaded tables
 
     def test_family_tables(self, entry_checks):
         tsr_birack(67, 2, 0, 1)

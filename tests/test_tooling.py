@@ -5,8 +5,9 @@ install() fails on the first one that is gone.  This loads the module by
 path, without installing anything, and resolves every name.  The public
 names of the package are pinned: dropping one means editing the pin and
 deprecating the name in CHANGES.md.  No package module uses assert, and
-only the text parsers call int().  The labeling search writes its four
-determinations in one rule table.  Every source file parses as the
+only the text parsers call int().  Every table file is read through one
+label table.  The labeling search writes its four determinations in one
+rule table.  Every source file parses as the
 oldest Python the package declares.
 """
 
@@ -84,7 +85,7 @@ def test_no_assert_in_package():
 
 
 # The functions that parse integers out of text; int() coerces nothing else.
-TEXT_PARSERS = {"parse_cycles", "_int_row", "_parse_table", "parse_gauss", "_var_key",
+TEXT_PARSERS = {"parse_cycles", "_int_row", "_table_lines", "parse_gauss", "_var_key",
                 "parse_multipoly", "parse_nestedpoly", "_cmd_poly"}
 
 
@@ -159,6 +160,43 @@ def test_cut_layout_owned_by_homsearch():
             for alias in node.names if alias.name.startswith("_")
         ]
     assert (built, private) == ([], [])
+
+
+def _call_graph(*names) -> dict[str, set[str]]:
+    """{function name: the names it calls} over the named package modules."""
+    graph: dict[str, set[str]] = {}
+    for name in names:
+        tree = ast.parse((ROOT / "src" / "biracks" / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                graph.setdefault(node.name, set()).update(n for n, _ in _called_names(node))
+    return graph
+
+
+def test_table_files_share_one_loader():
+    """Matrix files (read_matrix_file and verify), Cayley tables and map
+    files all reach the one label table, core._label_rows; only the core
+    loaders and the public parse_matrix_text read a file's tokens with
+    int(), through _int_row."""
+    graph = _call_graph("core.py", "cli.py")
+
+    def reached(start):
+        seen, stack = set(), [start]
+        while stack:
+            for callee in graph.get(stack.pop(), ()):
+                if callee not in seen:
+                    seen.add(callee)
+                    stack.append(callee)
+        return seen
+
+    entries = ("read_matrix_file", "_load_candidate", "_read_cayley", "_read_map")
+    assert [entry for entry in entries if "_label_rows" not in reached(entry)] == []
+
+    def callers(name):
+        return {caller for caller, callees in graph.items() if name in callees}
+
+    assert callers("_int_row") == {"_int_rows", "_load_map"}
+    assert callers("_int_rows") == {"_load_table", "parse_matrix_text"}
 
 
 # The birack tables the four determinations at a crossing read, beyond B

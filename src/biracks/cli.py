@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from functools import cache
 from itertools import chain
 from math import log10
@@ -270,8 +269,8 @@ def _cmd_invariant(args) -> int:
     for name, code in jobs:
         d = parse_gauss(code)
         value = compute_invariant(d, b, args.type)
-        # Frame the labelings only if the output prints them, off the
-        # value's group searches, as rows of 1-indexed labels.
+        # Frame the labelings only if the output prints them, searching
+        # the link's groups again, as rows of 1-indexed labels.
         labelings = None
         if args.labelings:
             count = sum(m * len(framed_semiarc_sources(d, w, b.rank))
@@ -280,8 +279,7 @@ def _cmd_invariant(args) -> int:
                 raise SizeTooLarge(
                     f"--labelings would print {count} labels, more than {LABELING_DUMP_LIMIT}"
                 )
-            labelings = _framed_rows(d, value.survey, 1)
-        value = replace(value, survey=())
+            labelings = _framed_rows(d, b, 1)
         if args.normalize:
             value = normalize(value, d, b)
         _check_digits(value, d, b)

@@ -35,9 +35,9 @@ inverse) to the strand label, so per-framing labeling counts are
 reproducible.  The invariants never search these kinked diagrams: they
 read every framing off one search per group of linked components, each
 cut open at its components' closing semiarcs (homsearch.cut_labelings),
-and with_framing stays the reference the tests compare that survey with.
-framed_semiarc_sources says where each semiarc of a with_framing diagram
-comes from, so the framed labelings can be written out of that survey.
+and with_framing stays the reference the tests compare those searches
+with.  framed_semiarc_sources says where each semiarc of a with_framing
+diagram comes from, so the framed labelings can be written out of them.
 """
 
 from __future__ import annotations

@@ -73,7 +73,7 @@ class SizeTooLarge(BirackError):
     """Exhaustive enumeration was requested beyond its supported size,
     tsr_birack was asked for more elements than
     families.TSR_ELEMENT_LIMIT, a link has more framing vectors than
-    compute_invariant surveys, a --labelings dump would print more labels
+    invariants.FRAMING_LIMIT, a --labelings dump would print more labels
     than the CLI's bound, or a count has more digits than Python converts
     to text."""
 

@@ -46,11 +46,14 @@ TSR_ELEMENT_LIMIT = ELEMENT_LIMIT
 # ---------------------------------------------------------------------------
 
 def constant_action(tau, rho) -> FiniteBirack:
-    """The birack B(x, y) = (tau(y), rho(x)); requires tau o rho = rho o tau."""
+    """The birack B(x, y) = (tau(y), rho(x)) on a non-empty set; requires
+    tau o rho = rho o tau."""
     tau, rho = tuple(tau), tuple(rho)
     n = len(tau)
     if len(rho) != n:
         raise ValueError("tau and rho must act on the same set")
+    if not n:
+        raise ValueError("tau and rho must act on a non-empty set")
     for name, p in (("tau", tau), ("rho", rho)):
         if len(set(_entries(p, 0, n - 1))) != n:
             raise ValueError(f"{name} is not a permutation of 0..{n - 1}")

@@ -24,7 +24,7 @@ and each element contributes s1^c1 s2^c2 t1^r1 t2^r2.  In matrix-block
 terms c_i(x) counts fixed points down column x of block i and r_i(x)
 counts occurrences of x along row x of block i.
 
-The framing period is surveyed without a search per framing:
+The framing period is counted without a search per framing:
 cut_labelings searches the diagram cut open at each component's closing
 semiarc, and framing w appends m_i = (w_i - writhe_i) mod N positive
 kinks to component i, which carry its tail label t to pi^m_i(t).  A cut
@@ -39,12 +39,13 @@ which is the closure of its cut labels, so image and rho close each
 distinct cut label set once, weighted by its framings, and compute one
 signature per distinct image.
 
-Every diagram is surveyed group by group: components that share
-crossings form a group, and each distinct group diagram, its crossings
-renumbered in order of first pass, gets one search and one fold, shared
-by the groups equal to it up to crossing ids (a connected diagram is one
+Every diagram is searched group by group (_group_searches): components
+that share crossings form a group, and each distinct group diagram, its
+crossings renumbered in order of first pass, gets one search, shared by
+the groups equal to it up to crossing ids (a connected diagram is one
 group, searched whole; the c circles of a c-unlink are one circle,
-searched once, and so are two Hopf links numbered apart).  A labeling is
+searched once, and so are two Hopf links numbered apart).
+compute_invariant folds each distinct search once.  A labeling is
 a tuple of its groups' labelings, on the framing that concatenates
 theirs, so per-framing counts are products of the groups' counts, and
 the image of a labeling is the join (the closure of the union) of its
@@ -54,13 +55,13 @@ joining each distinct pair of closed sets once, so a c-unlink over n
 elements costs one search of n labelings and at most as
 many states as subbiracks, not n^c labelings (the split case of counting
 homomorphisms by decomposition, Diaz, Serna and Thilikos, "Counting
-H-colorings of partial k-trees", 2002).  The value keeps the searches as
-its survey, one per group.  On request, _framed_rows frames each
-search's labelings on its group's own framings and writes a labeling of
-framing w as one labeling per group on w's entries for its components,
-with no further search, as a tuple of labels: framed_labelings wraps the
-tuples in Labeling, and the CLI's --labelings dump prints them 1-indexed
-without building any.
+H-colorings of partial k-trees", 2002).  A value holds counts only, no
+labeling.  Only a dump needs the labelings: _framed_rows searches d's
+groups through the same _group_searches, frames each search's labelings
+on its group's own framings and writes a labeling of framing w as one
+labeling per group on w's entries for its components, as a tuple of
+labels.  labelings_by_framing wraps the tuples in Labeling, and the
+CLI's --labelings dump prints them 1-indexed without building any.
 
 The rho signature of an image sums its elements' terms s1^c1 s2^c2 t1^r1
 t2^r2 from a table of the four statistics, counted along rows and
@@ -78,7 +79,7 @@ multiset forms and per-framing counts deterministic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, compress, product, repeat
 from math import prod
 from operator import eq, itemgetter
@@ -100,8 +101,9 @@ from .poly import MultiPoly, NestedPoly
 
 KINDS = ("integral", "writhe", "image", "rho")
 
-# The most framing vectors compute_invariant surveys: it keeps one count
-# per vector of (Z_N)^c, so its time and memory grow as N^c.
+# The most framing vectors of a diagram that is counted or dumped:
+# compute_invariant keeps one count per vector of (Z_N)^c, so its time and
+# memory grow as N^c.
 FRAMING_LIMIT = 10**6
 
 
@@ -146,11 +148,11 @@ def subbirack_polynomial(b: FiniteBirack, subset) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Framing-period labeling survey
+# Framing-period labelings
 # ---------------------------------------------------------------------------
 
 def _framing_keys(cut: CutLabelings) -> list[tuple]:
-    """The framing key of each cut labeling, in the survey's order.
+    """The framing key of each cut labeling, in the search's order.
 
     A key holds one (residue, period) pair per component, and the labeling
     belongs to framing w exactly when w_i = residue_i mod period_i for
@@ -186,11 +188,11 @@ def _framings(key, N: int):
 
 
 def _framed_rows(
-    d: Diagram, survey: tuple[CutLabelings, ...], offset: int,
+    d: Diagram, b: FiniteBirack, offset: int,
 ) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
     """(w, the sorted label tuples of with_framing(d, w, N)'s labelings,
     each label plus offset) over (Z_N)^c, read off the cut searches of d's
-    groups (InvariantValue.survey), in lexicographic order.
+    groups (_group_searches), in lexicographic order.
 
     Each distinct group search's cut labelings are bucketed once by the
     framings of the group's own components.  The labelings of framing w
@@ -201,13 +203,12 @@ def _framed_rows(
     pi^(j+1)(x) for h = 2j + 2.  The offset is added once, in that table
     of labels, so the CLI's 1-indexed rows cost nothing per labeling.
     """
-    b = survey[0].birack
     N = b.rank
-    groups = _linked_groups(d)
+    groups, cuts = _group_searches(d, b)
     source: dict[int, tuple[int, int]] = {}  # d's semiarc -> (group, the group diagram's semiarc)
     buckets = []  # per group: its framing vector -> its cut labelings on that framing
     shared: dict[int, dict] = {}  # one bucket per distinct search
-    for gi, (g, cut) in enumerate(zip(groups, survey)):
+    for gi, (g, cut) in enumerate(zip(groups, cuts)):
         for j, i in enumerate(g):
             for k in range(max(len(d.components[i]), 1)):
                 source[d.semiarc_after(i, k)] = (gi, cut.diagram.semiarc_after(j, k))
@@ -239,20 +240,12 @@ def _framed_rows(
     return framed
 
 
-def framed_labelings(
-    d: Diagram, survey: tuple[CutLabelings, ...],
-) -> list[tuple[tuple[int, ...], list[Labeling]]]:
-    """(w, labelings of with_framing(d, w, N)) over (Z_N)^c, read off the
-    cut searches of d's groups (InvariantValue.survey), in lexicographic
-    order; _framed_rows says how."""
-    return [(w, list(map(Labeling, rows))) for w, rows in _framed_rows(d, survey, 0)]
-
-
 def labelings_by_framing(
     d: Diagram, b: FiniteBirack
 ) -> list[tuple[tuple[int, ...], list[Labeling]]]:
-    """(framing vector, labelings) over (Z_N)^c in lexicographic order."""
-    return framed_labelings(d, compute_invariant(d, b, "integral").survey)
+    """(w, labelings of with_framing(d, w, N)) over (Z_N)^c in lexicographic
+    order; _framed_rows says how."""
+    return [(w, list(map(Labeling, rows))) for w, rows in _framed_rows(d, b, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +290,6 @@ class InvariantValue:
     per_framing: (framing vector, labeling count) pairs in lexicographic
       order; for normalized values these are count differences.
     normalized: True when an unlink value has been subtracted.
-    survey: the cut searches the value was folded from, one per group of
-      linked components in group order, equal groups sharing one (a
-      connected diagram's is its one whole-diagram search);
-      framed_labelings reads the labelings of every framing off them.
-      () once normalized.  Equality and repr ignore it.
     """
 
     kind: str
@@ -309,13 +297,12 @@ class InvariantValue:
     multiset: tuple[tuple[object, int], ...]
     per_framing: tuple[tuple[tuple[int, ...], int], ...]
     normalized: bool = False
-    survey: tuple[CutLabelings, ...] = field(default=(), compare=False, repr=False)
 
     def value_string(self) -> str:
         return str(self.value)  # a polynomial's str is its canonical string
 
 
-def _package(kind, counts: dict, per_framing, normalized=False, survey=()) -> InvariantValue:
+def _package(kind, counts: dict, per_framing, normalized=False) -> InvariantValue:
     """The value of kind, raw or normalized alike, from signature counts:
     zero counts dropped, the multiset sorted by signature and the value
     built from it.  Each signature gives one term, its key built in
@@ -331,7 +318,7 @@ def _package(kind, counts: dict, per_framing, normalized=False, survey=()) -> In
         value = MultiPoly._of({(("z", size),): m for size, m in multiset})
     else:
         value = NestedPoly._of(dict(multiset))
-    return InvariantValue(kind, value, multiset, per_framing, normalized, survey)
+    return InvariantValue(kind, value, multiset, per_framing, normalized)
 
 
 def _linked_groups(d: Diagram) -> list[list[int]]:
@@ -365,7 +352,27 @@ def _group_diagram(d: Diagram, group: list[int]) -> Diagram:
                      for p in d.components[i]] for i in group])
 
 
-def _fold_survey(cut: CutLabelings, images: bool) -> tuple[list[int], dict]:
+def _group_searches(d: Diagram, b: FiniteBirack) -> tuple[list[list[int]], list[CutLabelings]]:
+    """d's linked groups and one cut search per group, in group order.
+
+    Groups with equal diagrams share one search: the c circles of a
+    c-unlink, and groups equal up to crossing ids.  A group of every
+    component is searched as d.  Raises SizeTooLarge, before any search,
+    when d has more than FRAMING_LIMIT framing vectors over b.
+    """
+    c, N = len(d.components), b.rank
+    if N ** c > FRAMING_LIMIT:
+        raise SizeTooLarge(
+            f"{c} components over a rank-{N} birack have {N}^{c} framings, "
+            f"more than {FRAMING_LIMIT}"
+        )
+    groups = _linked_groups(d)
+    subs = [_group_diagram(d, g) if len(g) < c else d for g in groups]
+    searches = {sub: cut_labelings(sub, b) for sub in dict.fromkeys(subs)}
+    return groups, [searches[sub] for sub in subs]
+
+
+def _fold_search(cut: CutLabelings, images: bool) -> tuple[list[int], dict]:
     """The labeling count of each framing of cut's diagram, in lexicographic
     order, and, if images is set, the labelings over every framing by image.
 
@@ -405,25 +412,11 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
     """
     if kind not in KINDS:
         raise KindMismatch(f"unknown invariant kind {kind!r}")
-    c, N = len(d.components), b.rank
-    if N ** c > FRAMING_LIMIT:
-        raise SizeTooLarge(
-            f"{c} components over a rank-{N} birack have {N}^{c} framings, "
-            f"more than {FRAMING_LIMIT}"
-        )
     images = kind in ("image", "rho")
-    groups = _linked_groups(d)
-    # one cut search and fold per distinct group diagram (d itself for a
-    # group of every component): the c circles of a c-unlink share one,
-    # and so do groups equal up to crossing ids
-    whole = len(d.components)
-    subs = [_group_diagram(d, g) if len(g) < whole else d for g in groups]
-    folded: dict[Diagram, tuple] = {}
-    for sub in subs:
-        if sub not in folded:
-            cut = cut_labelings(sub, b)
-            folded[sub] = cut, *_fold_survey(cut, images)
-    survey, totals, by_images = zip(*map(folded.__getitem__, subs))
+    groups, cuts = _group_searches(d, b)
+    distinct = {id(cut): cut for cut in cuts}  # equal groups share a search
+    folded = {i: _fold_search(cut, images) for i, cut in distinct.items()}
+    totals, by_images = zip(*(folded[id(cut)] for cut in cuts))
     # A labeling is one labeling per group, on every framing of each, so
     # counts multiply and images join across groups.
     framings = product(range(b.rank), repeat=len(d.components))
@@ -447,7 +440,7 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
             counts[len(image) if kind == "image" else _statistics_sum(table, image)] += m
         if kind == "rho":
             counts = {p.canonical_string(): m for p, m in counts.items()}
-    return _package(kind, counts, per_framing, survey=survey)
+    return _package(kind, counts, per_framing)
 
 
 def normalize(v: InvariantValue, d: Diagram, b: FiniteBirack) -> InvariantValue:
@@ -455,7 +448,8 @@ def normalize(v: InvariantValue, d: Diagram, b: FiniteBirack) -> InvariantValue:
 
     The c-unlink is c equal circles, so its value costs one search of
     b's n labels and a fold through the subbirack lattice, not a search
-    of n^c labelings.
+    of n^c labelings.  A diagram of no component is its own unlink, so
+    its normalized value is zero.
 
     Raises LengthMismatch when v's framing vectors are not those of that
     unlink over b: v was computed for a diagram with another component
@@ -464,11 +458,12 @@ def normalize(v: InvariantValue, d: Diagram, b: FiniteBirack) -> InvariantValue:
     """
     if v.normalized:
         raise ValueError("the value is normalized already")
-    base = compute_invariant(unlink(len(d.components)), b, v.kind)
+    c = len(d.components)
+    base = compute_invariant(unlink(c) if c else Diagram([]), b, v.kind)
     if [w for w, _ in v.per_framing] != [w for w, _ in base.per_framing]:
         raise LengthMismatch(
             f"the value's framing vectors differ from those of the "
-            f"{len(d.components)}-component unlink over a rank-{b.rank} birack"
+            f"{c}-component unlink over a rank-{b.rank} birack"
         )
     counts = Counter(dict(v.multiset))
     counts.subtract(dict(base.multiset))

@@ -144,6 +144,21 @@ def random_gauss_code(rng: random.Random, crossings: int = 5, components: int = 
     return ";".join(",".join(passes[i:j]) for i, j in zip(cuts, cuts[1:]))
 
 
+def insert_curl(code: str, rng: random.Random) -> str:
+    """code with one curl of a fresh crossing, O k+,U k+ or U k+,O k+ (sign
+    and order drawn), its two passes adjacent at a random position of a
+    random component: a Reidemeister I move that changes that component's
+    writhe by the sign."""
+    components = [part.split(",") if part else [] for part in code.split(";")]
+    fresh = max(map(int, re.findall(r"\d+", code)), default=0) + 1
+    sign = rng.choice("+-")
+    curl = [f"{role}{fresh}{sign}" for role in rng.choice(("OU", "UO"))]
+    passes = rng.choice(components)
+    at = rng.randint(0, len(passes))
+    passes[at:at] = curl
+    return ";".join(map(",".join, components))
+
+
 def relabel_crossings(code: str, rng: random.Random) -> str:
     """The same code with its crossing ids mapped to random distinct ids."""
     ids = sorted({int(m) for m in re.findall(r"\d+", code)})

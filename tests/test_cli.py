@@ -14,7 +14,7 @@ from biracks import (
     read_matrix_file,
     tsr_birack,
 )
-from biracks.invariants import KINDS, framed_labelings
+from biracks.invariants import KINDS, labelings_by_framing
 from conftest import (
     CONSTANT_ACTION_4_MATRIX,
     TWO_ELEMENT_MATRIX,
@@ -103,6 +103,12 @@ class TestMake:
         lines = capsys.readouterr().out.strip().splitlines()
         rows = [[int(v) for v in ln.split()] for ln in lines[1:]]
         assert rows == CONSTANT_ACTION_4_MATRIX
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_ca_refuses_empty_set(self, size, capsys):
+        # parse_cycles reads "()" on no points as the empty permutation
+        args = ["make", "ca", "--tau", "()", "--rho", "()", "--size", size]
+        assert _run(args, capsys) == (1, "", "error: tau and rho must act on a non-empty set\n")
 
     def test_tsrho_from_files(self, tmp_path, capsys):
         cayley = tmp_path / "z4.txt"
@@ -253,8 +259,8 @@ class TestInvariantCommand:
         assert out[0] == "2"
         assert out[1:] == ["  w=(0): 1", "  w=(0): 2"]
 
-    def test_labeling_dump_searches_each_link_once(self, two_element_file, tmp_path,
-                                                    monkeypatch, capsys):
+    def test_labeling_dump_searches_each_link_twice(self, two_element_file, tmp_path,
+                                                     monkeypatch, capsys):
         import biracks.invariants
 
         links = tmp_path / "links.txt"
@@ -275,7 +281,9 @@ class TestInvariantCommand:
             calls.clear()
             assert main(["invariant", "--birack", two_element_file, "--batch", str(links),
                          "--type", "rho", "--labelings", *extra]) == 0
-            assert len(calls) == 3  # one search per link, whatever the rank
+            # one search per link for its value and one for its dump,
+            # whatever the rank
+            assert len(calls) == 6
         capsys.readouterr()
 
     @pytest.mark.parametrize("kind,digest", [
@@ -285,8 +293,8 @@ class TestInvariantCommand:
         ("rho", "61d2bfef432851a5dc3ed198ca349ea4beeebc797da22941f6401eb48f5280fa"),
     ])
     def test_split_labeling_dump_bytes(self, kind, digest, monkeypatch, capsys):
-        # the 3-unlink's value and its --labelings dump both come from one
-        # search per component; the sha256 of stdout is the one recorded
+        # the 3-unlink's value and its --labelings dump each come from one
+        # search of one circle; the sha256 of stdout is the one recorded
         # when the dump came from one search of the whole diagram
         monkeypatch.chdir(Path(__file__).resolve().parent.parent)
         assert main(["invariant", "--birack", "data/four_element_two_orbits.txt",
@@ -295,8 +303,8 @@ class TestInvariantCommand:
 
     # the 3-unlink's three equal circles share one search
     @pytest.mark.parametrize("code,groups", [(";;", 1), *((code, 2) for code in AROUND)])
-    def test_split_labeling_dump_searches_each_group_once(self, code, groups, monkeypatch,
-                                                           capsys):
+    def test_split_labeling_dump_searches_each_group_twice(self, code, groups, monkeypatch,
+                                                            capsys):
         import biracks.homsearch
 
         monkeypatch.chdir(Path(__file__).resolve().parent.parent)
@@ -312,7 +320,8 @@ class TestInvariantCommand:
             calls.clear()
             assert main(["invariant", "--birack", "data/four_element_two_orbits.txt",
                          "--gauss", code, "--type", "rho", "--labelings", *extra]) == 0
-            assert len(calls) == groups  # the dump reuses the value's searches
+            # each distinct group once for the value and once for the dump
+            assert len(calls) == 2 * groups
         capsys.readouterr()
 
     def test_labeling_dump_bound(self, monkeypatch, capsys):
@@ -402,7 +411,7 @@ DUMP_CODES = [code for _, code in _sample_links()] + [";" * c for c in range(4)]
 
 class TestDumpRows:
     """--labelings rows, in text and in --json, equal the rendering of
-    framed_labelings' Labeling objects with every label plus one."""
+    labelings_by_framing's Labeling objects with every label plus one."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("birack", DATA_BIRACKS)
@@ -414,7 +423,7 @@ class TestDumpRows:
             d = parse_gauss(code)
             v = compute_invariant(d, b, kind)
             reference = [(w, [[x + 1 for x in lab.assignment] for lab in labs])
-                         for w, labs in framed_labelings(d, v.survey)]
+                         for w, labs in labelings_by_framing(d, b)]
             lines = [f"  w=({','.join(str(x) for x in w)}): {' '.join(str(x) for x in row)}"
                      for w, rows in reference for row in rows]
             args = ["invariant", "--birack", path, "--gauss", code, "--type", kind, "--labelings"]

@@ -104,7 +104,8 @@ class TestConstantAction:
         ([0, 1], [0], "tau and rho must act on the same set"),
         ([0, 0], [0, 1], "tau is not a permutation of 0..1"),
         ([0, 1], [1, 1], "rho is not a permutation of 0..1"),
-    ], ids=["length", "tau", "rho"])
+        ((), (), "tau and rho must act on a non-empty set"),
+    ], ids=["length", "tau", "rho", "empty"])
     def test_rejects_bad_maps(self, tau, rho, message):
         with pytest.raises(ValueError) as exc:
             constant_action(tau, rho)

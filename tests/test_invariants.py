@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import re
@@ -14,6 +15,7 @@ import biracks.invariants
 import biracks.poly
 from biracks import (
     Diagram,
+    InvariantValue,
     KindMismatch,
     Labeling,
     LengthMismatch,
@@ -39,7 +41,7 @@ from biracks import (
     with_framing,
 )
 from biracks.homsearch import cut_labelings
-from biracks.invariants import KINDS, framed_labelings
+from biracks.invariants import KINDS
 from conftest import (
     FIGURE_EIGHT,
     HOPF,
@@ -48,6 +50,7 @@ from conftest import (
     UNKNOT,
     braid_closure,
     framed_reference,
+    insert_curl,
     per_labeling_multiset,
     rack_counting_oracle,
     random_gauss_code,
@@ -283,10 +286,11 @@ def _pi_orbit(b, x) -> set[int]:
 
 
 class TestSurvey:
-    """The value carries the cut searches it was folded from, one per group."""
+    """A value is folded from one cut search per distinct group and keeps
+    counts only; a dump searches the groups again."""
 
     @pytest.mark.parametrize("kind", ["integral", "writhe", "image", "rho"])
-    def test_survey_is_one_cut_search(self, kind, two_orbit4, monkeypatch):
+    def test_one_cut_search(self, kind, two_orbit4, monkeypatch):
         d = parse_gauss(HOPF)
         calls = []
         search = biracks.homsearch._search
@@ -296,18 +300,22 @@ class TestSurvey:
             return search(*args)
 
         monkeypatch.setattr(biracks.homsearch, "_search", counted)
-        v = compute_invariant(d, two_orbit4, kind)
+        compute_invariant(d, two_orbit4, kind)
         assert len(calls) == 1
-        assert v.survey == (cut_labelings(d, two_orbit4),)
-        assert isinstance(v.survey[0].assignments, tuple)
-        assert all(isinstance(a, tuple) for a in v.survey[0].assignments)
-        framed = framed_labelings(d, v.survey)
-        assert framed == labelings_by_framing(d, two_orbit4)
+        framed = labelings_by_framing(d, two_orbit4)
+        assert len(calls) == 2
         assert [(w, [lab.assignment for lab in labs]) for w, labs in framed] == [
             (w, [lab.assignment for lab in labs])
             for w, labs in framed_reference(d, two_orbit4)
         ]
-        assert normalize(v, d, two_orbit4).survey == ()
+        cut = cut_labelings(d, two_orbit4)
+        assert isinstance(cut.assignments, tuple)
+        assert all(isinstance(a, tuple) for a in cut.assignments)
+
+    def test_value_holds_no_labelings(self):
+        assert [f.name for f in dataclasses.fields(InvariantValue)] == [
+            "kind", "value", "multiset", "per_framing", "normalized"]
+        assert not hasattr(biracks.invariants, "framed_labelings")
 
     @pytest.mark.parametrize("kind", ["integral", "writhe"])
     def test_counts_build_no_labelings_or_framed_diagrams(self, kind, test_biracks,
@@ -323,12 +331,6 @@ class TestSurvey:
                      "biracks.invariants.with_framing", "biracks.diagram.with_framing"):
             monkeypatch.setattr(name, forbidden)
         assert [compute_invariant(d, b, kind) for d, b in cases] == expected
-
-    def test_equality_ignores_survey(self, two_orbit4):
-        v = compute_invariant(parse_gauss(TREFOIL), two_orbit4, "rho")
-        bare = replace(v, survey=())
-        assert v == bare and hash(v) == hash(bare)
-        assert repr(v) == repr(bare) and "survey" not in repr(v)
 
     @pytest.mark.parametrize("kind", ["image", "rho"])
     @pytest.mark.parametrize("birack", ["two_orbit4", "ten_element"])
@@ -388,7 +390,7 @@ def _assert_matches_framed_reference(d, b, multisets: bool) -> None:
     reference = [(w, [lab.assignment for lab in labs]) for w, labs in framed_reference(d, b)]
     v = compute_invariant(d, b, "writhe")
     assert list(v.per_framing) == [(w, len(labs)) for w, labs in reference]
-    framed = framed_labelings(d, v.survey)
+    framed = labelings_by_framing(d, b)
     assert [(w, [lab.assignment for lab in labs]) for w, labs in framed] == reference
     if multisets:
         for kind in ("image", "rho"):
@@ -411,17 +413,16 @@ class TestCutMatchesFramedReference:
         _assert_matches_framed_reference(parse_gauss(code), b, multisets=b.rank < 10)
 
     def test_framed_labelings_unchanged(self):
-        # sha256 of repr(framed_labelings(...)) over every data birack x
-        # the sample links and the 1- to 4-unlinks, recorded when each
-        # labeling was built in framed_labelings itself, before its rows
-        # came from _framed_rows
+        # sha256 of repr(labelings_by_framing(...)) over every data birack
+        # x the sample links and the 1- to 4-unlinks, recorded when each
+        # labeling was built one by one, before _framed_rows wrote rows
         codes = [code for _, code in _sample_links()] + [";" * c for c in range(4)]
         digest = hashlib.sha256()
         for birack in DATA_BIRACKS:
             b = read_matrix_file(str(DATA / f"{birack}.txt"))
             for code in codes:
                 d = parse_gauss(code)
-                framed = framed_labelings(d, compute_invariant(d, b, "integral").survey)
+                framed = labelings_by_framing(d, b)
                 digest.update(repr(framed).encode())
         assert digest.hexdigest() == (
             "3682c71fb1196382dd49323595c2516fe951231b00e925521ab42ef6a7749afb")
@@ -434,7 +435,6 @@ class TestCutMatchesFramedReference:
         d = Diagram([])
         v = compute_invariant(d, b, "integral")
         assert v.per_framing == (((), 1),)
-        assert framed_labelings(d, v.survey) == [((), [Labeling(())])]
         assert labelings_by_framing(d, b) == [((), [Labeling(())])]
 
     def test_random_codes(self, two_element, constant4, two_orbit4):
@@ -507,11 +507,14 @@ class TestSplitDiagrams:
                  (parse_gauss(HOPF), 1, 1), (Diagram([]), 1, 1)]
         for d, searches, groups in cases:
             calls.clear()
-            v = compute_invariant(d, two_orbit4, kind)
+            compute_invariant(d, two_orbit4, kind)
             assert len(calls) == searches
-            # the value carries each group's search, shared by equal groups
-            assert len(v.survey) == groups
-            assert len(set(map(id, v.survey))) == searches
+            # the helper returns each group's search, shared by equal groups
+            calls.clear()
+            _, cuts = biracks.invariants._group_searches(d, two_orbit4)
+            assert len(calls) == searches
+            assert len(cuts) == groups
+            assert len(set(map(id, cuts))) == searches
 
     @pytest.mark.parametrize("kind", ["image", "rho"])
     def test_join_count(self, kind, ten_element, monkeypatch):
@@ -534,6 +537,11 @@ class TestSplitDiagrams:
             values = [compute_invariant(Diagram([]), b, kind) for kind in KINDS]
             assert [v.value_string() for v in values] == ["1", "1", "z^0", "z^{0}"]
             assert all(v.per_framing == (((), 1),) for v in values)
+            # the empty diagram is its own unlink
+            for v in values:
+                nv = normalize(v, Diagram([]), b)
+                assert (nv.per_framing, nv.multiset, nv.normalized) == ((((), 0),), (), True)
+                assert nv.value_string() == "0"
 
 
 class TestFramingBound:
@@ -764,6 +772,25 @@ class TestMoveInvariance:
         for b in test_biracks.values():
             assert phi_image(da, b) == phi_image(db, b)
             assert phi_rho(da, b) == phi_rho(db, b)
+
+    @pytest.mark.parametrize("birack", [*DATA_BIRACKS, "tsr(5,2,0,1)"])
+    def test_seeded_curl_insertions(self, birack):
+        # a curl moves a component's writhe, and per-framing counts are
+        # keyed by the framing itself, so every value stays as it was;
+        # the data biracks have rank at most 2, the tsr birack rank 4
+        if birack.startswith("tsr"):
+            b = tsr_birack(5, 2, 0, 1)
+        else:
+            b = read_matrix_file(str(DATA / f"{birack}.txt"))
+        codes = [code for _, code in _sample_links()] + RANDOM_CODES + [
+            random_gauss_code(random.Random(seed), crossings=8, components=3)
+            for seed in range(40, 50)]
+        for seed, code in enumerate(codes):
+            curled = insert_curl(code, random.Random(seed))
+            d, dc = parse_gauss(code), parse_gauss(curled)
+            assert dc.writhe_vector != d.writhe_vector
+            for kind in KINDS:
+                assert compute_invariant(dc, b, kind) == compute_invariant(d, b, kind), curled
 
     def test_kink_insertion_invariant(self, test_biracks):
         # adding a positive kink to the input code only realigns framings

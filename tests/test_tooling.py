@@ -6,7 +6,8 @@ path, without installing anything, and resolves every name.  The public
 names of the package are pinned: dropping one means editing the pin and
 deprecating the name in CHANGES.md.  No package module uses assert, and
 only the text parsers call int().  Every table file is read through one
-label table.  The labeling search writes its four determinations in one
+label table.  Counts and labeling dumps search a diagram's groups through
+one helper.  The labeling search writes its four determinations in one
 rule table.  Every source file parses as the
 oldest Python the package declares.
 """
@@ -126,8 +127,8 @@ def _called_names(tree):
 
 
 def test_one_survey_path():
-    """Only compute_invariant's module searches a diagram cut open, so the
-    CLI prints --labelings from the value's own group searches."""
+    """Only the invariants module searches a diagram cut open, so the CLI
+    counts and prints --labelings through its group searches."""
     paths = sorted((ROOT / "src" / "biracks").glob("*.py"))
     assert paths
     found = [
@@ -171,6 +172,18 @@ def _call_graph(*names) -> dict[str, set[str]]:
             if isinstance(node, ast.FunctionDef):
                 graph.setdefault(node.name, set()).update(n for n, _ in _called_names(node))
     return graph
+
+
+def test_one_group_search_helper():
+    """Counts and --labelings dumps split a diagram into its groups and
+    search them in one place: _group_searches is the one caller of
+    cut_labelings, and compute_invariant, _framed_rows and
+    labelings_by_framing all reach it."""
+    graph = _call_graph("invariants.py")
+    assert {name for name, callees in graph.items() if "cut_labelings" in callees} == {
+        "_group_searches"}
+    assert "_group_searches" in graph["compute_invariant"] & graph["_framed_rows"]
+    assert "_framed_rows" in graph["labelings_by_framing"]
 
 
 def test_table_files_share_one_loader():

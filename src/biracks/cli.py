@@ -12,7 +12,8 @@ Subcommands:
   enumerate --n N             list all biracks on N elements (N <= 3)
 
 Exit codes: 0 success, 1 domain error (axiom violation, parse failure,
-a matrix or Cayley file of more than core.ELEMENT_LIMIT elements,
+a matrix or Cayley file or a family birack of more than
+core.ELEMENT_LIMIT (256) elements,
 a link with more than invariants.FRAMING_LIMIT framings, a --labelings
 dump over LABELING_DUMP_LIMIT labels, a count with more digits than
 Python converts to text), a computation that ran out of
@@ -60,7 +61,7 @@ from .core import (
 from .core import parse_matrix_text, verify_axioms  # noqa: F401
 from .diagram import framed_semiarc_sources, parse_gauss
 from .errors import BirackError, NotASubbirack, ParseError, SizeTooLarge
-from .families import CayleyGroup, constant_action, tau_sigma_rho_birack, tsr_birack
+from .families import CayleyGroup, _group_birack, constant_action, tsr_birack
 from .invariants import (
     KINDS,
     _framed_rows,
@@ -133,11 +134,12 @@ def _cmd_make(args) -> int:
         rho = parse_cycles(args.rho, args.size)
         b = constant_action(tau, rho)
     else:  # tsrho
-        group = CayleyGroup(_read_cayley(args.cayley))
+        # the loader checks every label once
+        group = CayleyGroup._of(_read_cayley(args.cayley))
         tau = _read_map(args.tau_file, group.n)
         sigma = _read_map(args.sigma_file, group.n)
         rho = _read_map(args.rho_file, group.n)
-        b = tau_sigma_rho_birack(group, tau, sigma, rho)
+        b = _group_birack(group, tau, sigma, rho)
     _write_matrix(b, args.out)
     return 0
 

@@ -13,18 +13,19 @@ B(x, y) = (B1(x, y), B2(x, y)) on X x X satisfying:
       B1(B2(x, B1(y, z)), B2(y, z)) = B2(B1(x, y), B1(B2(x, y), z))
       B2(B2(x, B1(y, z)), B2(y, z)) = B2(B2(x, y), z)
     It is checked in permutation form, as 3n^2 identities between
-    compositions of two maps (_ybe_holds, for n <= 256); the triple scan
-    (_ybe_witness) runs only to name the first failing triple, or when
-    n > 256.
+    compositions of two maps (_ybe_holds); the triple scan (_ybe_witness)
+    runs only to name the first failing triple.
 
 In diagram language B1(o, u) gives the new under-strand label and
 B2(o, u) the new over-strand label when the strand labeled u passes
 under the strand labeled o at a positive crossing.
 
 One pass over the tables checks the axioms in that order and, when they
-all hold, builds every derived map: the pair check's sweep fills B^-1, S
-and S^-1, and the diagonals of S^-1 give the kink structure: with
-D(x) = (x, x),
+all hold, builds every derived map.  The rows are bytes, and every map
+comes from them by inverses and compositions that run in C: the columns
+of S and S^-1 from the inverses of the B1 rows and B2 columns, B^-1 from
+the inverses of the S1 rows, and the kink structure from the diagonals
+of S^-1: with D(x) = (x, x),
 
   alpha = (S2^-1 o D)^-1        pi = (S1^-1 o D) o alpha
 
@@ -34,6 +35,10 @@ the kink relation S(pi(x), x) = (alpha(x), alpha(x)): a positive kink
 with in-label x has through-label alpha(x) and out-label pi(x).  Also
 pi = (S1 o D) o (S2 o D)^-1.  Both are theorems, checked by the tests
 rather than at construction.
+
+Labels fit in a byte, so a birack has at most ELEMENT_LIMIT (256)
+elements; _analyze, the table file loaders, the family constructors and
+parse_cycles refuse more, through _bound.
 
 Subbiracks: _close is the semi-naive closure under B, and _join_fold the
 one join fold through their lattice, for all_subbiracks and invariants.
@@ -68,6 +73,19 @@ from .errors import AxiomViolation, ParseError, SizeTooLarge
 Perm = tuple[int, ...]
 Table = tuple[tuple[int, ...], ...]
 
+# The most elements a birack may have.  Labels then fit in a byte, so
+# _analyze holds every row as bytes and composes rows with bytes.translate.
+# The table file loaders, the family constructors and parse_cycles refuse
+# more before building anything.
+ELEMENT_LIMIT = 256
+
+
+def _bound(n: int, subject: str) -> None:
+    """SizeTooLarge when n, the element count of subject, is above
+    ELEMENT_LIMIT."""
+    if n > ELEMENT_LIMIT:
+        raise SizeTooLarge(f"{subject} has {n} elements, more than {ELEMENT_LIMIT}")
+
 
 # ---------------------------------------------------------------------------
 # Permutation helpers
@@ -77,16 +95,28 @@ def identity_perm(n: int) -> Perm:
     return tuple(range(n))
 
 
-def invert_perm(p) -> Perm:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
-
-
 def compose_perms(p, q) -> Perm:
     """(p o q)(x) = p(q(x))."""
     return tuple(p[q[x]] for x in range(len(q)))
+
+
+# Rows of n labels as bytes.  A row p is the map x -> p[x], and with
+# ident = _IDENTITY[:n] and pad = _IDENTITY[n:], p + pad is its
+# bytes.translate table: q.translate(p + pad) is the row p o q, and
+# bytes.maketrans(p, ident)[:n] the inverse of a permutation row p.  So
+# compositions and inverses run in C.
+_IDENTITY = bytes.maketrans(b"", b"")
+
+
+def _transpose(rows: list[bytes]) -> list[bytes]:
+    """The columns of a square table of byte rows, as byte rows."""
+    flat = b"".join(rows)
+    return [flat[y::len(rows)] for y in range(len(rows))]
+
+
+def _diagonal(rows: list[bytes]) -> bytes:
+    """x -> rows[x][x]."""
+    return bytes(map(getitem, rows, range(len(rows))))
 
 
 def perm_cycles(p) -> list[list[int]]:
@@ -124,8 +154,12 @@ def parse_cycles(text: str, n: int) -> Perm:
     """Parse 1-indexed cycle notation like "(1 2)(3 4)" on {1..n}.
 
     Commas or spaces separate entries; points not mentioned are fixed.
+    ValueError when n is not positive, SizeTooLarge above ELEMENT_LIMIT.
     """
     _int_params(n=n)
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    _bound(n, "the permuted set")
     perm = list(range(n))
     body = text.strip()
     if body in ("", "()", "id"):
@@ -254,9 +288,23 @@ def _ybe_witness(b1: Table, b2: Table, n: int) -> tuple[tuple | None, str]:
     return None, ""
 
 
-def _ybe_holds(b1: Table, b2: Table, s1, n: int) -> bool:
-    """Whether B satisfies the Yang-Baxter equation, for n <= 256 and
-    bijective rows sigma_x = B1(x, .); s1 is the table of S1.
+def _pair_witness(b1: Table, b2: Table, n: int) -> tuple | None:
+    """The first pair (x, y), in lexicographic order, that B maps to the
+    image of an earlier pair (x0, y0), as ((x0, y0), (x, y)); None when B
+    is injective on pairs, hence bijective."""
+    first = {}
+    for x in range(n):
+        for y, image in enumerate(zip(b1[x], b2[x])):
+            if image in first:
+                return first[image], (x, y)
+            first[image] = x, y
+    return None
+
+
+def _ybe_holds(b1, b2, s1, n: int) -> bool:
+    """Whether B satisfies the Yang-Baxter equation, for bijective rows
+    sigma_x = B1(x, .); b1, b2 and s1 are the rows of B1, B2 and S1 as
+    bytes.
 
     With the derived operation x <| y = B1(y, S1(y, x)) and R_z = . <| z,
     the equation holds exactly when, for all x, y, z,
@@ -292,15 +340,14 @@ def _ybe_holds(b1: Table, b2: Table, s1, n: int) -> bool:
     with tau rho != rho tau passes (i) and (ii), since every sigma_x is tau
     and every R_z is tau rho, and fails (iii) and the equation.
 
-    Rows are bytes, composed by bytes.translate with the outer row padded
-    to a 256-byte table, so the n^3 element steps run in C.
+    Rows are composed by bytes.translate with the outer row padded to a
+    translation table, so the n^3 element steps run in C.
     """
-    pad = bytes(256 - n)
+    pad = _IDENTITY[n:]
     rng = range(n)
     cuts = [slice(b * n, b * n + n) for b in rng]
     each = [[a] * n for a in rng]
-    sigma = [bytes(row) for row in b1]
-    right = [bytes(s1[z]).translate(sigma[z] + pad) for z in rng]  # R_z = sigma_z S1(z, .)
+    right = [q.translate(p + pad) for p, q in zip(b1, s1)]  # R_z = sigma_z S1(z, .)
 
     def products(outer, inner):
         """Block a holds outer[a] o inner[b] at cuts[b], for every b."""
@@ -316,26 +363,45 @@ def _ybe_holds(b1: Table, b2: Table, s1, n: int) -> bool:
             for a in rng
         )
 
-    ss = products(sigma, sigma)
+    ss = products(b1, b1)
     if not agree(ss, ss, b1, b2):  # (i), at (x, y)
         return False
     rr = products(right, right)
     return (agree(rr, rr, right, each)  # (ii), at (z, y)
-            and agree(products(sigma, right), products(right, sigma),
-                      sigma, each))  # (iii), at (x, z)
+            and agree(products(b1, right), products(right, b1),
+                      b1, each))  # (iii), at (x, z)
 
 
 def _analyze(b1: Table, b2: Table):
     """Run every axiom check on checked tables, from _tables or the file
-    loader, in one pass; return (report, derived-or-None).
+    loader, in one pass; return (report, derived-or-None).  SizeTooLarge
+    when the tables have more than ELEMENT_LIMIT elements.
 
-    derived is (B1^-1, B2^-1, S1, S2, S1^-1, S2^-1) as tables, all filled
-    by the one sweep over the n^2 pairs, then the kink maps alpha and pi.
-    Each axiom is recorded in _AXIOM_ORDER; when the sideways or diagonal
-    check fails, the axioms after it need the structure it was meant to
-    provide and are reported as skipped.
+    derived is (B1^-1, B2^-1, S1, S2, S1^-1, S2^-1) as tables, then the
+    kink maps alpha and pi.  Each axiom is recorded in _AXIOM_ORDER; when
+    the sideways or diagonal check fails, the axioms after it need the
+    structure it was meant to provide and are reported as skipped.
+
+    Every map is built from rows of bytes, by inverting and composing them
+    in C.  Once the B1 rows sigma_x and the B2 columns tau_y are bijective,
+    S(u, x) = (B2(x, y), y) with y = sigma_x^-1(u): column x of S2 is
+    sigma_x^-1 and column x of S1 is B2(x, .) o sigma_x^-1.  Likewise
+    S^-1(v, y) = (B1(x, y), x) with x = tau_y^-1(v).
+
+    B is then bijective exactly when every row x -> S1(u, x) is, because
+    B is the composite
+
+      (x, y) -> (x, sigma_x y) -> (sigma_x y, x) -> (u, S1(u, x)) for u = sigma_x y
+
+    whose last map sends (u, x) to (u, B2(x, sigma_x^-1 u)) = B(x, y).
+    The first two maps are bijections, and the last keeps u, so it is a
+    bijection exactly when each of its rows is.  Its inverse gives
+    B^-1(u, v) = (x, S2(u, x)) with x the preimage of v in row u of S1.
+    The pair scan (_pair_witness) runs only to name the first colliding
+    pairs, or when the sideways check fails.
     """
     n = len(b1)
+    _bound(n, "the candidate birack")
     rng = range(n)
     checks: list[CheckResult] = []
 
@@ -354,37 +420,36 @@ def _analyze(b1: Table, b2: Table):
         skipped = [CheckResult(name, "skipped") for name in _AXIOM_ORDER[len(checks):]]
         return ValidationReport(n, tuple(checks + skipped))
 
-    # (x, y) -> (B1, B2) bijective on pairs.  The first preimage of each
-    # image is recorded, which makes B^-1 when the check passes.  The same
-    # sweep writes S(u, x) = (v, y) and S^-1(v, y) = (u, x); they are read
-    # only once the sideways check passes, which makes each write unique.
-    b1inv, b2inv, s1, s2, s1inv, s2inv = ([[-1] * n for _ in rng] for _ in range(6))
-    pair_witness = None
-    for x in rng:
-        for y in rng:
-            u, v = b1[x][y], b2[x][y]
-            if b1inv[u][v] < 0:
-                b1inv[u][v], b2inv[u][v] = x, y
-            elif pair_witness is None:
-                pair_witness = ((b1inv[u][v], b2inv[u][v]), (x, y))
-            s1[u][x], s2[u][x] = v, y
-            s1inv[v][y], s2inv[v][y] = u, x
-    record(pair_witness, "B{} = B{}")
-
     # Sideways map existence/uniqueness: B1 rows and B2 columns bijective.
+    sigma, beta = list(map(bytes, b1)), list(map(bytes, b2))
+    tau = _transpose(beta)
     sideways_witness = next(itertools.chain(
-        (("B1-row", x) for x in rng if len(set(b1[x])) != n),
-        (("B2-column", y) for y in rng if len({b2[x][y] for x in rng}) != n),
+        (("B1-row", x) for x in rng if len(set(sigma[x])) != n),
+        (("B2-column", y) for y in rng if len(set(tau[y])) != n),
     ), None)
+
+    # S and S^-1 built column by column and turned into rows, then
+    # (x, y) -> (B1, B2) bijective on pairs read off the rows of S1.
+    ident, pad, maketrans = _IDENTITY[:n], _IDENTITY[n:], bytes.maketrans
+    if sideways_witness is None:
+        sigma_inv = [maketrans(p, ident)[:n] for p in sigma]
+        tau_inv = [maketrans(p, ident)[:n] for p in tau]
+        s1, s2, s1inv, s2inv = map(_transpose, (
+            [q.translate(p + pad) for p, q in zip(beta, sigma_inv)], sigma_inv,
+            [q.translate(p + pad) for p, q in zip(_transpose(sigma), tau_inv)], tau_inv))
+    pair_witness = None
+    if sideways_witness is not None or any(len(set(row)) != n for row in s1):
+        pair_witness = _pair_witness(b1, b2, n)
+    record(pair_witness, "B{} = B{}")
     if not record(sideways_witness, "{} {} is not a bijection"):
         return report(), None
 
     # Diagonal bijectivity of S and S^-1.
     diag = {
-        "S1 o diag": tuple(s1[x][x] for x in rng),
-        "S2 o diag": tuple(s2[x][x] for x in rng),
-        "S1^-1 o diag": tuple(s1inv[x][x] for x in rng),
-        "S2^-1 o diag": tuple(s2inv[x][x] for x in rng),
+        "S1 o diag": _diagonal(s1),
+        "S2 o diag": _diagonal(s2),
+        "S1^-1 o diag": _diagonal(s1inv),
+        "S2^-1 o diag": _diagonal(s2inv),
     }
     diag_witness = next(
         ((name,) for name, mapping in diag.items() if len(set(mapping)) != n), None
@@ -394,7 +459,7 @@ def _analyze(b1: Table, b2: Table):
 
     # Set-theoretic Yang-Baxter equation.  The permutation form decides a
     # pass; the triple scan names the first failing triple.
-    if n <= 256 and _ybe_holds(b1, b2, s1, n):
+    if _ybe_holds(sigma, beta, s1, n):
         record(None)
     else:
         record(*_ybe_witness(b1, b2, n))
@@ -403,11 +468,14 @@ def _analyze(b1: Table, b2: Table):
         return final, None
 
     # Kink structure: alpha = (S2^-1 o diag)^-1, pi = (S1^-1 o diag) o alpha.
-    alpha = invert_perm(diag["S2^-1 o diag"])
+    # Row u of B1^-1 inverts row u of S1, and B2^-1(u, v) = S2(u, B1^-1(u, v)).
+    alpha = maketrans(diag["S2^-1 o diag"], ident)[:n]
+    b1inv = [maketrans(p, ident)[:n] for p in s1]
+    b2inv = [q.translate(p + pad) for p, q in zip(s2, b1inv)]
     derived = (
         *(tuple(map(tuple, t)) for t in (b1inv, b2inv, s1, s2, s1inv, s2inv)),
-        alpha,
-        compose_perms(diag["S1^-1 o diag"], alpha),
+        tuple(alpha),
+        tuple(alpha.translate(diag["S1^-1 o diag"] + pad)),
     )
     return final, derived
 
@@ -417,7 +485,8 @@ def verify_axioms(b1, b2) -> ValidationReport:
 
     Failures are data, not errors: the report carries pass/fail per axiom
     with the first witness.  The report passes exactly when FiniteBirack
-    would construct successfully from the same tables.
+    would construct successfully from the same tables.  SizeTooLarge
+    above ELEMENT_LIMIT elements.
     """
     report, _ = _analyze(*_tables(b1, b2))
     return report
@@ -432,8 +501,8 @@ class FiniteBirack:
 
     Tables use natural indexing: b1[x][y] = B1(x, y), b2[x][y] = B2(x, y),
     with elements 0-indexed (the file format is 1-indexed and transposes
-    the B1 block; see the module docstring).  Instances are immutable and
-    safe to share between threads.
+    the B1 block; see the module docstring), at most ELEMENT_LIMIT of them.
+    Instances are immutable and safe to share between threads.
     """
 
     __slots__ = (
@@ -514,15 +583,6 @@ class FiniteBirack:
 # ---------------------------------------------------------------------------
 # Matrix I/O
 # ---------------------------------------------------------------------------
-
-# The most elements a birack read from a matrix or Cayley file, or built by
-# families.tsr_birack, may have.  Its tables hold n^2 entries each, and
-# above 256 elements the axiom check runs the n^3 triple scan:
-# tsr_birack(257, 3, 0, 1) takes 1.9 s and 25 MB peak RSS, and
-# tsr_birack(359, 7, 0, 1) 5.5 s and 35 MB (process CPU, 2-vCPU Xeon,
-# Python 3.11.7).
-ELEMENT_LIMIT = 360
-
 
 def from_matrix(n: int, block) -> FiniteBirack:
     """Build a birack from an n x 2n block matrix [B1 | B2] of 1-indexed labels.
@@ -628,8 +688,7 @@ def _load_table(text: str, noun: str, width: int) -> tuple[int, list[list[int]]]
     when n is above ELEMENT_LIMIT, ValueError naming the first entry that
     is not an integer in 1..n."""
     n, lines = _table_lines(text, noun)
-    if n > ELEMENT_LIMIT:
-        raise SizeTooLarge(f"the {noun} file has {n} elements, more than {ELEMENT_LIMIT}")
+    _bound(n, f"the {noun} file")
     rows = _label_rows(lines, n)
     if rows is None or any(len(row) != width * n for row in rows):
         # The integer route names the first bad row or entry, or reads a

@@ -70,9 +70,9 @@ class LengthMismatch(BirackError):
 
 
 class SizeTooLarge(BirackError):
-    """Exhaustive enumeration was requested beyond its supported size,
-    tsr_birack was asked for more elements than
-    families.TSR_ELEMENT_LIMIT, a link has more framing vectors than
+    """Exhaustive enumeration was requested beyond its supported size, a
+    birack, table file, family birack or permutation would have more
+    elements than core.ELEMENT_LIMIT, a link has more framing vectors than
     invariants.FRAMING_LIMIT, a --labelings dump would print more labels
     than the CLI's bound, or a count has more digits than Python converts
     to text."""

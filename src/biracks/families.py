@@ -21,7 +21,8 @@
 
   holding for all y, z.  The kink map is x -> tau(rho(x)) * sigma(x).
 
-Every constructor builds explicit tables and runs them through the full
+Every constructor refuses more than core.ELEMENT_LIMIT elements before it
+builds a table, then builds explicit tables and runs them through the full
 axiom verification (FiniteBirack._of: the labels are in range by
 construction, so only the axioms are checked), then checks its family's
 closed-form kink map (and, for tsr, the rank and the coefficient-ring
@@ -33,11 +34,11 @@ from __future__ import annotations
 
 from math import gcd
 
-from .core import ELEMENT_LIMIT, FiniteBirack, _entries, _int_params, compose_perms
+from .core import ELEMENT_LIMIT, FiniteBirack, _bound, _entries, _int_params, compose_perms
 from .errors import ConstructionError, SizeTooLarge
 
-# The most elements n^m tsr_birack builds: core.ELEMENT_LIMIT, which also
-# bounds table files; its comment gives the timings.
+# The most elements n^m tsr_birack builds: core.ELEMENT_LIMIT, the bound of
+# every birack.
 TSR_ELEMENT_LIMIT = ELEMENT_LIMIT
 
 
@@ -54,6 +55,7 @@ def constant_action(tau, rho) -> FiniteBirack:
         raise ValueError("tau and rho must act on the same set")
     if not n:
         raise ValueError("tau and rho must act on a non-empty set")
+    _bound(n, "the set tau and rho act on")
     for name, p in (("tau", tau), ("rho", rho)):
         if len(set(_entries(p, 0, n - 1))) != n:
             raise ValueError(f"{name} is not a permutation of 0..{n - 1}")
@@ -146,12 +148,26 @@ def tsr_birack(n: int, t: int, s: int, r: int, m: int = 1) -> FiniteBirack:
 # ---------------------------------------------------------------------------
 
 class CayleyGroup:
-    """A finite group presented by its Cayley table (0-indexed)."""
+    """A finite group presented by its Cayley table (0-indexed), of at most
+    core.ELEMENT_LIMIT elements."""
 
     def __init__(self, table):
         table = tuple(table)
         n = len(table)
-        table = tuple(_entries(row, 0, n - 1) for row in table)
+        _bound(n, "the Cayley table")
+        self._build(tuple(_entries(row, 0, n - 1) for row in table))
+
+    @classmethod
+    def _of(cls, table) -> CayleyGroup:
+        """A group from a table whose labels are already checked to lie in
+        0..n-1, as the loader reads them.  The group axioms are still
+        checked."""
+        group = cls.__new__(cls)
+        group._build(tuple(map(tuple, table)))
+        return group
+
+    def _build(self, table) -> None:
+        n = len(table)
         if n == 0 or any(len(row) != n for row in table):
             raise ConstructionError("NotAGroup", "Cayley table must be square")
         self.n = n
@@ -210,7 +226,13 @@ def tau_sigma_rho_birack(cayley, tau, sigma, rho) -> FiniteBirack:
     for name, f in (("tau", tau), ("sigma", sigma), ("rho", rho)):
         if len(f) != n:
             raise ValueError(f"{name} must list {n} images")
+    return _group_birack(group, tau, sigma, rho)
 
+
+def _group_birack(group: CayleyGroup, tau, sigma, rho) -> FiniteBirack:
+    """tau_sigma_rho_birack for maps already checked to list group.n
+    labels in 0..group.n-1, as the loader reads them."""
+    n = group.n
     for name, f in (("tau", tau), ("rho", rho)):
         if sorted(f) != list(range(n)) or not group.is_homomorphism(f):
             raise ConstructionError(

@@ -11,6 +11,8 @@ labeling's image of that reference separately, sharing nothing between
 labelings.  naive_closure applies B and S to every pair of the set in
 every round (S too, so it does not lean on the closure theorem), and
 naive_subbiracks joins every found subbirack with every other.
+reference_analyze is the axiom check as one plain sweep over the n^2
+pairs, which fills B^-1, S and S^-1 entry by entry.
 unlink_closed_form counts the c-component unlink's labelings by image
 through Moebius inversion over the subbirack lattice.  Acceptance and
 property tests compare the production code against these.
@@ -22,12 +24,13 @@ from __future__ import annotations
 
 import random
 import re
-from itertools import product
+from itertools import chain, product
 from math import gcd
 
 import pytest
 
 from biracks import (
+    CheckResult,
     FiniteBirack,
     Diagram,
     Pass,
@@ -37,8 +40,10 @@ from biracks import (
     subbirack_polynomial,
     tsr_birack,
     unlink,
+    ValidationReport,
     with_framing,
 )
+from biracks.core import _AXIOM_ORDER, _ybe_holds, _ybe_witness
 
 # ---------------------------------------------------------------------------
 # Reference biracks
@@ -527,3 +532,72 @@ def braid_closure(n_strands: int, word: list[int]) -> Diagram:
                 break
         comps.append(passes)
     return Diagram(comps)
+
+
+def reference_analyze(b1, b2):
+    """(report, derived-or-None) as core._analyze gives them, from one
+    sweep over the n^2 pairs that writes B^-1, S and S^-1 entry by entry,
+    the first preimage of each image kept.  The Yang-Baxter equation is
+    decided by core._ybe_holds, which tests/test_core.py checks against
+    the triple scan."""
+    n = len(b1)
+    rng = range(n)
+    checks = []
+
+    def record(witness, detail=""):
+        name = _AXIOM_ORDER[len(checks)]
+        if witness is None:
+            checks.append(CheckResult(name, "pass"))
+        else:
+            checks.append(CheckResult(name, "fail", witness, detail.format(*witness)))
+        return witness is None
+
+    def report():
+        skipped = [CheckResult(name, "skipped") for name in _AXIOM_ORDER[len(checks):]]
+        return ValidationReport(n, tuple(checks + skipped))
+
+    b1inv, b2inv, s1, s2, s1inv, s2inv = ([[-1] * n for _ in rng] for _ in range(6))
+    pair_witness = None
+    for x in rng:
+        for y in rng:
+            u, v = b1[x][y], b2[x][y]
+            if b1inv[u][v] < 0:
+                b1inv[u][v], b2inv[u][v] = x, y
+            elif pair_witness is None:
+                pair_witness = ((b1inv[u][v], b2inv[u][v]), (x, y))
+            s1[u][x], s2[u][x] = v, y
+            s1inv[v][y], s2inv[v][y] = u, x
+    record(pair_witness, "B{} = B{}")
+
+    sideways_witness = next(chain(
+        (("B1-row", x) for x in rng if len(set(b1[x])) != n),
+        (("B2-column", y) for y in rng if len({b2[x][y] for x in rng}) != n),
+    ), None)
+    if not record(sideways_witness, "{} {} is not a bijection"):
+        return report(), None
+
+    diag = {
+        "S1 o diag": [s1[x][x] for x in rng],
+        "S2 o diag": [s2[x][x] for x in rng],
+        "S1^-1 o diag": [s1inv[x][x] for x in rng],
+        "S2^-1 o diag": [s2inv[x][x] for x in rng],
+    }
+    diag_witness = next(
+        ((name,) for name, mapping in diag.items() if len(set(mapping)) != n), None)
+    if not record(diag_witness, "{} is not a bijection"):
+        return report(), None
+
+    if _ybe_holds(*([bytes(row) for row in t] for t in (b1, b2, s1)), n):
+        record(None)
+    else:
+        record(*_ybe_witness(b1, b2, n))
+    final = report()
+    if not final.ok:
+        return final, None
+
+    alpha = [0] * n
+    for x, v in enumerate(diag["S2^-1 o diag"]):
+        alpha[v] = x
+    pi = [diag["S1^-1 o diag"][alpha[x]] for x in rng]
+    tables = tuple(tuple(map(tuple, t)) for t in (b1inv, b2inv, s1, s2, s1inv, s2inv))
+    return final, (*tables, tuple(alpha), tuple(pi))

@@ -91,7 +91,7 @@ class TestMake:
         # (Z_100)^5 has 10^10 elements; at a limit of 8, (Z_3)^2 has too many
         tsr = ["make", "tsr", "--t", "1", "--s", "0", "--r", "1"]
         assert _run([*tsr, "--n", "100", "--m", "5"], capsys) == (
-            1, "", "error: (Z_100)^5 has 100^5 elements, more than 360\n")
+            1, "", "error: (Z_100)^5 has 100^5 elements, more than 256\n")
         monkeypatch.setattr(biracks.families, "TSR_ELEMENT_LIMIT", 8)
         assert _run([*tsr, "--n", "3", "--m", "2"], capsys) == (
             1, "", "error: (Z_3)^2 has 3^2 elements, more than 8\n")
@@ -106,9 +106,9 @@ class TestMake:
 
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_ca_refuses_empty_set(self, size, capsys):
-        # parse_cycles reads "()" on no points as the empty permutation
+        # parse_cycles refuses a set of no points
         args = ["make", "ca", "--tau", "()", "--rho", "()", "--size", size]
-        assert _run(args, capsys) == (1, "", "error: tau and rho must act on a non-empty set\n")
+        assert _run(args, capsys) == (1, "", f"error: n must be positive, got {size}\n")
 
     def test_tsrho_from_files(self, tmp_path, capsys):
         cayley = tmp_path / "z4.txt"

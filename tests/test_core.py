@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import biracks.core
+import biracks.families
 from biracks import (
     AxiomViolation,
     CayleyGroup,
@@ -35,7 +37,13 @@ from biracks import (
 )
 from biracks.cli import main
 from biracks.diagram import framed_semiarc_sources
-from conftest import TWO_ELEMENT_MATRIX, dihedral8_cayley, naive_closure, naive_subbiracks
+from conftest import (
+    TWO_ELEMENT_MATRIX,
+    dihedral8_cayley,
+    naive_closure,
+    naive_subbiracks,
+    reference_analyze,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 TSR = [(3, 1, 2, 2), (4, 3, 2, 3), (4, 1, 2, 1), (3, 2, 2, 1), (5, 1, 3, 3), (3, 1, 2, 2, 2),
@@ -156,6 +164,20 @@ class TestParseCycles:
             parse_cycles(text, 3)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("text,n", [("()", -3), ("(1)", 0), ("", 0)])
+    def test_rejects_empty_set(self, text, n):
+        with pytest.raises(ValueError) as exc:
+            parse_cycles(text, n)
+        assert str(exc.value) == f"n must be positive, got {n}"
+
+    def test_element_limit(self, monkeypatch):
+        assert parse_cycles("(1 256)", 256)[0] == 255
+        monkeypatch.setattr(biracks.core, "ELEMENT_LIMIT", 4)
+        assert parse_cycles("(1 4)", 4) == (3, 1, 2, 0)
+        with pytest.raises(SizeTooLarge) as exc:
+            parse_cycles("()", 5)
+        assert str(exc.value) == "the permuted set has 5 elements, more than 4"
+
 
 Z2 = [[0, 1], [1, 0]]
 # Each takes one 0-indexed element label from outside, on two elements.
@@ -217,6 +239,7 @@ class TestLabelCheckedOnce:
             return entries(values, low, high)
 
         monkeypatch.setattr(biracks.core, "_entries", counting)
+        monkeypatch.setattr(biracks.families, "_entries", counting)
         return calls
 
     def test_matrix_file_rows(self, tmp_path, entry_checks):
@@ -252,6 +275,24 @@ class TestLabelCheckedOnce:
     def test_enumerated_tables(self, entry_checks):
         enumerate_biracks(3)
         assert entry_checks == []
+
+    def test_make_tsrho(self, tmp_path, entry_checks, capsys):
+        # the order-8 dihedral group: the loader checks the 64 Cayley and 24
+        # map labels, and neither the group nor the birack checks them again
+        tau = [2 * ((-i) % 4) + j for i, j in (divmod(e, 2) for e in range(8))]
+        sigma = [2 * ((2 * i) % 4) for i, _ in (divmod(e, 2) for e in range(8))]
+        files = {"cayley": dihedral8_cayley(), "tau": [tau], "sigma": [sigma], "rho": [tau]}
+        argv = ["make", "tsrho"]
+        for key, rows in files.items():
+            text = "".join(" ".join(str(v + 1) for v in row) + "\n" for row in rows)
+            (tmp_path / key).write_text((f"{len(rows)}\n" if key == "cayley" else "") + text,
+                                        encoding="utf-8")
+            argv += [f"--{key}", str(tmp_path / key)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == format_matrix(
+            tau_sigma_rho_birack(dihedral8_cayley(), tau, sigma, tau))
+        # the library call checks each table row and map once: 8 + 3
+        assert entry_checks == [(0, 7)] * 11
 
     def test_caller_tables_still_checked(self, entry_checks, constant4):
         FiniteBirack(constant4.b1, constant4.b2)
@@ -562,18 +603,29 @@ def ybe_outcomes(monkeypatch):
     return outcomes
 
 
-@pytest.fixture
-def scans(monkeypatch):
-    """The element count n of every core._ybe_witness call."""
+def _count_scans(monkeypatch, name) -> list:
+    """The element count n of every call of the scan core.<name>."""
     calls = []
-    scan = biracks.core._ybe_witness
+    scan = getattr(biracks.core, name)
 
     def counting(b1, b2, n):
         calls.append(n)
         return scan(b1, b2, n)
 
-    monkeypatch.setattr(biracks.core, "_ybe_witness", counting)
+    monkeypatch.setattr(biracks.core, name, counting)
     return calls
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The element count n of every core._ybe_witness call."""
+    return _count_scans(monkeypatch, "_ybe_witness")
+
+
+@pytest.fixture
+def pair_scans(monkeypatch):
+    """The element count n of every core._pair_witness call."""
+    return _count_scans(monkeypatch, "_pair_witness")
 
 
 class TestYangBaxterForm:
@@ -613,12 +665,13 @@ class TestYangBaxterForm:
         assert verify_axioms(b1, b2).first_failure.name == YBE
         assert ybe_outcomes == [(False, False)]
 
-    def test_valid_biracks_skip_scan(self, scans):
+    def test_valid_biracks_skip_scan(self, scans, pair_scans):
         for path in sorted(DATA.glob("*.txt")):
             if path.name != "sample_links.txt":
                 read_matrix_file(path)
         tsr_birack(67, 2, 0, 1)
-        assert scans == []
+        tsr_birack(251, 2, 0, 1)
+        assert scans == pair_scans == []
 
     @pytest.mark.parametrize("case", ["ybe_1", "ybe_2", "ybe_3"])
     def test_failing_table_scans_once(self, case, scans):
@@ -626,14 +679,65 @@ class TestYangBaxterForm:
         assert verify_axioms(b1, b2).checks == tuple(CheckResult(*c) for c in checks)
         assert len(scans) == 1
 
-    def test_above_256_elements_scans(self, scans):
-        # bytes.translate needs byte labels; tau = (1 2) and rho = (2 3)
-        # break component equation 2 at the first triple
+    def test_257_elements_refused(self):
+        # byte labels: B(x, y) = (y, x) on 257 elements is a birack, but
+        # its labels do not fit in a byte
         n = 257
-        tau, rho = parse_cycles("(1 2)", n), parse_cycles("(2 3)", n)
-        report = verify_axioms(*_nondegenerate([tau] * n, [rho] * n))
-        assert report.checks[3] == CheckResult(YBE, "fail", (0, 0, 0), "component equation 2")
-        assert scans == [n]
+        b1, b2 = [list(range(n))] * n, [[x] * n for x in range(n)]
+        for build in (FiniteBirack, verify_axioms):
+            with pytest.raises(SizeTooLarge) as exc:
+                build(b1, b2)
+            assert str(exc.value) == "the candidate birack has 257 elements, more than 256"
+
+
+class TestAnalyzeMatchesSweep:
+    """core._analyze, which builds every map from byte rows, against the
+    plain n^2 sweep conftest.reference_analyze: equal reports, witnesses
+    and details, and equal derived tables."""
+
+    @staticmethod
+    def _same(b1, b2):
+        got = biracks.core._analyze(b1, b2)
+        assert got == reference_analyze(b1, b2)
+        return got[0]
+
+    def test_valid_tables(self):
+        # every data birack, every birack on at most 3 elements, and tsr
+        # tables up to 251 elements, the largest prime below 256
+        tables = [*_tables([*TSR, *ORACLE_TSR, (128, 3, 0, 5), (251, 2, 0, 1)]),
+                  *enumerate_biracks(1), *_three_element()]
+        assert all(self._same(b.b1, b.b2).ok for b in tables)
+        assert (len(tables), max(b.n for b in tables)) == (90, 251)
+
+    def test_failing_tables(self, pair_scans):
+        # valid tables with one entry changed or two entries of one row
+        # swapped, and tables with random bijective B1 rows and B2 columns
+        rng = random.Random(26)
+        seeds = [b for b in [*_tables(), *_three_element()] if b.n > 1]
+        cases = []
+        for _ in range(2400):
+            b = rng.choice(seeds)
+            t1, t2 = [list(map(list, t)) for t in (b.b1, b.b2)]
+            row = rng.choice(rng.choice((t1, t2)))
+            i, j = rng.sample(range(b.n), 2)
+            if rng.random() < 0.5:
+                row[i] = (row[i] + rng.randrange(1, b.n)) % b.n
+            else:
+                row[i], row[j] = row[j], row[i]
+            cases.append((t1, t2))
+        for n in range(2, 7):
+            for _ in range(200):
+                cases.append(_nondegenerate([rng.sample(range(n), n) for _ in range(n)],
+                                            [rng.sample(range(n), n) for _ in range(n)]))
+        reports = [self._same(*case) for case in cases]
+        # tables failing each axiom, and tables passing all four
+        failed = collections.Counter(c.name for r in reports for c in r.checks
+                                     if c.status == "fail")
+        failed["valid"] = sum(r.ok for r in reports)
+        assert failed == {"valid": 591, PAIR: 2229, SIDEWAYS: 1313, DIAGONAL: 1393, YBE: 103}
+        # the pair scan runs only when the pair or sideways check fails
+        assert len(pair_scans) == sum(
+            "fail" in (r.checks[0].status, r.checks[1].status) for r in reports)
 
 
 class TestDerivedStructure:

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import biracks.core
 import biracks.families
 from biracks import (
     CayleyGroup,
@@ -110,6 +111,15 @@ class TestConstantAction:
         with pytest.raises(ValueError) as exc:
             constant_action(tau, rho)
         assert str(exc.value) == message
+
+    def test_element_limit(self, monkeypatch):
+        # refused before any table is built: FiniteBirack is never reached
+        monkeypatch.setattr(biracks.core, "ELEMENT_LIMIT", 3)
+        assert constant_action((1, 0, 2), (0, 1, 2)).n == 3
+        monkeypatch.setattr(FiniteBirack, "_of", None)
+        with pytest.raises(SizeTooLarge) as exc:
+            constant_action((1, 0, 2, 3), (0, 1, 3, 2))
+        assert str(exc.value) == "the set tau and rho act on has 4 elements, more than 3"
 
     @pytest.mark.parametrize(
         "tau,rho",
@@ -237,6 +247,20 @@ class TestTsr:
 
 
 class TestTauSigmaRho:
+    def test_element_limit(self, monkeypatch):
+        # the order-8 dihedral group builds at a limit of 8, and at 7 it is
+        # refused before its group axioms or any birack table
+        maps = list(range(8)), [0] * 8, list(range(8))
+        monkeypatch.setattr(biracks.core, "ELEMENT_LIMIT", 8)
+        assert tau_sigma_rho_birack(dihedral8_cayley(), *maps).n == 8
+        monkeypatch.setattr(biracks.core, "ELEMENT_LIMIT", 7)
+        monkeypatch.setattr(CayleyGroup, "_build", None)
+        for call in (lambda: CayleyGroup(dihedral8_cayley()),
+                     lambda: tau_sigma_rho_birack(dihedral8_cayley(), *maps)):
+            with pytest.raises(SizeTooLarge) as exc:
+                call()
+            assert str(exc.value) == "the Cayley table has 8 elements, more than 7"
+
     def test_order8_example(self):
         # tau = rho: invert the rotation index, fix the reflection generator.
         # sigma squares the rotation part; its image lies in the center.

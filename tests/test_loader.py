@@ -267,19 +267,47 @@ def test_map_files(tmp_path):
 
 class TestElementLimit:
     """A matrix or Cayley file with more than ELEMENT_LIMIT elements is
-    refused before any row is read."""
+    refused before any row is read, and so is every other birack of more
+    than ELEMENT_LIMIT elements."""
 
     def test_shared_with_tsr(self):
-        assert biracks.core.ELEMENT_LIMIT == biracks.families.TSR_ELEMENT_LIMIT == 360
+        assert biracks.core.ELEMENT_LIMIT == biracks.families.TSR_ELEMENT_LIMIT == 256
 
     def test_refused_before_rows(self):
-        text = "361\n" + "x\n" * 361
+        text = "257\n" + "x\n" * 257
         for noun, width in (("matrix", 2), ("Cayley table", 1)):
             with pytest.raises(SizeTooLarge) as exc:
                 _load_table(text, noun, width)
-            assert str(exc.value) == f"the {noun} file has 361 elements, more than 360"
+            assert str(exc.value) == f"the {noun} file has 257 elements, more than 256"
         with pytest.raises(ParseError, match="non-integer entry"):
-            _load_table("360\n" + "x\n" * 360, "matrix", 2)
+            _load_table("256\n" + "x\n" * 256, "matrix", 2)
+
+    def test_256_elements_build(self):
+        assert tsr_birack(2, 1, 0, 1, 8).n == 256
+
+    @pytest.mark.parametrize("command,message", [
+        (["verify", "{}"], "the matrix file has 257 elements"),
+        (["verify", "{}", "--json"], "the matrix file has 257 elements"),
+        (["rank", "{}"], "the matrix file has 257 elements"),
+        (["classify", "{}"], "the matrix file has 257 elements"),
+        (["subbiracks", "{}"], "the matrix file has 257 elements"),
+        (["poly", "{}"], "the matrix file has 257 elements"),
+        (["invariant", "--birack", "{}", "--gauss", "O1+,U1+", "--type", "integral"],
+         "the matrix file has 257 elements"),
+        (["make", "tsrho", "--cayley", "{}", "--tau", "{}", "--sigma", "{}", "--rho", "{}"],
+         "the Cayley table file has 257 elements"),
+        (["make", "tsr", "--n", "257", "--t", "1", "--s", "0", "--r", "1"],
+         "(Z_257)^1 has 257^1 elements"),
+        (["make", "ca", "--tau", "()", "--rho", "()", "--size", "257"],
+         "the permuted set has 257 elements"),
+    ], ids=["verify", "verify-json", "rank", "classify", "subbiracks", "poly", "invariant",
+            "tsrho", "tsr", "ca"])
+    def test_257_elements_cli_one_line(self, command, message, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text("257\n" + ("1 " * 514 + "\n") * 257, encoding="utf-8")
+        assert main([arg.format(path) for arg in command]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}, more than 256\n")
 
     @pytest.mark.parametrize("command", [["verify"], ["verify", "--json"], ["rank"],
                                          ["classify"], ["subbiracks"], ["poly"]])

@@ -8,8 +8,8 @@ deprecating the name in CHANGES.md.  No package module uses assert, and
 only the text parsers call int().  Every table file is read through one
 label table.  Counts and labeling dumps search a diagram's groups through
 one helper.  The labeling search writes its four determinations in one
-rule table.  Every source file parses as the
-oldest Python the package declares.
+rule table.  Every table size bound reads core.ELEMENT_LIMIT.  Every
+source file parses as the oldest Python the package declares.
 """
 
 import ast
@@ -210,6 +210,44 @@ def test_table_files_share_one_loader():
 
     assert callers("_int_row") == {"_int_rows", "_load_map"}
     assert callers("_int_rows") == {"_load_table", "parse_matrix_text"}
+
+
+# The functions that refuse too many elements before building a table
+BOUNDED = {"core.py": {"parse_cycles", "_analyze", "_load_table"},
+           "families.py": {"constant_action", "__init__"}}
+
+
+def test_one_element_bound():
+    """Every bound on a table's element count reads core.ELEMENT_LIMIT, the
+    size of a bytes.translate table, which _analyze's byte rows need: the
+    one literal 256 (or the old 360) in the package defines it, only
+    core._bound and the families.TSR_ELEMENT_LIMIT alias read it, only
+    tsr_birack reads that alias, and the loaders, parse_cycles, _analyze
+    and the family constructors call _bound."""
+    assert biracks.core.ELEMENT_LIMIT == len(bytes.maketrans(b"", b""))
+    literals, readers, bounded = [], [], {}
+    for path in sorted((ROOT / "src" / "biracks").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            owner = (ast.unparse(stmt.targets[0]) if isinstance(stmt, ast.Assign)
+                     else getattr(stmt, "name", stmt.lineno))
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Constant) and type(node.value) is int
+                        and node.value in (256, 360)):
+                    literals.append((path.name, owner))
+                if isinstance(node, ast.Name) and node.id.endswith("ELEMENT_LIMIT"):
+                    readers.append((path.name, owner, node.id))
+        bounded[path.name] = {name for name, callees in _call_graph(path.name).items()
+                              if "_bound" in callees}
+    assert literals == [("core.py", "ELEMENT_LIMIT")]
+    assert sorted(set(readers)) == [
+        ("core.py", "ELEMENT_LIMIT", "ELEMENT_LIMIT"),
+        ("core.py", "_bound", "ELEMENT_LIMIT"),
+        ("families.py", "TSR_ELEMENT_LIMIT", "ELEMENT_LIMIT"),
+        ("families.py", "TSR_ELEMENT_LIMIT", "TSR_ELEMENT_LIMIT"),
+        ("families.py", "tsr_birack", "TSR_ELEMENT_LIMIT"),
+    ]
+    assert {name: found for name, found in bounded.items() if found} == BOUNDED
 
 
 # The birack tables the four determinations at a crossing read, beyond B

@@ -27,7 +27,9 @@ File formats are documented in the README: matrix files carry the
 element count on line 1 and then the n x 2n block [B1 | B2] (1-indexed),
 and Cayley tables the same with n entries per row; map files list n
 1-indexed images; batch link files carry one "name<TAB>gauss-code" pair
-per line; '#' lines are comments in all of them.
+per line; '#' lines are comments in all of them.  A file's tables go
+through the public constructors that check any caller's: verify_axioms,
+FiniteBirack, CayleyGroup and tau_sigma_rho_birack.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from math import log10
 
 from . import __version__
 from .core import (
-    _analyze,
     _content_lines,
     _labels,
     _load_map,
@@ -55,13 +56,14 @@ from .core import (
     parse_cycles,
     read_matrix_file,
     to_matrix,
+    verify_axioms,
 )
-# Not called here, but bench/spans.py rebinds both names in this module to
-# trace them, and its install() fails on a name that is gone.
-from .core import parse_matrix_text, verify_axioms  # noqa: F401
+# Not called here, but bench/spans.py rebinds this name in this module to
+# trace it, and its install() fails on a name that is gone.
+from .core import parse_matrix_text  # noqa: F401
 from .diagram import framed_semiarc_sources, parse_gauss
 from .errors import BirackError, NotASubbirack, ParseError, SizeTooLarge
-from .families import CayleyGroup, _group_birack, constant_action, tsr_birack
+from .families import CayleyGroup, constant_action, tau_sigma_rho_birack, tsr_birack
 from .invariants import (
     KINDS,
     _framed_rows,
@@ -93,11 +95,10 @@ def _write_matrix(b, out: str | None) -> None:
 
 
 def _load_candidate(path: str):
-    """The axiom report of a matrix file's tables, whose labels the loader
-    checks once."""
+    """The axiom report of a matrix file's tables."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    return _analyze(*_matrix_tables(text))[0]
+    return verify_axioms(*_matrix_tables(text))
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +135,11 @@ def _cmd_make(args) -> int:
         rho = parse_cycles(args.rho, args.size)
         b = constant_action(tau, rho)
     else:  # tsrho
-        # the loader checks every label once
-        group = CayleyGroup._of(_read_cayley(args.cayley))
+        group = CayleyGroup(_read_cayley(args.cayley))
         tau = _read_map(args.tau_file, group.n)
         sigma = _read_map(args.sigma_file, group.n)
         rho = _read_map(args.rho_file, group.n)
-        b = _group_birack(group, tau, sigma, rho)
+        b = tau_sigma_rho_birack(group, tau, sigma, rho)
     _write_matrix(b, args.out)
     return 0
 

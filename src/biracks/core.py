@@ -38,7 +38,9 @@ rather than at construction.
 
 Labels fit in a byte, so a birack has at most ELEMENT_LIMIT (256)
 elements; _analyze, the table file loaders, the family constructors and
-parse_cycles refuse more, through _bound.
+parse_cycles refuse more, through _bound.  _analyze checks the tables'
+shape and labels on the same byte rows, so FiniteBirack and verify_axioms
+check every table alike, whoever built it.
 
 Subbiracks: _close is the semi-naive closure under B, and _join_fold the
 one join fold through their lattice, for all_subbiracks and invariants.
@@ -234,8 +236,9 @@ class ValidationReport:
 
 def _entries(values, low: int, high: int) -> tuple:
     """values as a tuple; ValueError names the first entry that is not an
-    int in low..high.  Every element label a caller passes comes here; a
-    file's labels are read through _label_rows' table instead."""
+    int in low..high.  A file's labels are read through _label_rows' table
+    instead, and birack tables are checked on byte rows by _analyze, which
+    comes here through _tables only to name what is wrong."""
     values = tuple(values)
     for v in values:
         if not isinstance(v, int):
@@ -372,10 +375,16 @@ def _ybe_holds(b1, b2, s1, n: int) -> bool:
                       b1, each))  # (iii), at (x, z)
 
 
-def _analyze(b1: Table, b2: Table):
-    """Run every axiom check on checked tables, from _tables or the file
-    loader, in one pass; return (report, derived-or-None).  SizeTooLarge
-    when the tables have more than ELEMENT_LIMIT elements.
+def _analyze(b1, b2):
+    """Check that b1 and b2 are n x n tables of labels in 0..n-1, then run
+    every axiom check in one pass; return (report, derived-or-None).
+    ValueError from _tables names a bad shape or entry; SizeTooLarge comes
+    after it, for more than ELEMENT_LIMIT elements.
+
+    The check runs on the byte rows the axioms use: every row has n bytes
+    and deleting the bytes 0..n-1 from the joined rows leaves nothing.
+    Rows become tuples first, so a row that is an int raises TypeError
+    instead of becoming that many zero bytes.
 
     derived is (B1^-1, B2^-1, S1, S2, S1^-1, S2^-1) as tables, then the
     kink maps alpha and pi.  Each axiom is recorded in _AXIOM_ORDER; when
@@ -400,7 +409,16 @@ def _analyze(b1: Table, b2: Table):
     The pair scan (_pair_witness) runs only to name the first colliding
     pairs, or when the sideways check fails.
     """
+    b1, b2 = tuple(map(tuple, b1)), tuple(map(tuple, b2))
     n = len(b1)
+    try:
+        sigma, beta = list(map(bytes, b1)), list(map(bytes, b2))
+    except (TypeError, ValueError):
+        sigma = beta = []
+    rows = sigma + beta
+    if (len(rows) != 2 * n or set(map(len, rows)) != {n}
+            or b"".join(rows).translate(None, _IDENTITY[:n])):
+        _tables(b1, b2)
     _bound(n, "the candidate birack")
     rng = range(n)
     checks: list[CheckResult] = []
@@ -421,7 +439,6 @@ def _analyze(b1: Table, b2: Table):
         return ValidationReport(n, tuple(checks + skipped))
 
     # Sideways map existence/uniqueness: B1 rows and B2 columns bijective.
-    sigma, beta = list(map(bytes, b1)), list(map(bytes, b2))
     tau = _transpose(beta)
     sideways_witness = next(itertools.chain(
         (("B1-row", x) for x in rng if len(set(sigma[x])) != n),
@@ -485,10 +502,11 @@ def verify_axioms(b1, b2) -> ValidationReport:
 
     Failures are data, not errors: the report carries pass/fail per axiom
     with the first witness.  The report passes exactly when FiniteBirack
-    would construct successfully from the same tables.  SizeTooLarge
-    above ELEMENT_LIMIT elements.
+    would construct successfully from the same tables.  ValueError names
+    the first bad shape or label, and SizeTooLarge means more than
+    ELEMENT_LIMIT elements.
     """
-    report, _ = _analyze(*_tables(b1, b2))
+    report, _ = _analyze(b1, b2)
     return report
 
 
@@ -502,7 +520,9 @@ class FiniteBirack:
     Tables use natural indexing: b1[x][y] = B1(x, y), b2[x][y] = B2(x, y),
     with elements 0-indexed (the file format is 1-indexed and transposes
     the B1 block; see the module docstring), at most ELEMENT_LIMIT of them.
-    Instances are immutable and safe to share between threads.
+    The tables are checked as verify_axioms checks them, and the first
+    failing axiom raises AxiomViolation.  Instances are immutable and safe
+    to share between threads.
     """
 
     __slots__ = (
@@ -512,18 +532,7 @@ class FiniteBirack:
     )
 
     def __init__(self, b1, b2):
-        self._build(*_tables(b1, b2))
-
-    @classmethod
-    def _of(cls, b1, b2) -> FiniteBirack:
-        """A birack from square tables whose labels are already checked to
-        lie in 0..n-1, as built by the loader and the family constructors.
-        Every axiom is still checked."""
-        b = cls.__new__(cls)
-        b._build(tuple(map(tuple, b1)), tuple(map(tuple, b2)))
-        return b
-
-    def _build(self, b1: Table, b2: Table) -> None:
+        b1, b2 = tuple(map(tuple, b1)), tuple(map(tuple, b2))
         report, derived = _analyze(b1, b2)
         if not report.ok:
             bad = report.first_failure
@@ -590,12 +599,12 @@ def from_matrix(n: int, block) -> FiniteBirack:
     Raises AxiomViolation (with the first witness) if the tables fail any
     axiom, ValueError on malformed input.
     """
-    return FiniteBirack._of(*_block_tables(n, block))
+    return FiniteBirack(*_block_tables(n, block))
 
 
 def _block_tables(n: int, block) -> tuple[Table, Table]:
     """The 0-indexed tables (B1, B2) of a [B1 | B2] block, axioms unchecked.
-    Each entry is checked here, once, against the 1-indexed range."""
+    Each entry is checked here against the 1-indexed range."""
     _int_params(n=n)
     if n <= 0:
         raise ValueError("n must be positive")
@@ -730,7 +739,7 @@ def read_matrix_file(path) -> FiniteBirack:
         tables = _matrix_tables(text)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    return FiniteBirack._of(*tables)
+    return FiniteBirack(*tables)
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +922,7 @@ def enumerate_biracks(n: int) -> list[FiniteBirack]:
         if any(len({b2[x][y] for x in rng}) != n for y in rng):
             continue
         try:
-            results.append(FiniteBirack._of(b1, b2))
+            results.append(FiniteBirack(b1, b2))
         except AxiomViolation:
             pass
     return results

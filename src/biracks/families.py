@@ -21,13 +21,15 @@
 
   holding for all y, z.  The kink map is x -> tau(rho(x)) * sigma(x).
 
-Every constructor refuses more than core.ELEMENT_LIMIT elements before it
-builds a table, then builds explicit tables and runs them through the full
-axiom verification (FiniteBirack._of: the labels are in range by
-construction, so only the axioms are checked), then checks its family's
-closed-form kink map (and, for tsr, the rank and the coefficient-ring
-identities) against the tables, raising ConstructionError on a mismatch;
-the closed forms are treated as checks, never as the source of truth.
+Every constructor checks its arguments (integer parameters, and the
+labels of maps and Cayley tables through core._entries) and refuses more
+than core.ELEMENT_LIMIT elements before it builds a table.  It then builds
+explicit tables and passes them to FiniteBirack, which checks their shape,
+labels and axioms as it checks any caller's tables.  Last it checks its
+family's closed-form kink map (and, for tsr, the rank and the
+coefficient-ring identities) against the tables, raising ConstructionError
+on a mismatch; the closed forms are treated as checks, never as the source
+of truth.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def constant_action(tau, rho) -> FiniteBirack:
         raise ConstructionError("NonCommuting", "tau and rho do not commute")
     b1 = [[tau[y] for y in range(n)] for _ in range(n)]
     b2 = [[rho[x]] * n for x in range(n)]
-    b = FiniteBirack._of(b1, b2)
+    b = FiniteBirack(b1, b2)
     if b.pi != compose_perms(tau, rho):
         raise ConstructionError("KinkMapMismatch", "kink map is not tau o rho")
     return b
@@ -129,7 +131,7 @@ def tsr_birack(n: int, t: int, s: int, r: int, m: int = 1) -> FiniteBirack:
                 for x in range(size)]
 
     b2 = [[v] * size for v in times(r)]
-    b = FiniteBirack._of(b1, b2)
+    b = FiniteBirack(b1, b2)
 
     if b.pi != tuple(times(k)):
         raise ConstructionError("KinkMapMismatch", "kink map is not multiplication by tr + s")
@@ -155,19 +157,7 @@ class CayleyGroup:
         table = tuple(table)
         n = len(table)
         _bound(n, "the Cayley table")
-        self._build(tuple(_entries(row, 0, n - 1) for row in table))
-
-    @classmethod
-    def _of(cls, table) -> CayleyGroup:
-        """A group from a table whose labels are already checked to lie in
-        0..n-1, as the loader reads them.  The group axioms are still
-        checked."""
-        group = cls.__new__(cls)
-        group._build(tuple(map(tuple, table)))
-        return group
-
-    def _build(self, table) -> None:
-        n = len(table)
+        table = tuple(_entries(row, 0, n - 1) for row in table)
         if n == 0 or any(len(row) != n for row in table):
             raise ConstructionError("NotAGroup", "Cayley table must be square")
         self.n = n
@@ -226,13 +216,6 @@ def tau_sigma_rho_birack(cayley, tau, sigma, rho) -> FiniteBirack:
     for name, f in (("tau", tau), ("sigma", sigma), ("rho", rho)):
         if len(f) != n:
             raise ValueError(f"{name} must list {n} images")
-    return _group_birack(group, tau, sigma, rho)
-
-
-def _group_birack(group: CayleyGroup, tau, sigma, rho) -> FiniteBirack:
-    """tau_sigma_rho_birack for maps already checked to list group.n
-    labels in 0..group.n-1, as the loader reads them."""
-    n = group.n
     for name, f in (("tau", tau), ("rho", rho)):
         if sorted(f) != list(range(n)) or not group.is_homomorphism(f):
             raise ConstructionError(
@@ -260,7 +243,7 @@ def _group_birack(group: CayleyGroup, tau, sigma, rho) -> FiniteBirack:
 
     b1 = [[mul(tau[y], sigma[x]) for y in range(n)] for x in range(n)]
     b2 = [[rho[x]] * n for x in range(n)]
-    b = FiniteBirack._of(b1, b2)
+    b = FiniteBirack(b1, b2)
 
     expected_pi = tuple(mul(tau[rho[x]], sigma[x]) for x in range(n))
     if b.pi != expected_pi:

@@ -22,6 +22,7 @@ for differential tests.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from itertools import chain, product
@@ -34,6 +35,7 @@ from biracks import (
     FiniteBirack,
     Diagram,
     Pass,
+    enumerate_biracks,
     enumerate_labelings,
     from_matrix,
     subbirack_closure,
@@ -169,6 +171,13 @@ def relabel_crossings(code: str, rng: random.Random) -> str:
     ids = sorted({int(m) for m in re.findall(r"\d+", code)})
     fresh = dict(zip(ids, rng.sample(range(1, 10 * len(ids) + 2), len(ids))))
     return re.sub(r"\d+", lambda m: str(fresh[int(m.group())]), code)
+
+
+@functools.cache
+def enumerated_biracks(n: int) -> tuple[FiniteBirack, ...]:
+    """enumerate_biracks(n), enumerated once per test run: n = 3 takes over
+    a second, and several modules read every birack on 3 elements."""
+    return tuple(enumerate_biracks(n))
 
 
 # ---------------------------------------------------------------------------

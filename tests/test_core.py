@@ -40,6 +40,7 @@ from biracks.diagram import framed_semiarc_sources
 from conftest import (
     TWO_ELEMENT_MATRIX,
     dihedral8_cayley,
+    enumerated_biracks,
     naive_closure,
     naive_subbiracks,
     reference_analyze,
@@ -60,11 +61,6 @@ def _tables(tsr=TSR) -> list[FiniteBirack]:
 
 
 @functools.cache
-def _three_element() -> tuple[FiniteBirack, ...]:
-    return tuple(enumerate_biracks(3))
-
-
-@functools.cache
 def _oracle_cases() -> tuple:
     """(birack, seeds, their naive closures, naive lattice) for
     _tables(ORACLE_TSR), every birack on 3 elements and the order-8 group
@@ -76,7 +72,7 @@ def _oracle_cases() -> tuple:
     dihedral8 = tau_sigma_rho_birack(dihedral8_cayley(), tau, sigma, tau)
     rng = random.Random(1)
     cases = []
-    for b in [*_tables(ORACLE_TSR), *_three_element(), dihedral8]:
+    for b in [*_tables(ORACLE_TSR), *enumerated_biracks(3), dihedral8]:
         sizes = (1, 2) if b.n <= 8 else (1,)
         seeds = [set(c) for k in sizes for c in itertools.combinations(range(b.n), k)]
         seeds += [set(rng.sample(range(b.n), rng.randint(1, min(4, b.n))))
@@ -198,7 +194,9 @@ class TestLabelCheck:
         (1.5, "entry 1.5 is not an integer"),
         ("1", "entry '1' is not an integer"),
         (2, "entry 2 out of range 0..1"),
-    ], ids=["float", "str", "range"])
+        (-1, "entry -1 out of range 0..1"),
+        (256, "entry 256 out of range 0..1"),
+    ], ids=["float", "str", "range", "negative", "byte"])
     @pytest.mark.parametrize("taker", sorted(LABEL_TAKERS))
     def test_rejects_bad_label(self, taker, entry, message):
         with pytest.raises(ValueError) as exc:
@@ -225,9 +223,11 @@ class TestLabelCheck:
 
 
 class TestLabelCheckedOnce:
-    """A file label is checked once, by the loader's label table, and only
-    a label spelled otherwise reaches _entries; tables the library builds
-    itself are not checked at all."""
+    """A file label is checked by the loader's label table, and only a
+    label spelled otherwise reaches _entries.  Birack tables, a caller's,
+    a loader's or a family's, are checked on their byte rows by _analyze,
+    which reaches _entries only to name a bad entry; Cayley tables and
+    family maps are checked by _entries where they come in."""
 
     @pytest.fixture
     def entry_checks(self, monkeypatch):
@@ -273,12 +273,13 @@ class TestLabelCheckedOnce:
         assert entry_checks == []
 
     def test_enumerated_tables(self, entry_checks):
-        enumerate_biracks(3)
+        enumerate_biracks(2)
         assert entry_checks == []
 
     def test_make_tsrho(self, tmp_path, entry_checks, capsys):
         # the order-8 dihedral group: the loader checks the 64 Cayley and 24
-        # map labels, and neither the group nor the birack checks them again
+        # map labels, then the group checks each table row and the birack
+        # each map, as for any caller: 8 + 3
         tau = [2 * ((-i) % 4) + j for i, j in (divmod(e, 2) for e in range(8))]
         sigma = [2 * ((2 * i) % 4) for i, _ in (divmod(e, 2) for e in range(8))]
         files = {"cayley": dihedral8_cayley(), "tau": [tau], "sigma": [sigma], "rho": [tau]}
@@ -289,6 +290,8 @@ class TestLabelCheckedOnce:
                                         encoding="utf-8")
             argv += [f"--{key}", str(tmp_path / key)]
         assert main(argv) == 0
+        assert entry_checks == [(0, 7)] * 11
+        entry_checks.clear()
         assert capsys.readouterr().out == format_matrix(
             tau_sigma_rho_birack(dihedral8_cayley(), tau, sigma, tau))
         # the library call checks each table row and map once: 8 + 3
@@ -297,7 +300,11 @@ class TestLabelCheckedOnce:
     def test_caller_tables_still_checked(self, entry_checks, constant4):
         FiniteBirack(constant4.b1, constant4.b2)
         verify_axioms(constant4.b1, constant4.b2)
-        assert entry_checks == [(0, 3)] * 16  # both tables, both times
+        assert entry_checks == []  # the byte rows pass
+        # a bad entry sends the tables through _entries, which names it
+        with pytest.raises(ValueError, match="entry 4 out of range 0..3"):
+            FiniteBirack(constant4.b1, (*constant4.b2[:-1], (4, 3, 3, 3)))
+        assert entry_checks[-1] == (0, 3)
 
 
 class TestVerifyAxioms:
@@ -312,12 +319,51 @@ class TestVerifyAxioms:
         ([[0]], [[0], [0]], "tables must be non-empty and of equal size"),
         ([[0, 1], [0]], [[0, 0], [1, 1]], "tables must be square"),
         ([[0, 1], [1, 0]], [[0, 0], [1, 1, 0]], "tables must be square"),
-    ], ids=["empty", "unequal", "short-row", "long-row"])
+        ([b"\x00\x01", b"\x01\x02"], [b"\x00\x00", b"\x01\x01"],
+         "entry 2 out of range 0..1"),
+        ([b"\x00\x01", b"\x01"], [b"\x00\x00", b"\x01\x01"], "tables must be square"),
+        # the entry is named before the element bound is reached
+        ([list(range(257))] * 256 + [[*range(256), 257]], [[x] * 257 for x in range(257)],
+         "entry 257 out of range 0..256"),
+    ], ids=["empty", "unequal", "short-row", "long-row", "bytes-range", "bytes-short-row",
+            "257-bad-entry"])
     def test_rejects_bad_shape(self, b1, b2, message):
         for check in (verify_axioms, FiniteBirack):
             with pytest.raises(ValueError) as exc:
                 check(b1, b2)
             assert str(exc.value) == message
+
+    def test_int_row_is_not_a_row(self):
+        # bytes(1) would be the row (0,), and ((0,),), ((0,),) is a birack:
+        # a row that is an int raises instead
+        for check in (verify_axioms, FiniteBirack):
+            for b1, b2 in (([1], [[0]]), ([[0]], [1])):
+                with pytest.raises(TypeError):
+                    check(b1, b2)
+
+    @pytest.mark.parametrize("relabel", [bytes, lambda row: [v == 1 for v in row]],
+                             ids=["bytes-rows", "bools"])
+    def test_byte_labels(self, two_element, relabel):
+        # rows given as bytes, and True and False, read as labels 1 and 0
+        b1, b2 = ([relabel(row) for row in t] for t in (two_element.b1, two_element.b2))
+        assert verify_axioms(b1, b2) == verify_axioms(two_element.b1, two_element.b2)
+        assert FiniteBirack(b1, b2) == two_element
+
+    def test_index_object_is_its_label(self, two_element):
+        # bytes() reads any object with __index__, as a numpy integer has,
+        # so such a label passes where _entries refuses it (CayleyGroup,
+        # family maps, closure seeds); the birack keeps it as given
+        class Index:
+            def __index__(self):
+                return 1
+
+        label = Index()
+        b1 = [[0, label], [0, 1]]
+        assert verify_axioms(b1, two_element.b2).ok
+        b = FiniteBirack(b1, two_element.b2)
+        assert b.b1[0][1] is label and b.pi == two_element.pi
+        with pytest.raises(ValueError, match="is not an integer"):
+            CayleyGroup([[0, 1], [1, label]])
 
     def test_noncommuting_constant_action_fails_ybe(self):
         tau = parse_cycles("(1 2)", 3)
@@ -705,7 +751,7 @@ class TestAnalyzeMatchesSweep:
         # every data birack, every birack on at most 3 elements, and tsr
         # tables up to 251 elements, the largest prime below 256
         tables = [*_tables([*TSR, *ORACLE_TSR, (128, 3, 0, 5), (251, 2, 0, 1)]),
-                  *enumerate_biracks(1), *_three_element()]
+                  *enumerate_biracks(1), *enumerated_biracks(3)]
         assert all(self._same(b.b1, b.b2).ok for b in tables)
         assert (len(tables), max(b.n for b in tables)) == (90, 251)
 
@@ -713,7 +759,7 @@ class TestAnalyzeMatchesSweep:
         # valid tables with one entry changed or two entries of one row
         # swapped, and tables with random bijective B1 rows and B2 columns
         rng = random.Random(26)
-        seeds = [b for b in [*_tables(), *_three_element()] if b.n > 1]
+        seeds = [b for b in [*_tables(), *enumerated_biracks(3)] if b.n > 1]
         cases = []
         for _ in range(2400):
             b = rng.choice(seeds)
@@ -744,13 +790,13 @@ class TestDerivedStructure:
     """The defining relations, checked directly against the tables."""
 
     def test_sideways_relation(self, test_biracks):
-        for b in [*test_biracks.values(), *_tables(ORACLE_TSR), *_three_element()]:
+        for b in [*test_biracks.values(), *_tables(ORACLE_TSR), *enumerated_biracks(3)]:
             for x in range(b.n):
                 for y in range(b.n):
                     assert b.sideways(b.b1[x][y], x) == (b.b2[x][y], y)
 
     def test_inverses(self, test_biracks):
-        for b in [*test_biracks.values(), *_tables(ORACLE_TSR), *_three_element()]:
+        for b in [*test_biracks.values(), *_tables(ORACLE_TSR), *enumerated_biracks(3)]:
             # an entry left unwritten would index a row without an error
             for table in (b.b1inv, b.b2inv, b.s1, b.s2, b.s1inv, b.s2inv):
                 assert all(0 <= v < b.n for row in table for v in row)
@@ -854,7 +900,7 @@ class TestIsRack:
     def test_matches_pairwise_definition(self):
         tables = [read_matrix_file(p) for p in sorted(DATA.glob("*.txt"))
                   if p.name != "sample_links.txt"]
-        tables += [b for n in (1, 2, 3) for b in enumerate_biracks(n)]
+        tables += [b for n in (1, 2, 3) for b in enumerated_biracks(n)]
         tables += [tsr_birack(*args) for args in [(67, 2, 0, 1), (5, 2, 0, 1, 2), (3, 1, 2, 2)]]
         flags = [b.is_rack() for b in tables]
         assert flags == [all(b.b2[x][y] == x for x in range(b.n) for y in range(b.n))
@@ -1045,7 +1091,7 @@ class TestRackCrossValidation:
 
     def test_enumeration_finds_exactly_the_racks(self):
         # among all 3-element biracks, the rack-flagged ones are the 13 above
-        found = enumerate_biracks(3)
+        found = enumerated_biracks(3)
         assert sum(1 for b in found if classify(b).is_rack) == 13
         assert sum(1 for b in found if classify(b).is_quandle) == 5
 

@@ -26,15 +26,14 @@ def compose(p, q):
 
 def tamper(monkeypatch, **changes):
     """Make the constructors see a FiniteBirack with attributes changed."""
-    of = FiniteBirack._of
 
-    def build(cls, b1, b2):
-        b = of(b1, b2)
+    def build(b1, b2):
+        b = FiniteBirack(b1, b2)
         for name, change in changes.items():
             setattr(b, name, change(getattr(b, name)))
         return b
 
-    monkeypatch.setattr(FiniteBirack, "_of", classmethod(build))
+    monkeypatch.setattr(biracks.families, "FiniteBirack", build)
 
 
 def rotated(perm):
@@ -116,7 +115,7 @@ class TestConstantAction:
         # refused before any table is built: FiniteBirack is never reached
         monkeypatch.setattr(biracks.core, "ELEMENT_LIMIT", 3)
         assert constant_action((1, 0, 2), (0, 1, 2)).n == 3
-        monkeypatch.setattr(FiniteBirack, "_of", None)
+        monkeypatch.setattr(biracks.families, "FiniteBirack", None)
         with pytest.raises(SizeTooLarge) as exc:
             constant_action((1, 0, 2, 3), (0, 1, 3, 2))
         assert str(exc.value) == "the set tau and rho act on has 4 elements, more than 3"
@@ -249,12 +248,12 @@ class TestTsr:
 class TestTauSigmaRho:
     def test_element_limit(self, monkeypatch):
         # the order-8 dihedral group builds at a limit of 8, and at 7 it is
-        # refused before its group axioms or any birack table
+        # refused before its labels, its group axioms or any birack table
         maps = list(range(8)), [0] * 8, list(range(8))
         monkeypatch.setattr(biracks.core, "ELEMENT_LIMIT", 8)
         assert tau_sigma_rho_birack(dihedral8_cayley(), *maps).n == 8
         monkeypatch.setattr(biracks.core, "ELEMENT_LIMIT", 7)
-        monkeypatch.setattr(CayleyGroup, "_build", None)
+        monkeypatch.setattr(biracks.families, "_entries", None)
         for call in (lambda: CayleyGroup(dihedral8_cayley()),
                      lambda: tau_sigma_rho_birack(dihedral8_cayley(), *maps)):
             with pytest.raises(SizeTooLarge) as exc:

@@ -26,7 +26,6 @@ from biracks import (
     all_subbiracks,
     birack_polynomial,
     compute_invariant,
-    enumerate_biracks,
     labelings_by_framing,
     normalize,
     parse_gauss,
@@ -49,6 +48,7 @@ from conftest import (
     TREFOIL,
     UNKNOT,
     braid_closure,
+    enumerated_biracks,
     framed_reference,
     insert_curl,
     per_labeling_multiset,
@@ -166,7 +166,7 @@ class TestBirackPolynomial:
     def test_table_equals_scan(self):
         # the statistics table, counted along rows and columns, against a
         # scan of the four definitions for every element
-        tables = [b for n in (1, 2, 3) for b in enumerate_biracks(n)]
+        tables = [b for n in (1, 2, 3) for b in enumerated_biracks(n)]
         tables += [read_matrix_file(str(DATA / f"{name}.txt")) for name in DATA_BIRACKS]
         tables += [tsr_birack(*args) for args in ((3, 1, 2, 2), (4, 3, 2, 3), (7, 3, 0, 1),
                                                   (11, 2, 0, 1), (16, 1, 0, 1))]

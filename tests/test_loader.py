@@ -16,7 +16,6 @@ from biracks import (
     BirackError,
     ParseError,
     SizeTooLarge,
-    enumerate_biracks,
     format_matrix,
     from_matrix,
     parse_matrix_text,
@@ -26,7 +25,7 @@ from biracks import (
 )
 from biracks.cli import _read_cayley, _read_map, main
 from biracks.core import _load_map, _load_table
-from conftest import dihedral8_cayley
+from conftest import dihedral8_cayley, enumerated_biracks
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 # (n, t, s, r): dihedral quandles (n - 1, 2, 1) and a few others, up to 67
@@ -131,7 +130,7 @@ def _mutations(text: str) -> list[str]:
 def _matrix_texts() -> tuple[str, ...]:
     biracks = [read_matrix_file(p) for p in sorted(DATA.glob("*.txt"))
                if p.name != "sample_links.txt"]
-    biracks += [b for n in (1, 2, 3) for b in enumerate_biracks(n)]
+    biracks += [b for n in (1, 2, 3) for b in enumerated_biracks(n)]
     biracks += [tsr_birack(*args) for args in TSR]
     return tuple(map(format_matrix, biracks))
 

@@ -7,7 +7,7 @@ names of the package are pinned: dropping one means editing the pin and
 deprecating the name in CHANGES.md.  No package module uses assert, and
 only the text parsers call int().  Every table file is read through one
 label table.  Counts and labeling dumps search a diagram's groups through
-one helper.  The labeling search writes its four determinations in one
+one helper.  Each structure has one checked constructor.  The labeling search writes its four determinations in one
 rule table.  Every table size bound reads core.ELEMENT_LIMIT.  Every
 source file parses as the oldest Python the package declares.
 """
@@ -184,6 +184,33 @@ def test_one_group_search_helper():
         "_group_searches"}
     assert "_group_searches" in graph["compute_invariant"] & graph["_framed_rows"]
     assert "_framed_rows" in graph["labelings_by_framing"]
+
+
+def test_one_checked_constructor():
+    """FiniteBirack and CayleyGroup are built only through their checked
+    __init__: neither defines a second constructor that skips the checks,
+    only core calls _analyze (through FiniteBirack and verify_axioms), and
+    cli imports no private name from families."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "biracks").glob("*.py"))}
+    assert trees
+    twins = [
+        f"{name}:{node.name}.{item.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name in ("FiniteBirack", "CayleyGroup")
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "_of"
+    ]
+    analyzing = {name for name, tree in trees.items()
+                 if any(called == "_analyze" for called, _ in _called_names(tree))}
+    private = [
+        alias.name
+        for node in ast.walk(trees["cli.py"])
+        if isinstance(node, ast.ImportFrom) and node.module == "families"
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert (twins, analyzing, private) == ([], {"core.py"}, [])
 
 
 def test_table_files_share_one_loader():

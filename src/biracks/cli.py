@@ -94,19 +94,12 @@ def _write_matrix(b, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_candidate(path: str):
-    """The axiom report of a matrix file's tables."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return verify_axioms(*_matrix_tables(text))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    report = _load_candidate(args.path)
+    report = verify_axioms(*_matrix_tables(args.path))
     if args.json:
         payload = {
             "n": report.n,

@@ -93,10 +93,6 @@ def _bound(n: int, subject: str) -> None:
 # Permutation helpers
 # ---------------------------------------------------------------------------
 
-def identity_perm(n: int) -> Perm:
-    return tuple(range(n))
-
-
 def compose_perms(p, q) -> Perm:
     """(p o q)(x) = p(q(x))."""
     return tuple(p[q[x]] for x in range(len(q)))
@@ -567,7 +563,7 @@ class FiniteBirack:
         return self.pi
 
     def is_biquandle(self) -> bool:
-        return self.pi == identity_perm(self.n)
+        return self.pi == tuple(range(self.n))
 
     def is_rack(self) -> bool:
         """Whether B2(x, y) = x for all x, y."""
@@ -599,19 +595,13 @@ def from_matrix(n: int, block) -> FiniteBirack:
     Raises AxiomViolation (with the first witness) if the tables fail any
     axiom, ValueError on malformed input.
     """
-    return FiniteBirack(*_block_tables(n, block))
-
-
-def _block_tables(n: int, block) -> tuple[Table, Table]:
-    """The 0-indexed tables (B1, B2) of a [B1 | B2] block, axioms unchecked.
-    Each entry is checked here against the 1-indexed range."""
     _int_params(n=n)
     if n <= 0:
         raise ValueError("n must be positive")
     rows = [list(r) for r in block]
     if len(rows) != n or any(len(r) != 2 * n for r in rows):
         raise ValueError(f"expected {n} rows of {2 * n} entries")
-    return _split_block(n, [_labels(r, n) for r in rows])
+    return FiniteBirack(*_split_block(n, [_labels(r, n) for r in rows]))
 
 
 def _split_block(n: int, rows) -> tuple[Table, Table]:
@@ -717,10 +707,16 @@ def _load_map(lines, n: int) -> list[int]:
     return [v for row in rows for v in row]
 
 
-def _matrix_tables(text: str) -> tuple[Table, Table]:
-    """The checked 0-indexed tables (B1, B2) of matrix file text, axioms
-    unchecked."""
-    return _split_block(*_load_table(text, "matrix", 2))
+def _matrix_tables(path) -> tuple[Table, Table]:
+    """The checked 0-indexed tables (B1, B2) of a matrix file, axioms
+    unchecked.  ParseError on a malformed file or an entry outside 1..n,
+    SizeTooLarge above ELEMENT_LIMIT elements."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return _split_block(*_load_table(text, "matrix", 2))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def parse_matrix_text(text: str) -> tuple[int, list[list[int]]]:
@@ -733,13 +729,7 @@ def read_matrix_file(path) -> FiniteBirack:
     """The birack of a matrix file.  ParseError on a malformed file or an
     entry outside 1..n, SizeTooLarge above ELEMENT_LIMIT elements,
     AxiomViolation when the tables fail an axiom."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        tables = _matrix_tables(text)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    return FiniteBirack(*tables)
+    return FiniteBirack(*_matrix_tables(path))
 
 
 # ---------------------------------------------------------------------------

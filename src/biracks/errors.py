@@ -40,7 +40,7 @@ class ConstructionError(BirackError):
       "NonCommuting", "NotInvertible", "IdealViolation", "NotAGroup",
       "NotAutomorphism", "NotEndomorphism", "NotCommuting", "Eq4Fails",
       or, when a closed form disagrees with the built tables,
-      "KinkMapMismatch", "RankMismatch", "RingIdentityFails"
+      "KinkMapMismatch", "RankMismatch"
     An entry that is not an element label (not an int, or out of range)
     raises ValueError before any of these checks.
     """

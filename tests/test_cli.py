@@ -92,7 +92,7 @@ class TestMake:
         tsr = ["make", "tsr", "--t", "1", "--s", "0", "--r", "1"]
         assert _run([*tsr, "--n", "100", "--m", "5"], capsys) == (
             1, "", "error: (Z_100)^5 has 100^5 elements, more than 256\n")
-        monkeypatch.setattr(biracks.families, "TSR_ELEMENT_LIMIT", 8)
+        monkeypatch.setattr(biracks.families, "ELEMENT_LIMIT", 8)
         assert _run([*tsr, "--n", "3", "--m", "2"], capsys) == (
             1, "", "error: (Z_3)^2 has 3^2 elements, more than 8\n")
         code, out, _ = _run([*tsr, "--n", "2", "--m", "3"], capsys)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -60,22 +61,6 @@ class TestClosedFormChecks:
         with pytest.raises(ConstructionError, match="order of tr") as exc:
             tsr_birack(5, 2, 0, 1)
         assert exc.value.reason == "RankMismatch"
-
-    def _wrong_inverses(self, monkeypatch):
-        # pow(., -1, n) is the only source of t^-1 and r^-1
-        monkeypatch.setattr("biracks.families.pow", lambda *args: 0, raising=False)
-
-    def test_tsr_first_ring_identity(self, monkeypatch):
-        self._wrong_inverses(monkeypatch)
-        with pytest.raises(ConstructionError, match=r"\(1 - s\)\(1 \+ t\^-1") as exc:
-            tsr_birack(3, 1, 2, 2)  # s != 0
-        assert exc.value.reason == "RingIdentityFails"
-
-    def test_tsr_second_ring_identity(self, monkeypatch):
-        self._wrong_inverses(monkeypatch)
-        with pytest.raises(ConstructionError, match=r"\(tr \+ s\) t\^-1") as exc:
-            tsr_birack(5, 2, 0, 1)  # s = 0 passes the first identity
-        assert exc.value.reason == "RingIdentityFails"
 
     def test_group_kink_map(self, monkeypatch):
         tamper(monkeypatch, pi=rotated)
@@ -177,14 +162,44 @@ class TestTsr:
                     try:
                         b = tsr_birack(n, t, s, r, m)
                     except ConstructionError as exc:
-                        assert exc.reason in ("NotInvertible", "IdealViolation",
-                                              "RingIdentityFails")
+                        assert exc.reason in ("NotInvertible", "IdealViolation")
                         continue
                     b1, b2 = tuple_index_tables(n, t, s, r, m)
                     assert b.b1 == tuple(map(tuple, b1))
                     assert b.b2 == tuple(map(tuple, b2))
                     checked[m] += 1
         assert checked == {1: 163, 2: 15, 3: 7}
+
+    def test_parameter_checks_imply_ring_identities(self):
+        # with t, r units and s^2 = (1 - tr)s, u = (tr)^-1 gives
+        # (1 - s)(1 + us) = 1 and (tr + s) u (1 - s) = 1 mod n, so
+        # tsr_birack needs no check of its own for either identity
+        passing = 0
+        for n in range(2, 31):
+            units = [x for x in range(n) if math.gcd(x, n) == 1]
+            for t, r in itertools.product(units, repeat=2):
+                u = pow(t * r, -1, n)
+                for s in range(n):
+                    if (s * s - (1 - t * r) * s) % n:
+                        continue
+                    assert (1 - s) * (1 + u * s) % n == 1 % n
+                    assert (t * r + s) * u * (1 - s) % n == 1 % n
+                    passing += 1
+        assert passing > 0
+
+    def test_rank_is_order_of_kink_scalar(self):
+        # tr + s is a unit for every (t, s, r) the checks pass, so the rank
+        # is its multiplicative order, found here by a bounded search
+        for n in range(2, 13):
+            for t, s, r in itertools.product(range(n), repeat=3):
+                try:
+                    b = tsr_birack(n, t, s, r)
+                except ConstructionError as exc:
+                    assert exc.reason in ("NotInvertible", "IdealViolation")
+                    continue
+                k = (t * r + s) % n
+                order = next(j for j in range(1, n + 1) if pow(k, j, n) == 1 % n)
+                assert b.rank == order
 
     def test_trefoil_birack_is_rank_one(self):
         b = tsr_birack(3, 1, 2, 2)
@@ -226,7 +241,7 @@ class TestTsr:
     def test_element_limit(self, monkeypatch):
         # 2^3 = 8 elements build at a limit of 8; 3^2 = 9 do not, nor does
         # an m whose n^m is far too large to compute
-        monkeypatch.setattr(biracks.families, "TSR_ELEMENT_LIMIT", 8)
+        monkeypatch.setattr(biracks.families, "ELEMENT_LIMIT", 8)
         assert tsr_birack(2, 1, 0, 1, 3).n == 8
         for args, size in [((3, 2, 0, 1, 2), "3^2"), ((2, 1, 0, 1, 10**9), "2^1000000000")]:
             with pytest.raises(SizeTooLarge) as exc:

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 import biracks.core
-import biracks.families
 from biracks import (
     BirackError,
     ParseError,
@@ -270,7 +269,9 @@ class TestElementLimit:
     than ELEMENT_LIMIT elements."""
 
     def test_shared_with_tsr(self):
-        assert biracks.core.ELEMENT_LIMIT == biracks.families.TSR_ELEMENT_LIMIT == 256
+        with pytest.raises(SizeTooLarge) as exc:
+            tsr_birack(2, 1, 0, 1, 9)
+        assert str(exc.value) == "(Z_2)^9 has 2^9 elements, more than 256"
 
     def test_refused_before_rows(self):
         text = "257\n" + "x\n" * 257

@@ -6,10 +6,12 @@ path, without installing anything, and resolves every name.  The public
 names of the package are pinned: dropping one means editing the pin and
 deprecating the name in CHANGES.md.  No package module uses assert, and
 only the text parsers call int().  Every table file is read through one
-label table.  Counts and labeling dumps search a diagram's groups through
-one helper.  Each structure has one checked constructor.  The labeling search writes its four determinations in one
-rule table.  Every table size bound reads core.ELEMENT_LIMIT.  Every
-source file parses as the oldest Python the package declares.
+label table, and every matrix file through one reader.  Counts and
+labeling dumps search a diagram's groups through one helper.  Each
+structure has one checked constructor.  The labeling search writes its
+four determinations in one rule table.  Every table size bound reads
+core.ELEMENT_LIMIT.  Every source file parses as the oldest Python the
+package declares, and every console script it declares runs.
 """
 
 import ast
@@ -214,10 +216,11 @@ def test_one_checked_constructor():
 
 
 def test_table_files_share_one_loader():
-    """Matrix files (read_matrix_file and verify), Cayley tables and map
-    files all reach the one label table, core._label_rows; only the core
-    loaders and the public parse_matrix_text read a file's tokens with
-    int(), through _int_row."""
+    """Matrix files (read_matrix_file and verify, both through the one
+    matrix-file reader core._matrix_tables), Cayley tables and map files
+    all reach the one label table, core._label_rows; only the core loaders
+    and the public parse_matrix_text read a file's tokens with int(),
+    through _int_row."""
     graph = _call_graph("core.py", "cli.py")
 
     def reached(start):
@@ -229,12 +232,13 @@ def test_table_files_share_one_loader():
                     stack.append(callee)
         return seen
 
-    entries = ("read_matrix_file", "_load_candidate", "_read_cayley", "_read_map")
+    entries = ("read_matrix_file", "_cmd_verify", "_read_cayley", "_read_map")
     assert [entry for entry in entries if "_label_rows" not in reached(entry)] == []
 
     def callers(name):
         return {caller for caller, callees in graph.items() if name in callees}
 
+    assert callers("_matrix_tables") == {"read_matrix_file", "_cmd_verify"}
     assert callers("_int_row") == {"_int_rows", "_load_map"}
     assert callers("_int_rows") == {"_load_table", "parse_matrix_text"}
 
@@ -248,9 +252,8 @@ def test_one_element_bound():
     """Every bound on a table's element count reads core.ELEMENT_LIMIT, the
     size of a bytes.translate table, which _analyze's byte rows need: the
     one literal 256 (or the old 360) in the package defines it, only
-    core._bound and the families.TSR_ELEMENT_LIMIT alias read it, only
-    tsr_birack reads that alias, and the loaders, parse_cycles, _analyze
-    and the family constructors call _bound."""
+    core._bound and tsr_birack read it, and the loaders, parse_cycles,
+    _analyze and the family constructors call _bound."""
     assert biracks.core.ELEMENT_LIMIT == len(bytes.maketrans(b"", b""))
     literals, readers, bounded = [], [], {}
     for path in sorted((ROOT / "src" / "biracks").glob("*.py")):
@@ -270,9 +273,7 @@ def test_one_element_bound():
     assert sorted(set(readers)) == [
         ("core.py", "ELEMENT_LIMIT", "ELEMENT_LIMIT"),
         ("core.py", "_bound", "ELEMENT_LIMIT"),
-        ("families.py", "TSR_ELEMENT_LIMIT", "ELEMENT_LIMIT"),
-        ("families.py", "TSR_ELEMENT_LIMIT", "TSR_ELEMENT_LIMIT"),
-        ("families.py", "tsr_birack", "TSR_ELEMENT_LIMIT"),
+        ("families.py", "tsr_birack", "ELEMENT_LIMIT"),
     ]
     assert {name: found for name, found in bounded.items() if found} == BOUNDED
 
@@ -321,3 +322,18 @@ def test_python_310_syntax():
         ast.parse(later)
     with pytest.raises(SyntaxError):
         ast.parse(later, feature_version=(3, 10))
+
+
+def test_console_scripts_run(capsys):
+    """Each console script pyproject.toml declares resolves to a callable
+    that prints the project's version for --version and returns 0."""
+    tomllib = pytest.importorskip("tomllib")  # 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["scripts"]
+    for target in project["scripts"].values():
+        module, _, attr = target.partition(":")
+        main = getattr(importlib.import_module(module), attr)
+        assert callable(main)
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == f"biracks {project['version']}\n"

@@ -38,7 +38,7 @@ import argparse
 import json
 import sys
 from functools import cache
-from itertools import chain
+from itertools import accumulate, chain
 from math import log10
 
 from . import __version__
@@ -48,6 +48,7 @@ from .core import (
     _load_map,
     _load_table,
     _matrix_tables,
+    _read_lines,
     all_subbiracks,
     classify,
     cycle_string,
@@ -138,14 +139,11 @@ def _cmd_make(args) -> int:
 
 
 def _read_cayley(path: str) -> list[list[int]]:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return _load_table(text, "Cayley table", 1)[1]
+    return _load_table("".join(_read_lines(path, "Cayley table")), "Cayley table", 1)[1]
 
 
 def _read_map(path: str, n: int) -> list[int]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
+    lines = _read_lines(path, "map")
     try:
         labels = _load_map(lines, n)
     except (ParseError, ValueError) as exc:
@@ -254,12 +252,11 @@ def _cmd_invariant(args) -> int:
     if args.gauss is not None:
         jobs.append(("-", args.gauss))
     else:
-        with open(args.batch, encoding="utf-8") as fh:
-            for ln in _content_lines(fh):
-                name, tab, code = ln.rstrip("\n").partition("\t")
-                if not tab:
-                    raise ParseError(f"batch line {ln.strip()!r} has no TAB after the name")
-                jobs.append((name.strip(), code.strip()))
+        for ln in _content_lines(_read_lines(args.batch, "batch")):
+            name, tab, code = ln.rstrip("\n").partition("\t")
+            if not tab:
+                raise ParseError(f"batch line {ln.strip()!r} has no TAB after the name")
+            jobs.append((name.strip(), code.strip()))
     results = []
     for name, code in jobs:
         d = parse_gauss(code)
@@ -268,12 +265,12 @@ def _cmd_invariant(args) -> int:
         # the link's groups again, as rows of 1-indexed labels.
         labelings = None
         if args.labelings:
-            count = sum(m * len(framed_semiarc_sources(d, w, b.rank))
-                        for w, m in value.per_framing if m)
-            if count > LABELING_DUMP_LIMIT:
+            # Framings are counted until the total passes the bound.
+            sizes = (m * len(framed_semiarc_sources(d, w, b.rank))
+                     for w, m in value.per_framing if m)
+            if any(total > LABELING_DUMP_LIMIT for total in accumulate(sizes)):
                 raise SizeTooLarge(
-                    f"--labelings would print {count} labels, more than {LABELING_DUMP_LIMIT}"
-                )
+                    f"--labelings would print more than {LABELING_DUMP_LIMIT} labels")
             labelings = _framed_rows(d, b, 1)
         if args.normalize:
             value = normalize(value, d, b)

@@ -25,7 +25,10 @@ all hold, builds every derived map.  The rows are bytes, and every map
 comes from them by inverses and compositions that run in C: the columns
 of S and S^-1 from the inverses of the B1 rows and B2 columns, B^-1 from
 the inverses of the S1 rows, and the kink structure from the diagonals
-of S^-1: with D(x) = (x, x),
+of S^-1.  The same inverses test those rows for bijectivity, one family
+in one comparison: the inverse bytes.maketrans(p, ident)[:n] of a row p
+is the identity off the image of p, so p o p^-1 = id exactly when p is
+onto.  With D(x) = (x, x),
 
   alpha = (S2^-1 o D)^-1        pi = (S1^-1 o D) o alpha
 
@@ -66,9 +69,10 @@ from __future__ import annotations
 
 import itertools
 import re
+import struct
 from dataclasses import asdict, dataclass
 from math import lcm
-from operator import getitem
+from operator import getitem, itemgetter
 
 from .errors import AxiomViolation, ParseError, SizeTooLarge
 
@@ -339,36 +343,50 @@ def _ybe_holds(b1, b2, s1, n: int) -> bool:
     with tau rho != rho tau passes (i) and (ii), since every sigma_x is tau
     and every R_z is tau rho, and fails (iii) and the equation.
 
-    Rows are composed by bytes.translate with the outer row padded to a
-    translation table, so the n^3 element steps run in C.
+    Each family compares n blocks with n^2 rows gathered from the blocks
+    of a second product.  A block, outer[a] composed with every inner row,
+    is one bytes.translate of the joined inner rows, so the n^3 element
+    steps run in C.  Each block of the second product is split into its
+    rows once (struct), its rows are gathered by reference (itemgetter),
+    and the gathered rows of a block are joined and compared with it in
+    one step; no row is sliced out on its own.
     """
+    if n == 1:  # the one table B(0, 0) = (0, 0); itemgetter(x) gives no tuple
+        return True
     pad = _IDENTITY[n:]
-    rng = range(n)
-    cuts = [slice(b * n, b * n + n) for b in rng]
-    each = [[a] * n for a in rng]
-    right = [q.translate(p + pad) for p, q in zip(b1, s1)]  # R_z = sigma_z S1(z, .)
+    split = struct.Struct(f"{n}s" * n).unpack  # a block's n rows
+    sigma_t = [p + pad for p in b1]  # rows as translation tables
+    right = [q.translate(p) for p, q in zip(sigma_t, s1)]  # R_z = sigma_z S1(z, .)
+    right_t = [p + pad for p in right]
 
     def products(outer, inner):
-        """Block a holds outer[a] o inner[b] at cuts[b], for every b."""
-        flat = b"".join(inner)
-        return [flat.translate(p + pad) for p in outer]
+        """The blocks, one at a time: block a holds outer[a] o inner[b] as
+        its row b, for every b; outer holds translation tables."""
+        return map(b"".join(inner).translate, outer)
 
-    def agree(lhs, rhs, blocks, rows) -> bool:
-        """Whether, for all a and b, row b of block a of lhs is row
-        rows[a][b] of block blocks[a][b] of rhs."""
-        return all(
-            lhs[a] == b"".join(map(getitem, map(rhs.__getitem__, blocks[a]),
-                                   map(cuts.__getitem__, rows[a])))
-            for a in rng
-        )
+    def agree(lhs, gathered) -> bool:
+        """Whether block a of lhs is the join of the rows gathered[a], for
+        all a."""
+        return all(map(bytes.__eq__, lhs, map(b"".join, gathered)))
 
-    ss = products(b1, b1)
-    if not agree(ss, ss, b1, b2):  # (i), at (x, y)
+    def row_a(rhs, outer):
+        """For each a, row a of block outer[a][b] of rhs, for every b."""
+        columns = zip(*map(split, rhs))  # row a of every block, for each a
+        return (itemgetter(*p)(c) for p, c in zip(outer, columns))
+
+    # A family's blocks are dropped before the next family's are built.
+    # (i), at (x, y): row B2(x, y) of block B1(x, y).
+    ss = list(products(sigma_t, b1))
+    blocks = list(map(split, ss))
+    if not agree(ss, (map(getitem, itemgetter(*p)(blocks), q) for p, q in zip(b1, b2))):
         return False
-    rr = products(right, right)
-    return (agree(rr, rr, right, each)  # (ii), at (z, y)
-            and agree(products(b1, right), products(right, b1),
-                      b1, each))  # (iii), at (x, z)
+    del ss, blocks
+    rr = list(products(right_t, right))
+    if not agree(rr, row_a(rr, right)):  # (ii), at (z, y)
+        return False
+    del rr
+    # (iii), at (x, z)
+    return agree(products(sigma_t, right), row_a(products(right_t, b1), b1))
 
 
 def _analyze(b1, b2):
@@ -382,10 +400,11 @@ def _analyze(b1, b2):
     Rows become tuples first, so a row that is an int raises TypeError
     instead of becoming that many zero bytes.
 
-    derived is (B1^-1, B2^-1, S1, S2, S1^-1, S2^-1) as tables, then the
-    kink maps alpha and pi.  Each axiom is recorded in _AXIOM_ORDER; when
-    the sideways or diagonal check fails, the axioms after it need the
-    structure it was meant to provide and are reported as skipped.
+    derived is (B1, B2, B1^-1, B2^-1, S1, S2, S1^-1, S2^-1) as tables of
+    tuple rows, then the kink maps alpha and pi.  Each axiom is recorded
+    in _AXIOM_ORDER; when the sideways or diagonal check fails, the axioms
+    after it need the structure it was meant to provide and are reported
+    as skipped.
 
     Every map is built from rows of bytes, by inverting and composing them
     in C.  Once the B1 rows sigma_x and the B2 columns tau_y are bijective,
@@ -402,8 +421,15 @@ def _analyze(b1, b2):
     The first two maps are bijections, and the last keeps u, so it is a
     bijection exactly when each of its rows is.  Its inverse gives
     B^-1(u, v) = (x, S2(u, x)) with x the preimage of v in row u of S1.
-    The pair scan (_pair_witness) runs only to name the first colliding
-    pairs, or when the sideways check fails.
+
+    Each family of rows (the B1 rows, the B2 columns, the S1 rows, the
+    four diagonals) is tested for bijectivity against its inverses in one
+    comparison (inverses).  The inverse of a row p is
+    p^-1 = bytes.maketrans(p, ident)[:n], and p^-1 is the identity off
+    the image of p, so p o p^-1 = id exactly when p is onto, and a map of
+    X onto X is a bijection.  The per-row set scans, and the pair scan
+    _pair_witness, run only when a family fails, to name its first
+    failing row or colliding pairs.
     """
     b1, b2 = tuple(map(tuple, b1)), tuple(map(tuple, b2))
     n = len(b1)
@@ -417,6 +443,7 @@ def _analyze(b1, b2):
         _tables(b1, b2)
     _bound(n, "the candidate birack")
     rng = range(n)
+    ident, pad, maketrans = _IDENTITY[:n], _IDENTITY[n:], bytes.maketrans
     checks: list[CheckResult] = []
 
     def record(witness, detail: str = "") -> bool:
@@ -434,39 +461,44 @@ def _analyze(b1, b2):
         skipped = [CheckResult(name, "skipped") for name in _AXIOM_ORDER[len(checks):]]
         return ValidationReport(n, tuple(checks + skipped))
 
+    def inverses(maps) -> list[bytes] | None:
+        """The inverses of the rows p of maps, or None when one is not a
+        bijection.  The inverse p^-1 = maketrans(p, ident)[:n] is the
+        identity off the image of p, so p o p^-1 = id exactly when p is
+        onto: the rows p o p^-1, joined, are compared once with as many
+        copies of the identity."""
+        inverse = [maketrans(p, ident)[:n] for p in maps]
+        composed = b"".join([q.translate(p + pad) for p, q in zip(maps, inverse)])
+        return inverse if composed == ident * len(maps) else None
+
     # Sideways map existence/uniqueness: B1 rows and B2 columns bijective.
     tau = _transpose(beta)
-    sideways_witness = next(itertools.chain(
-        (("B1-row", x) for x in rng if len(set(sigma[x])) != n),
-        (("B2-column", y) for y in rng if len(set(tau[y])) != n),
-    ), None)
+    sigma_inv, tau_inv = inverses(sigma), inverses(tau)
+    sideways = bool(sigma_inv and tau_inv)
 
     # S and S^-1 built column by column and turned into rows, then
-    # (x, y) -> (B1, B2) bijective on pairs read off the rows of S1.
-    ident, pad, maketrans = _IDENTITY[:n], _IDENTITY[n:], bytes.maketrans
-    if sideways_witness is None:
-        sigma_inv = [maketrans(p, ident)[:n] for p in sigma]
-        tau_inv = [maketrans(p, ident)[:n] for p in tau]
+    # (x, y) -> (B1, B2) bijective on pairs read off the rows of S1, whose
+    # inverses are the rows of B1^-1.
+    b1inv = None
+    if sideways:
         s1, s2, s1inv, s2inv = map(_transpose, (
             [q.translate(p + pad) for p, q in zip(beta, sigma_inv)], sigma_inv,
             [q.translate(p + pad) for p, q in zip(_transpose(sigma), tau_inv)], tau_inv))
-    pair_witness = None
-    if sideways_witness is not None or any(len(set(row)) != n for row in s1):
-        pair_witness = _pair_witness(b1, b2, n)
-    record(pair_witness, "B{} = B{}")
+        b1inv = inverses(s1)
+    record(None if b1inv else _pair_witness(b1, b2, n), "B{} = B{}")
+    sideways_witness = None if sideways else next(itertools.chain(
+        (("B1-row", x) for x in rng if len(set(sigma[x])) != n),
+        (("B2-column", y) for y in rng if len(set(tau[y])) != n),
+    ))
     if not record(sideways_witness, "{} {} is not a bijection"):
         return report(), None
 
     # Diagonal bijectivity of S and S^-1.
-    diag = {
-        "S1 o diag": _diagonal(s1),
-        "S2 o diag": _diagonal(s2),
-        "S1^-1 o diag": _diagonal(s1inv),
-        "S2^-1 o diag": _diagonal(s2inv),
-    }
-    diag_witness = next(
-        ((name,) for name, mapping in diag.items() if len(set(mapping)) != n), None
-    )
+    names = ("S1 o diag", "S2 o diag", "S1^-1 o diag", "S2^-1 o diag")
+    diag = [_diagonal(t) for t in (s1, s2, s1inv, s2inv)]
+    diag_inv = inverses(diag)
+    diag_witness = None if diag_inv else next(
+        (name,) for name, mapping in zip(names, diag) if len(set(mapping)) != n)
     if not record(diag_witness, "{} is not a bijection"):
         return report(), None
 
@@ -481,14 +513,14 @@ def _analyze(b1, b2):
         return final, None
 
     # Kink structure: alpha = (S2^-1 o diag)^-1, pi = (S1^-1 o diag) o alpha.
-    # Row u of B1^-1 inverts row u of S1, and B2^-1(u, v) = S2(u, B1^-1(u, v)).
-    alpha = maketrans(diag["S2^-1 o diag"], ident)[:n]
-    b1inv = [maketrans(p, ident)[:n] for p in s1]
+    # B2^-1(u, v) = S2(u, B1^-1(u, v)).
+    alpha = diag_inv[3]
     b2inv = [q.translate(p + pad) for p, q in zip(s2, b1inv)]
     derived = (
+        b1, b2,
         *(tuple(map(tuple, t)) for t in (b1inv, b2inv, s1, s2, s1inv, s2inv)),
         tuple(alpha),
-        tuple(alpha.translate(diag["S1^-1 o diag"] + pad)),
+        tuple(alpha.translate(diag[2] + pad)),
     )
     return final, derived
 
@@ -528,16 +560,13 @@ class FiniteBirack:
     )
 
     def __init__(self, b1, b2):
-        b1, b2 = tuple(map(tuple, b1)), tuple(map(tuple, b2))
         report, derived = _analyze(b1, b2)
         if not report.ok:
             bad = report.first_failure
             raise AxiomViolation(bad.name, bad.witness, bad.detail)
         self.n = report.n
-        self.b1 = b1
-        self.b2 = b2
-        (self.b1inv, self.b2inv, self.s1, self.s2, self.s1inv, self.s2inv,
-         self.alpha, self.pi) = derived
+        (self.b1, self.b2, self.b1inv, self.b2inv, self.s1, self.s2,
+         self.s1inv, self.s2inv, self.alpha, self.pi) = derived
         self.rank = perm_order(self.pi)
 
     # ---------- maps ----------
@@ -707,12 +736,23 @@ def _load_map(lines, n: int) -> list[int]:
     return [v for row in rows for v in row]
 
 
+def _read_lines(path, noun: str) -> list[str]:
+    """The lines of a UTF-8 text file, as iterating it gives them.
+    ParseError naming the file kind noun and the path when the file is
+    not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{noun} file {path} is not UTF-8 text "
+                         f"(byte {exc.object[exc.start]:#04x}: {exc.reason})") from None
+
+
 def _matrix_tables(path) -> tuple[Table, Table]:
     """The checked 0-indexed tables (B1, B2) of a matrix file, axioms
-    unchecked.  ParseError on a malformed file or an entry outside 1..n,
-    SizeTooLarge above ELEMENT_LIMIT elements."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    unchecked.  ParseError on a malformed file, one that is not UTF-8 or
+    an entry outside 1..n, SizeTooLarge above ELEMENT_LIMIT elements."""
+    text = "".join(_read_lines(path, "matrix"))
     try:
         return _split_block(*_load_table(text, "matrix", 2))
     except ValueError as exc:

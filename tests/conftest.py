@@ -608,5 +608,5 @@ def reference_analyze(b1, b2):
     for x, v in enumerate(diag["S2^-1 o diag"]):
         alpha[v] = x
     pi = [diag["S1^-1 o diag"][alpha[x]] for x in rng]
-    tables = tuple(tuple(map(tuple, t)) for t in (b1inv, b2inv, s1, s2, s1inv, s2inv))
+    tables = tuple(tuple(map(tuple, t)) for t in (b1, b2, b1inv, b2inv, s1, s2, s1inv, s2inv))
     return final, (*tables, tuple(alpha), tuple(pi))

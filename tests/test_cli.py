@@ -336,7 +336,29 @@ class TestInvariantCommand:
             code, out, err = _run(["invariant", "--birack", "data/ten_element.txt",
                                    "--gauss", ";" * 6, "--type", kind, "--labelings"], capsys)
             assert (code, out, err) == (
-                1, "", "error: --labelings would print 70000000 labels, more than 6000000\n")
+                1, "", "error: --labelings would print more than 6000000 labels\n")
+
+    def test_labeling_dump_bound_stops_counting(self, tmp_path, monkeypatch, capsys):
+        import biracks.cli
+
+        # the 3-unlink over a rank-6 birack has 6^3 framings; the bound is
+        # passed at the first, so only its semiarcs are counted
+        path = tmp_path / "tsr7.txt"
+        path.write_text(format_matrix(tsr_birack(7, 3, 0, 1)))
+        calls = []
+        sources = biracks.cli.framed_semiarc_sources
+
+        def counting(d, w, rank):
+            calls.append(w)
+            return sources(d, w, rank)
+
+        monkeypatch.setattr(biracks.cli, "framed_semiarc_sources", counting)
+        monkeypatch.setattr(biracks.cli, "LABELING_DUMP_LIMIT", 1000)
+        code, out, err = _run(["invariant", "--birack", str(path), "--gauss", ";;",
+                               "--type", "integral", "--labelings"], capsys)
+        assert (code, out, err) == (
+            1, "", "error: --labelings would print more than 1000 labels\n")
+        assert calls == [(0, 0, 0)]
 
     def test_framing_bound(self, two_element_file, capsys):
         code, out, err = _run(["invariant", "--birack", two_element_file, "--gauss", ";" * 22,
@@ -358,7 +380,7 @@ class TestInvariantCommand:
         assert (code, len(out.splitlines()), err) == (0, 1 + 10**4, "")
         code, out, err = _run([*args, ";;;;"], capsys)
         assert (code, out, err) == (
-            1, "", "error: --labelings would print 500000 labels, more than 40000\n")
+            1, "", "error: --labelings would print more than 40000 labels\n")
 
     def test_labeling_dump_bound_counts_kink_labels(self, monkeypatch, capsys):
         import biracks.cli
@@ -380,7 +402,7 @@ class TestInvariantCommand:
         monkeypatch.setattr(biracks.cli, "_framed_rows", forbidden)
         code, out, err = _run([*args, chains], capsys)
         assert (code, out, err) == (
-            1, "", "error: --labelings would print 2400000 labels, more than 40000\n")
+            1, "", "error: --labelings would print more than 40000 labels\n")
 
     def test_labeling_dump_json(self, two_element_file, capsys):
         assert main(["invariant", "--birack", two_element_file,
@@ -445,7 +467,7 @@ class TestDumpRows:
         code, out, err = _run(["invariant", "--birack", "data/ten_element.txt", "--gauss",
                                ";" * 6, "--type", "rho", "--labelings", "--json"], capsys)
         assert (code, out, err) == (
-            1, "", "error: --labelings would print 70000000 labels, more than 6000000\n")
+            1, "", "error: --labelings would print more than 6000000 labels\n")
 
 
 class TestDigitLimit:
@@ -713,3 +735,44 @@ class TestTableFileErrors:
             argv += [f"--{key}", str(path)]
         expected = "error: " + err.format(tau=tmp_path / "tau.txt") + "\n"
         assert _run(argv, capsys) == (1, "", expected)
+
+
+class TestNotUtf8:
+    """A file that is not UTF-8 is refused in one line naming its kind and path."""
+
+    BAD = b"2\n1 \xff 2 2\n2 2 1 1\n"
+
+    @staticmethod
+    def _error(noun, path) -> str:
+        return f"error: {noun} file {path} is not UTF-8 text (byte 0xff: invalid start byte)\n"
+
+    def test_matrix(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(self.BAD)
+        for command in ("verify", "rank", "classify", "subbiracks", "poly"):
+            assert _run([command, str(path)], capsys) == (
+                1, "", self._error("matrix", path))
+
+    def test_cayley(self, tmp_path, capsys):
+        argv = ["make", "tsrho"]
+        for key in ("cayley", "tau", "sigma", "rho"):
+            path = tmp_path / key
+            path.write_bytes(self.BAD if key == "cayley" else b"1 2\n")
+            argv += [f"--{key}", str(path)]
+        assert _run(argv, capsys) == (
+            1, "", self._error("Cayley table", tmp_path / "cayley"))
+
+    def test_map(self, tmp_path, capsys):
+        argv = ["make", "tsrho"]
+        files = {"cayley": b"2\n1 2\n2 1\n", "tau": b"1 2\n", "sigma": b"1 \xff\n", "rho": b"1 2\n"}
+        for key, data in files.items():
+            path = tmp_path / key
+            path.write_bytes(data)
+            argv += [f"--{key}", str(path)]
+        assert _run(argv, capsys) == (1, "", self._error("map", tmp_path / "sigma"))
+
+    def test_batch(self, two_element_file, tmp_path, capsys):
+        path = tmp_path / "links.txt"
+        path.write_bytes(b"unknot\t\nhopf\t\xff\n")
+        assert _run(["invariant", "--birack", two_element_file, "--batch", str(path),
+                     "--type", "integral"], capsys) == (1, "", self._error("batch", path))

@@ -719,6 +719,24 @@ class TestYangBaxterForm:
         tsr_birack(251, 2, 0, 1)
         assert scans == pair_scans == []
 
+    def test_valid_tables_build_no_row_sets(self, monkeypatch, scans, pair_scans):
+        # each family of rows is tested against its inverses in one
+        # comparison, so a valid table builds no set per row: the one set
+        # of row lengths that checks the shape is all
+        b = tsr_birack(67, 2, 0, 1)
+        sizes = []
+
+        def counting(*args):
+            made = set(*args)
+            sizes.append(len(made))
+            return made
+
+        monkeypatch.setattr(biracks.core, "set", counting, raising=False)
+        report, derived = biracks.core._analyze(b.b1, b.b2)
+        assert report.ok and derived[:2] == (b.b1, b.b2)
+        assert len(sizes) <= 1
+        assert scans == pair_scans == []
+
     @pytest.mark.parametrize("case", ["ybe_1", "ybe_2", "ybe_3"])
     def test_failing_table_scans_once(self, case, scans):
         b1, b2, checks, _, _ = FAILING_REPORTS[case]
@@ -749,11 +767,13 @@ class TestAnalyzeMatchesSweep:
 
     def test_valid_tables(self):
         # every data birack, every birack on at most 3 elements, and tsr
-        # tables up to 251 elements, the largest prime below 256
-        tables = [*_tables([*TSR, *ORACLE_TSR, (128, 3, 0, 5), (251, 2, 0, 1)]),
+        # tables up to 251 elements, the largest prime below 256, and of
+        # 256, whose rows fill a bytes.translate table with no padding
+        tables = [*_tables([*TSR, *ORACLE_TSR, (128, 3, 0, 5), (251, 2, 0, 1),
+                            (256, 3, 0, 1)]),
                   *enumerate_biracks(1), *enumerated_biracks(3)]
         assert all(self._same(b.b1, b.b2).ok for b in tables)
-        assert (len(tables), max(b.n for b in tables)) == (90, 251)
+        assert (len(tables), max(b.n for b in tables)) == (91, 256)
 
     def test_failing_tables(self, pair_scans):
         # valid tables with one entry changed or two entries of one row
@@ -775,15 +795,46 @@ class TestAnalyzeMatchesSweep:
             for _ in range(200):
                 cases.append(_nondegenerate([rng.sample(range(n), n) for _ in range(n)],
                                             [rng.sample(range(n), n) for _ in range(n)]))
+        # tables whose one non-bijective row is the last B1 row or the last
+        # B2 column, which a bijectivity test over a family's joined rows
+        # passes if it drops or shifts a row
+        b = tsr_birack(11, 2, 0, 1)
+        t1, t2 = [list(map(list, t)) for t in (b.b1, b.b2)]
+        t1[-1][0] = t1[-1][1]
+        t2[0][-1] = t2[1][-1]
+        cases += [(t1, b.b2), (b.b1, t2)]
         reports = [self._same(*case) for case in cases]
         # tables failing each axiom, and tables passing all four
         failed = collections.Counter(c.name for r in reports for c in r.checks
                                      if c.status == "fail")
         failed["valid"] = sum(r.ok for r in reports)
-        assert failed == {"valid": 591, PAIR: 2229, SIDEWAYS: 1313, DIAGONAL: 1393, YBE: 103}
+        assert failed == {"valid": 591, PAIR: 2231, SIDEWAYS: 1315, DIAGONAL: 1393, YBE: 103}
         # the pair scan runs only when the pair or sideways check fails
         assert len(pair_scans) == sum(
             "fail" in (r.checks[0].status, r.checks[1].status) for r in reports)
+
+    def test_no_lone_non_bijective_s1_row(self):
+        # With bijective B1 rows and B2 columns, no row of S1 is the only
+        # non-bijective one: a label is once in each B2 column, so n times
+        # in S1, and n - 1 bijective rows leave it once for the last.  So a
+        # table failing the pair check on the last S1 row fails it on
+        # another too.
+        rng = random.Random(29)
+        bad_rows = collections.Counter()
+        for n in range(3, 6):
+            for _ in range(200):
+                t1, t2 = _nondegenerate([rng.sample(range(n), n) for _ in range(n)],
+                                        [rng.sample(range(n), n) for _ in range(n)])
+                s1 = [[0] * n for _ in range(n)]
+                for x, y in itertools.product(range(n), repeat=2):
+                    s1[t1[x][y]][x] = t2[x][y]
+                bad = [u for u in range(n) if len(set(s1[u])) != n]
+                if bad[-1:] == [n - 1]:
+                    bad_rows[len(bad)] += 1
+                    checks = self._same(t1, t2).checks
+                    assert (checks[0].status, checks[1].status) == ("fail", "pass")
+        # tables by their count of non-bijective S1 rows: never 1
+        assert bad_rows == {2: 89, 3: 86, 4: 134, 5: 144}
 
 
 class TestDerivedStructure:
@@ -1127,7 +1178,7 @@ class TestEnumerate:
         analyze = biracks.core._analyze
 
         def counting(b1, b2):
-            calls.append((b1, b2))
+            calls.append((tuple(map(tuple, b1)), tuple(map(tuple, b2))))
             return analyze(b1, b2)
 
         monkeypatch.setattr(biracks.core, "_analyze", counting)

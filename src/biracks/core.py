@@ -401,8 +401,10 @@ def _analyze(b1, b2):
     instead of becoming that many zero bytes.
 
     derived is (B1, B2, B1^-1, B2^-1, S1, S2, S1^-1, S2^-1) as tables of
-    tuple rows, then the kink maps alpha and pi.  Each axiom is recorded
-    in _AXIOM_ORDER; when the sideways or diagonal check fails, the axioms
+    tuple rows of int, all eight read back from byte rows (so a label
+    given as an object with __index__ is stored as the int it indexes),
+    then the kink maps alpha and pi.  Each axiom is recorded in
+    _AXIOM_ORDER; when the sideways or diagonal check fails, the axioms
     after it need the structure it was meant to provide and are reported
     as skipped.
 
@@ -517,8 +519,7 @@ def _analyze(b1, b2):
     alpha = diag_inv[3]
     b2inv = [q.translate(p + pad) for p, q in zip(s2, b1inv)]
     derived = (
-        b1, b2,
-        *(tuple(map(tuple, t)) for t in (b1inv, b2inv, s1, s2, s1inv, s2inv)),
+        *(tuple(map(tuple, t)) for t in (sigma, beta, b1inv, b2inv, s1, s2, s1inv, s2inv)),
         tuple(alpha),
         tuple(alpha.translate(diag[2] + pad)),
     )

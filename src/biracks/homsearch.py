@@ -25,16 +25,24 @@ The aliased pairs (x, w) and (y, z) fix nothing.  Before searching, a
 plan of branch semiarcs is built once per diagram: greedily, the semiarc
 whose closure under the rules grows the most, ties to the lowest index
 (the fail-first order of Haralick and Elliott, 1980), so crossings close
-early and wrong values fail near the root.  Which rule fires at a quad
-depends only on which slots are known, never on their values, so each
-plan level compiles once into a list of steps, each writing or checking
-one slot from one table.  A quad fires once, by the first rule whose
-sources are known: its slots then satisfy B(x, y) = (z, w), to which
-every rule is equivalent, so it needs no second check.  The search tries
-the values of each plan semiarc in increasing order on an explicit
-stack, so its depth is not bounded by the interpreter's recursion limit;
-enumerate_labelings sorts the labelings into lexicographic order of the
-assignment vector.
+early and wrong values fail near the root.  As in Minoux's lazy greedy
+(1978), the plan computes only the closures that can change a pick.
+With nothing fixed, a semiarc's closure is itself unless it fills both
+sources of a rule at one quad (a kink).  After a pick, only the
+candidates whose closures share a quad with a semiarc the pick fixed are
+recomputed, in increasing index order, and once one of them fixes every
+unfixed semiarc the later ones are skipped: no closure gains more than
+the unfixed count, and ties go to the lowest index.  So the plan is the
+one that recomputing every closure at every level gives, and steps are
+built for the pick alone.  Which rule fires at a quad depends only on
+which slots are known, never on their values, so each plan level
+compiles once into a list of steps, each writing or checking one slot
+from one table.  A quad fires once, by the first rule whose sources are
+known: its slots then satisfy B(x, y) = (z, w), to which every rule is
+equivalent, so it needs no second check.  The search tries the values of
+each plan semiarc in increasing order on an explicit stack, so its depth
+is not bounded by the interpreter's recursion limit; enumerate_labelings
+sorts the labelings into lexicographic order of the assignment vector.
 
 cut_labelings runs the same plan and search once on a diagram cut open:
 each component with crossings enters its pass 0 on a fresh head semiarc
@@ -115,17 +123,18 @@ Step = tuple[int, str, int, int, bool]
 
 
 def _fire(quads: list[Quad], touching: list[list[int]], known: list[bool],
-          s: int) -> tuple[set[int], list[Step]]:
-    """The semiarcs that fixing s fixes given the known ones, and the steps
-    that fix them, in order.
+          s: int, steps: list[Step] | None = None) -> list[int]:
+    """The semiarcs that fixing s fixes given the known ones, s first; if
+    steps is given, the steps that fix them are appended to it, in order.
 
     The quads touching each newly fixed semiarc go on a stack; a popped
     quad fires its first rule whose sources are fixed, once, writing its
-    unfixed targets and checking its fixed ones.
+    unfixed targets and checking its fixed ones.  The semiarcs it grows are
+    marked known while it runs and unmarked before it returns.
     """
-    grown = {s}
+    grown = [s]
+    known[s] = True
     fired: set[int] = set()
-    steps: list[Step] = []
     stack = list(touching[s])
     while stack:
         qi = stack.pop()
@@ -134,17 +143,20 @@ def _fire(quads: list[Quad], touching: list[list[int]], known: list[bool],
         quad = quads[qi]
         for (i, j), targets, tables in _RULES:
             a, c = quad[i], quad[j]
-            if (known[a] or a in grown) and (known[c] or c in grown):
+            if known[a] and known[c]:
                 fired.add(qi)
                 for k, table in zip(targets, tables):
                     t = quad[k]
-                    check = known[t] or t in grown
-                    steps.append((t, table, a, c, check))
-                    if not check:
-                        grown.add(t)
+                    if steps is not None:
+                        steps.append((t, table, a, c, known[t]))
+                    if not known[t]:
+                        known[t] = True
+                        grown.append(t)
                         stack.extend(touching[t])
                 break
-    return grown, steps
+    for t in grown:
+        known[t] = False
+    return grown
 
 
 def _plan(quads: list[Quad], size: int) -> list[tuple[int, list[Step]]]:
@@ -153,43 +165,59 @@ def _plan(quads: list[Quad], size: int) -> list[tuple[int, list[Step]]]:
 
     A semiarc's closure is itself plus every semiarc the rules then fix,
     given what earlier picks already fixed.  Ties go to the lowest index.
-    A candidate's fire can change only if a quad it visits gains a fixed
-    semiarc, and then one of its closure's semiarcs shares that quad with
-    a semiarc the pick fixed; only those candidates are fired again after
-    each pick, so every candidate's last fire is current and a pick takes
-    its steps from it.
+    With nothing fixed, a semiarc fixes more than itself only if it fills
+    both sources of a rule at one quad (a kink), so only those are fired
+    before the first pick.  A candidate's closure can change only if a
+    quad it visits gains a fixed semiarc, and then one of its closure's
+    semiarcs shares that quad with a semiarc the pick fixed.  Only those
+    candidates are fired again after a pick, in increasing index order;
+    every other closure stays current.  No closure gains more than the
+    unfixed count, so once a refired candidate reaches it, the next pick
+    is that candidate or a lower-index one, and every lower-index closure
+    is current: the later refire candidates are marked stale (an empty
+    closure) and not fired.  The pick is fired once more, for its steps,
+    and the plan ends when every semiarc is fixed.
     """
     touching: list[list[int]] = [[] for _ in range(size)]
     for qi, quad in enumerate(quads):
         for sm in set(quad):
             touching[sm].append(qi)
     known = [False] * size
-    fires = [_fire(quads, touching, known, s) for s in range(size)]
+    kinks = {quad[i] for quad in quads for (i, j), _, _ in _RULES if quad[i] == quad[j]}
+    closures = [_fire(quads, touching, known, s) if s in kinks else [s]
+                for s in range(size)]
     # watchers[t]: the unknown semiarcs whose closure holds t
     watchers: list[set[int]] = [set() for _ in range(size)]
-    for s, (grown, _) in enumerate(fires):
+    for s, grown in enumerate(closures):
         for t in grown:
             watchers[t].add(s)
-    heap = [(-len(grown), s) for s, (grown, _) in enumerate(fires)]
+    heap = [(-len(grown), s) for s, grown in enumerate(closures)]
     heapify(heap)
     levels = []
-    while heap:
+    unknown = size
+    while unknown:
         gain, s = heappop(heap)
-        fresh, steps = fires[s]
-        if known[s] or -gain != len(fresh):
+        if known[s] or -gain != len(closures[s]):
             continue  # picked already, or a stale gain
+        steps: list[Step] = []
+        fresh = _fire(quads, touching, known, s, steps)
         levels.append((s, steps))
         for t in fresh:
             known[t] = True
+        unknown -= len(fresh)
         near = {u for t in fresh for qi in touching[t] for u in quads[qi]}
-        for c in {c for t in near for c in watchers[t]}:
-            for t in fires[c][0]:
+        full = False
+        for c in sorted({c for t in near for c in watchers[t]}):
+            for t in closures[c]:
                 watchers[t].discard(c)
-            if not known[c]:
-                fires[c] = _fire(quads, touching, known, c)
-                for t in fires[c][0]:
-                    watchers[t].add(c)
-                heappush(heap, (-len(fires[c][0]), c))
+            if full or known[c]:
+                closures[c] = []
+                continue
+            closures[c] = _fire(quads, touching, known, c)
+            for t in closures[c]:
+                watchers[t].add(c)
+            heappush(heap, (-len(closures[c]), c))
+            full = len(closures[c]) == unknown
     return levels
 
 

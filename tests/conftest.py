@@ -12,7 +12,9 @@ labelings.  naive_closure applies B and S to every pair of the set in
 every round (S too, so it does not lean on the closure theorem), and
 naive_subbiracks joins every found subbirack with every other.
 reference_analyze is the axiom check as one plain sweep over the n^2
-pairs, which fills B^-1, S and S^-1 entry by entry.
+pairs, which fills B^-1, S and S^-1 entry by entry.  reference_plan
+rebuilds the search's greedy branch plan from scratch at every level,
+each closure a plain fixpoint over all quads.
 unlink_closed_form counts the c-component unlink's labelings by image
 through Moebius inversion over the subbirack lattice.  Acceptance and
 property tests compare the production code against these.
@@ -46,6 +48,7 @@ from biracks import (
     with_framing,
 )
 from biracks.core import _AXIOM_ORDER, _ybe_holds, _ybe_witness
+from biracks.homsearch import _RULES, _fire
 
 # ---------------------------------------------------------------------------
 # Reference biracks
@@ -541,6 +544,38 @@ def braid_closure(n_strands: int, word: list[int]) -> Diagram:
                 break
         comps.append(passes)
     return Diagram(comps)
+
+
+def reference_plan(quads, size):
+    """homsearch._plan's levels, recomputed from scratch at every level.
+
+    Every unknown semiarc's closure is a fixpoint over all quads (a quad
+    with both sources of any rule fixed fixes all four slots), and the
+    largest gain over the fixed set wins, ties to the lowest index.  Only
+    the picked level's steps come from homsearch._fire, which must grow
+    exactly that closure.
+    """
+    def closure(fixed):
+        while True:
+            new = {u for quad in quads
+                   if any(quad[i] in fixed and quad[j] in fixed for (i, j), _, _ in _RULES)
+                   for u in quad} - fixed
+            if not new:
+                return fixed
+            fixed = fixed | new
+
+    touching = [[qi for qi, quad in enumerate(quads) if sm in quad] for sm in range(size)]
+    fixed: set[int] = set()
+    levels = []
+    while len(fixed) < size:
+        gains = {s: len(closure(fixed | {s})) for s in range(size) if s not in fixed}
+        s = min(gains, key=lambda u: (-gains[u], u))
+        steps: list = []
+        grown = _fire(quads, touching, [u in fixed for u in range(size)], s, steps)
+        before, fixed = fixed, closure(fixed | {s})
+        assert sorted(grown) == sorted(fixed - before)
+        levels.append((s, steps))
+    return levels
 
 
 def reference_analyze(b1, b2):

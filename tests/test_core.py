@@ -352,18 +352,25 @@ class TestVerifyAxioms:
     def test_index_object_is_its_label(self, two_element):
         # bytes() reads any object with __index__, as a numpy integer has,
         # so such a label passes where _entries refuses it (CayleyGroup,
-        # family maps, closure seeds); the birack keeps it as given
+        # family maps, closure seeds); the birack stores the int it indexes
         class Index:
-            def __index__(self):
-                return 1
+            def __init__(self, value):
+                self.value = value
 
-        label = Index()
-        b1 = [[0, label], [0, 1]]
-        assert verify_axioms(b1, two_element.b2).ok
-        b = FiniteBirack(b1, two_element.b2)
-        assert b.b1[0][1] is label and b.pi == two_element.pi
+            def __index__(self):
+                return self.value
+
+        b1 = [[Index(x) for x in row] for row in two_element.b1]
+        b2 = [[Index(x) for x in row] for row in two_element.b2]
+        assert verify_axioms(b1, b2).ok
+        b = FiniteBirack(b1, b2)
+        assert b == two_element
+        assert {type(x) for table in (b.b1, b.b2) for row in table for x in row} == {int}
+        assert to_matrix(b) == to_matrix(two_element)
+        json.dumps(to_matrix(b))
+        assert subbirack_closure(b, {0}) == subbirack_closure(two_element, {0})
         with pytest.raises(ValueError, match="is not an integer"):
-            CayleyGroup([[0, 1], [1, label]])
+            CayleyGroup([[0, 1], [1, Index(1)]])
 
     def test_noncommuting_constant_action_fails_ybe(self):
         tau = parse_cycles("(1 2)", 3)

@@ -18,7 +18,8 @@ from biracks import (
     unlink,
     with_framing,
 )
-from biracks.homsearch import _crossing_quads, _search, cut_labelings
+import biracks.homsearch
+from biracks.homsearch import _crossing_quads, _plan, _search, cut_labelings
 from conftest import (
     HOPF,
     TREFOIL,
@@ -27,6 +28,7 @@ from conftest import (
     brute_force_labelings,
     kink_chain,
     random_gauss_code,
+    reference_plan,
     relabel_crossings,
 )
 
@@ -261,6 +263,67 @@ class TestSearchOrder:
         assert h.hexdigest() == "f48cbea9802b779d1d1f60acffed69fc3870f8f9cfbfa2fbbd64e73865a569d8"
 
 
+@pytest.fixture
+def plan_fires(monkeypatch):
+    """count(f) runs f and returns the closures computed meanwhile: the
+    calls of homsearch._fire, which only _plan makes."""
+    calls = [0]
+    fire = biracks.homsearch._fire
+
+    def counting(*args):
+        calls[0] += 1
+        return fire(*args)
+
+    monkeypatch.setattr(biracks.homsearch, "_fire", counting)
+
+    def count(f):
+        calls[0] = 0
+        f()
+        return calls[0]
+
+    return count
+
+
+def _plan_diagrams():
+    rng = random.Random(30)
+    codes = [code for _, code in _sample_links()] + [kink_chain(k) for k in range(1, 9)]
+    codes += [random_gauss_code(rng, rng.randint(1, 14), rng.randint(1, 4)) for _ in range(300)]
+    return [parse_gauss(code) for code in codes] + [braid_closure(2, [1] * k) for k in range(1, 12)]
+
+
+class TestPlan:
+    """The greedy branch plan, and the closures it computes to build it."""
+
+    def test_matches_reference(self):
+        for d in _plan_diagrams():
+            for cut in (False, True):
+                quads, size, _, _ = _crossing_quads(d, cut)
+                assert _plan(quads, size) == reference_plan(quads, size), (d, cut)
+
+    # (closed, cut): one fire per level for its steps, plus the candidates
+    # refired after a pick until one closes every unknown semiarc
+    FIRES = {
+        "unknot": (1, 1),
+        "hopf": (4, 4),
+        "trefoil": (4, 4),
+        "figure_eight": (4, 6),
+        "cinquefoil": (4, 4),
+        "stevedore": (4, 13),
+    }
+
+    @staticmethod
+    def closed_and_cut(plan_fires, d):
+        return tuple(plan_fires(lambda: _plan(*_crossing_quads(d, cut)[:2])) for cut in (False, True))
+
+    @pytest.mark.parametrize("name,code", _sample_links())
+    def test_sample_link_fires(self, name, code, plan_fires):
+        assert self.closed_and_cut(plan_fires, parse_gauss(code)) == self.FIRES[name]
+
+    @pytest.mark.parametrize("k", [3, 5, 7, 9, 11])
+    def test_torus_knot_fires(self, k, plan_fires):
+        assert self.closed_and_cut(plan_fires, braid_closure(2, [1] * k)) == (4, 4)
+
+
 class TestCountLabelings:
     def test_counts_without_labeling_objects(self, monkeypatch, test_biracks):
         cases = [(parse_gauss(code), b) for code in (HOPF, TREFOIL, FIGURE_EIGHT)
@@ -277,9 +340,16 @@ class TestCountLabelings:
 class TestDeepDiagrams:
     """Searches far deeper than the interpreter's recursion limit."""
 
+    # closures the plan may compute: 3.5 per kink.  A kink rule applied one
+    # kink at a time once made the plan quadratic (ROADMAP item 7).
+    PLAN_FIRES = {1200: 4200, 3000: 10500}
+
     @pytest.mark.parametrize("kinks", [1200, 3000])
-    def test_kink_chain_unknot(self, kinks, trefoil_birack):
-        assert count_labelings(parse_gauss(kink_chain(kinks)), trefoil_birack) == 3
+    def test_kink_chain_unknot(self, kinks, trefoil_birack, plan_fires):
+        d = parse_gauss(kink_chain(kinks))
+        counts = []
+        fires = plan_fires(lambda: counts.append(count_labelings(d, trefoil_birack)))
+        assert counts == [3] and fires <= self.PLAN_FIRES[kinks]
 
     def test_torus_knot_2_301(self, trefoil_birack):
         d = braid_closure(2, [1] * 301)

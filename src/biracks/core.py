@@ -28,7 +28,8 @@ the inverses of the S1 rows, and the kink structure from the diagonals
 of S^-1.  The same inverses test those rows for bijectivity, one family
 in one comparison: the inverse bytes.maketrans(p, ident)[:n] of a row p
 is the identity off the image of p, so p o p^-1 = id exactly when p is
-onto.  With D(x) = (x, x),
+onto.  FiniteBirack keeps the byte rows; _transpose gives every column.
+With D(x) = (x, x),
 
   alpha = (S2^-1 o D)^-1        pi = (S1^-1 o D) o alpha
 
@@ -77,7 +78,7 @@ from operator import getitem, itemgetter
 from .errors import AxiomViolation, ParseError, SizeTooLarge
 
 Perm = tuple[int, ...]
-Table = tuple[tuple[int, ...], ...]
+Table = tuple[bytes, ...]  # a FiniteBirack table: table[x] is bytes, table[x][y] an int
 
 # The most elements a birack may have.  Labels then fit in a byte, so
 # _analyze holds every row as bytes and composes rows with bytes.translate.
@@ -110,7 +111,7 @@ def compose_perms(p, q) -> Perm:
 _IDENTITY = bytes.maketrans(b"", b"")
 
 
-def _transpose(rows: list[bytes]) -> list[bytes]:
+def _transpose(rows: Table | list[bytes]) -> list[bytes]:
     """The columns of a square table of byte rows, as byte rows."""
     flat = b"".join(rows)
     return [flat[y::len(rows)] for y in range(len(rows))]
@@ -255,17 +256,15 @@ def _int_params(**params) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _tables(b1, b2) -> tuple[Table, Table]:
-    """b1 and b2 as tuples of rows, checked to be n x n tables of labels
-    in 0..n-1; ValueError otherwise."""
-    b1, b2 = tuple(b1), tuple(b2)
+def _tables(b1, b2) -> None:
+    """ValueError unless b1 and b2, tuples of rows, are n x n tables of
+    labels in 0..n-1."""
     n = len(b1)
     if n == 0 or len(b2) != n:
         raise ValueError("tables must be non-empty and of equal size")
-    tables = tuple(tuple(_entries(row, 0, n - 1) for row in t) for t in (b1, b2))
+    tables = [[_entries(row, 0, n - 1) for row in t] for t in (b1, b2)]
     if any(len(row) != n for t in tables for row in t):
         raise ValueError("tables must be square")
-    return tables
 
 
 def _ybe_witness(b1: Table, b2: Table, n: int) -> tuple[tuple | None, str]:
@@ -398,12 +397,13 @@ def _analyze(b1, b2):
     The check runs on the byte rows the axioms use: every row has n bytes
     and deleting the bytes 0..n-1 from the joined rows leaves nothing.
     Rows become tuples first, so a row that is an int raises TypeError
-    instead of becoming that many zero bytes.
+    instead of becoming that many zero bytes.  Past that input guard only
+    the byte rows are read.
 
-    derived is (B1, B2, B1^-1, B2^-1, S1, S2, S1^-1, S2^-1) as tables of
-    tuple rows of int, all eight read back from byte rows (so a label
-    given as an object with __index__ is stored as the int it indexes),
-    then the kink maps alpha and pi.  Each axiom is recorded in
+    derived is (B1, B2, B1^-1, B2^-1, S1, S2, S1^-1, S2^-1) as the tuples
+    of byte rows FiniteBirack stores (so a label given as an object with
+    __index__ is held as the int it indexes), then the kink maps alpha and
+    pi as tuples of int.  Each axiom is recorded in
     _AXIOM_ORDER; when the sideways or diagonal check fails, the axioms
     after it need the structure it was meant to provide and are reported
     as skipped.
@@ -487,7 +487,7 @@ def _analyze(b1, b2):
             [q.translate(p + pad) for p, q in zip(beta, sigma_inv)], sigma_inv,
             [q.translate(p + pad) for p, q in zip(_transpose(sigma), tau_inv)], tau_inv))
         b1inv = inverses(s1)
-    record(None if b1inv else _pair_witness(b1, b2, n), "B{} = B{}")
+    record(None if b1inv else _pair_witness(sigma, beta, n), "B{} = B{}")
     sideways_witness = None if sideways else next(itertools.chain(
         (("B1-row", x) for x in rng if len(set(sigma[x])) != n),
         (("B2-column", y) for y in rng if len(set(tau[y])) != n),
@@ -509,7 +509,7 @@ def _analyze(b1, b2):
     if _ybe_holds(sigma, beta, s1, n):
         record(None)
     else:
-        record(*_ybe_witness(b1, b2, n))
+        record(*_ybe_witness(sigma, beta, n))
     final = report()
     if not final.ok:
         return final, None
@@ -519,7 +519,7 @@ def _analyze(b1, b2):
     alpha = diag_inv[3]
     b2inv = [q.translate(p + pad) for p, q in zip(s2, b1inv)]
     derived = (
-        *(tuple(map(tuple, t)) for t in (sigma, beta, b1inv, b2inv, s1, s2, s1inv, s2inv)),
+        *map(tuple, (sigma, beta, b1inv, b2inv, s1, s2, s1inv, s2inv)),
         tuple(alpha),
         tuple(alpha.translate(diag[2] + pad)),
     )
@@ -549,9 +549,12 @@ class FiniteBirack:
     Tables use natural indexing: b1[x][y] = B1(x, y), b2[x][y] = B2(x, y),
     with elements 0-indexed (the file format is 1-indexed and transposes
     the B1 block; see the module docstring), at most ELEMENT_LIMIT of them.
-    The tables are checked as verify_axioms checks them, and the first
-    failing axiom raises AxiomViolation.  Instances are immutable and safe
-    to share between threads.
+    b1, b2, b1inv, b2inv, s1, s2, s1inv and s2inv are the byte rows
+    _analyze builds, each table a tuple of n bytes (list(b1[x]) gives a
+    list); alpha and pi are tuples of int.  The tables are checked as
+    verify_axioms checks them, and the first failing axiom raises
+    AxiomViolation.  Instances are immutable and safe to share between
+    threads.
     """
 
     __slots__ = (
@@ -634,7 +637,7 @@ def from_matrix(n: int, block) -> FiniteBirack:
     return FiniteBirack(*_split_block(n, [_labels(r, n) for r in rows]))
 
 
-def _split_block(n: int, rows) -> tuple[Table, Table]:
+def _split_block(n: int, rows) -> tuple[tuple, tuple]:
     """(B1, B2) of the 0-indexed rows of a [B1 | B2] block.  Row i, col j
     of the left block is B1(x_j, x_i), of the right block B2(x_i, x_j)."""
     return tuple(itertools.islice(zip(*rows), n)), tuple(tuple(row[n:]) for row in rows)
@@ -648,14 +651,14 @@ def _labels(entries, n: int) -> list:
 
 def to_matrix(b: FiniteBirack) -> list[list[int]]:
     """The n x 2n block matrix [B1 | B2], 1-indexed (inverse of from_matrix)."""
-    return [[v + 1 for v in col + row] for col, row in zip(zip(*b.b1), b.b2)]
+    return [[v + 1 for v in col + row] for col, row in zip(_transpose(b.b1), b.b2)]
 
 
 def format_matrix(b: FiniteBirack) -> str:
     """Matrix file text: first line n, then the block matrix rows."""
     width = len(str(b.n))
     text = [str(v + 1).rjust(width) for v in range(b.n)]  # each label, right-justified
-    rows = (" ".join(map(text.__getitem__, col + row)) for col, row in zip(zip(*b.b1), b.b2))
+    rows = (" ".join(map(text.__getitem__, col + row)) for col, row in zip(_transpose(b.b1), b.b2))
     return "\n".join([str(b.n), *rows]) + "\n"
 
 
@@ -749,7 +752,7 @@ def _read_lines(path, noun: str) -> list[str]:
                          f"(byte {exc.object[exc.start]:#04x}: {exc.reason})") from None
 
 
-def _matrix_tables(path) -> tuple[Table, Table]:
+def _matrix_tables(path) -> tuple[tuple, tuple]:
     """The checked 0-indexed tables (B1, B2) of a matrix file, axioms
     unchecked.  ParseError on a malformed file, one that is not UTF-8 or
     an entry outside 1..n, SizeTooLarge above ELEMENT_LIMIT elements."""
@@ -895,7 +898,8 @@ class BirackClass:
 def classify(b: FiniteBirack) -> BirackClass:
     """Special-case flags: biquandle (pi = id), rack (B2(x,y) = x),
     quandle (both), semiquandle (pi = id and B o B = id), and simple
-    (no proper non-empty subbirack).
+    (no proper non-empty subbirack).  B is a bijection, so B o B = id
+    exactly when B = B^-1: the tables are compared with their inverses.
 
     Simplicity closes one singleton per orbit of the kink maps alpha and
     pi, lazily, and stops at the first proper closure.  That suffices:
@@ -905,11 +909,7 @@ def classify(b: FiniteBirack) -> BirackClass:
     of pi (all_subbiracks has the full proof)."""
     biquandle = b.is_biquandle()
     rack = b.is_rack()
-    involutory = all(
-        b.apply(*b.apply(x, y)) == (x, y)
-        for x in range(b.n)
-        for y in range(b.n)
-    )
+    involutory = b.b1 == b.b1inv and b.b2 == b.b2inv
     # A proper non-empty subbirack holds the closure of any of its
     # elements, so a birack is simple iff every singleton closes to it all.
     simple = all(len(atom) == b.n for atom in _atoms(b))

@@ -114,15 +114,15 @@ FRAMING_LIMIT = 10**6
 def _statistics(b: FiniteBirack, elements) -> dict[int, tuple[tuple[str, int], ...]]:
     """The term key s1^c1 s2^c2 t1^r1 t2^r2 of each of elements, in
     canonical form (zero exponents dropped); each count is one C-level
-    pass along a row or a column of B1 or B2."""
+    pass along a row or a column of B1 or B2, the columns transposed once."""
     rng = range(b.n)
+    columns1, columns2 = core._transpose(b.b1), core._transpose(b.b2)
     table = {}
     for x in elements:
-        column1, column2 = list(map(itemgetter(x), b.b1)), list(map(itemgetter(x), b.b2))
         table[x] = tuple((v, e) for v, e in (
             ("s1", sum(map(eq, b.b1[x], rng))),
-            ("s2", sum(map(eq, column2, rng))),
-            ("t1", column1.count(x)),
+            ("s2", sum(map(eq, columns2[x], rng))),
+            ("t1", columns1[x].count(x)),
             ("t2", b.b2[x].count(x))) if e)
     return table
 

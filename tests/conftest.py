@@ -583,7 +583,8 @@ def reference_analyze(b1, b2):
     sweep over the n^2 pairs that writes B^-1, S and S^-1 entry by entry,
     the first preimage of each image kept.  The Yang-Baxter equation is
     decided by core._ybe_holds, which tests/test_core.py checks against
-    the triple scan."""
+    the triple scan.  The derived tables are tuples of byte rows, as
+    FiniteBirack stores them."""
     n = len(b1)
     rng = range(n)
     checks = []
@@ -643,5 +644,5 @@ def reference_analyze(b1, b2):
     for x, v in enumerate(diag["S2^-1 o diag"]):
         alpha[v] = x
     pi = [diag["S1^-1 o diag"][alpha[x]] for x in rng]
-    tables = tuple(tuple(map(tuple, t)) for t in (b1, b2, b1inv, b2inv, s1, s2, s1inv, s2inv))
+    tables = tuple(tuple(map(bytes, t)) for t in (b1, b2, b1inv, b2inv, s1, s2, s1inv, s2inv))
     return final, (*tables, tuple(alpha), tuple(pi))

@@ -844,6 +844,72 @@ class TestAnalyzeMatchesSweep:
         assert bad_rows == {2: 89, 3: 86, 4: 134, 5: 144}
 
 
+class TestRepresentation:
+    """FiniteBirack holds each of its eight tables once, as a tuple of n
+    byte rows, and its kink maps as tuples of int, whatever type its input
+    has; biracks from equal tables are equal and hash alike, and the
+    matrix forms round-trip."""
+
+    TABLES = ("b1", "b2", "b1inv", "b2inv", "s1", "s2", "s1inv", "s2inv")
+
+    class Index:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    @staticmethod
+    def _sources() -> dict[str, FiniteBirack]:
+        """Every data/*.txt birack and a birack of each family."""
+        files = {p.stem: read_matrix_file(p) for p in sorted(DATA.glob("*.txt"))
+                 if p.name != "sample_links.txt"}
+        return {**files,
+                "constant_action": constant_action((1, 0, 3, 2), (0, 1, 3, 2)),
+                "tsr": tsr_birack(5, 2, 0, 1),
+                "tsr_m2": tsr_birack(3, 2, 0, 1, 2),
+                "tau_sigma_rho": tau_sigma_rho_birack(Z2, [0, 1], [0, 0], [0, 1])}
+
+    def _same(self, built: FiniteBirack, b: FiniteBirack) -> None:
+        for name in self.TABLES:
+            table = getattr(built, name)
+            assert type(table) is tuple and len(table) == built.n
+            assert all(type(row) is bytes and len(row) == built.n for row in table)
+        for perm in (built.alpha, built.pi, built.kink_map):
+            assert type(perm) is tuple and len(perm) == built.n
+            assert all(type(v) is int for v in perm)
+        assert built == b and hash(built) == hash(b)
+
+    def test_input_types(self, tmp_path):
+        sources = self._sources()
+        for name, b in sources.items():
+            t1, t2 = ([list(row) for row in t] for t in (b.b1, b.b2))
+            path = tmp_path / f"{name}.txt"
+            path.write_text(format_matrix(b), encoding="utf-8")
+            matrix = to_matrix(b)
+            assert all(type(v) is int for row in matrix for v in row)
+            for built in (
+                b,
+                FiniteBirack(t1, t2),
+                FiniteBirack(tuple(tuple(row) for row in t1), tuple(tuple(row) for row in t2)),
+                FiniteBirack(*([[self.Index(v) for v in row] for row in t] for t in (t1, t2))),
+                from_matrix(b.n, matrix),
+                read_matrix_file(path),
+            ):
+                self._same(built, b)
+                assert to_matrix(built) == matrix
+                assert format_matrix(built) == path.read_text(encoding="utf-8")
+        assert len(sources) == 8
+
+    def test_numpy_int64(self):
+        # numpy is optional: the package and its tests need only pytest
+        numpy = pytest.importorskip("numpy")
+        for b in self._sources().values():
+            built = FiniteBirack(*(numpy.array([list(row) for row in t], dtype=numpy.int64)
+                                   for t in (b.b1, b.b2)))
+            self._same(built, b)
+
+
 class TestDerivedStructure:
     """The defining relations, checked directly against the tables."""
 
@@ -964,6 +1030,20 @@ class TestIsRack:
         assert flags == [all(b.b2[x][y] == x for x in range(b.n) for y in range(b.n))
                          for b in tables]
         assert (len(flags), sum(flags)) == (78, 18)
+
+
+class TestIsSemiquandle:
+    def test_matches_pairwise_definition(self):
+        # classify compares B with B^-1; the definition is B o B = id
+        tables = [read_matrix_file(p) for p in sorted(DATA.glob("*.txt"))
+                  if p.name != "sample_links.txt"]
+        tables += [b for n in (1, 2, 3) for b in enumerated_biracks(n)]
+        tables += [tsr_birack(*args) for args in [(67, 2, 0, 1), (5, 2, 0, 1, 2), (3, 1, 2, 2)]]
+        flags = [classify(b).is_semiquandle for b in tables]
+        assert flags == [b.is_biquandle() and all(b.apply(*b.apply(x, y)) == (x, y)
+                                                  for x in range(b.n) for y in range(b.n))
+                         for b in tables]
+        assert (len(flags), sum(flags)) == (78, 15)
 
 
 class TestIsSimple:

@@ -165,8 +165,8 @@ class TestTsr:
                         assert exc.reason in ("NotInvertible", "IdealViolation")
                         continue
                     b1, b2 = tuple_index_tables(n, t, s, r, m)
-                    assert b.b1 == tuple(map(tuple, b1))
-                    assert b.b2 == tuple(map(tuple, b2))
+                    assert b.b1 == tuple(map(bytes, b1))
+                    assert b.b2 == tuple(map(bytes, b2))
                     checked[m] += 1
         assert checked == {1: 163, 2: 15, 3: 7}
 

@@ -9,7 +9,8 @@ only the text parsers call int().  Every table file is read through one
 label table, and every matrix file through one reader.  Counts and
 labeling dumps search a diagram's groups through one helper.  Each
 structure has one checked constructor.  The labeling search writes its
-four determinations in one rule table.  Every table size bound reads
+four determinations in one rule table, and every column of a birack
+table comes from one reader.  Every table size bound reads
 core.ELEMENT_LIMIT.  Every source file parses as the oldest Python the
 package declares, and every console script it declares runs.
 """
@@ -302,6 +303,42 @@ def test_determinations_written_once():
             if name in DETERMINATION_TABLES:
                 found.append((owner, name))
     assert sorted(found) == sorted(("_RULES", name) for name in DETERMINATION_TABLES)
+
+
+def test_one_column_reader():
+    """FiniteBirack holds each table once, as the byte rows _analyze
+    builds, and every column of a table comes from core._transpose: no
+    package module transposes a birack table with zip(*...) or maps
+    itemgetter over one, and tuple(map(tuple, ...)) appears only in
+    _analyze's input guard, once per table given.  A matrix file's block
+    is split by core._split_block before any birack table exists."""
+    tables = {"b1", "b2", *DETERMINATION_TABLES}
+
+    def is_call(node, name: str) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name)
+
+    def reads_table(node) -> bool:
+        return any(isinstance(n, ast.Attribute) and n.attr in tables
+                   or isinstance(n, ast.Name) and n.id in tables for n in ast.walk(node))
+
+    columns, tuple_rows = [], []
+    for path in sorted((ROOT / "src" / "biracks").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(stmt, "name", stmt.lineno)
+            for node in ast.walk(stmt):
+                if is_call(node, "zip") and any(
+                        isinstance(arg, ast.Starred) and reads_table(arg.value)
+                        for arg in node.args):
+                    columns.append((path.name, owner, "zip"))
+                if (is_call(node, "map") and node.args and is_call(node.args[0], "itemgetter")
+                        and any(map(reads_table, node.args[1:]))):
+                    columns.append((path.name, owner, "itemgetter"))
+                if (is_call(node, "tuple") and node.args and is_call(node.args[0], "map")
+                        and list(map(ast.unparse, node.args[0].args[:1])) == ["tuple"]):
+                    tuple_rows.append((path.name, owner))
+    assert columns == []
+    assert tuple_rows == [("core.py", "_analyze")] * 2
 
 
 def test_python_310_syntax():

@@ -15,8 +15,8 @@ Exit codes: 0 success, 1 domain error (axiom violation, parse failure,
 a matrix or Cayley file or a family birack of more than
 core.ELEMENT_LIMIT (256) elements,
 a link with more than invariants.FRAMING_LIMIT framings, a --labelings
-dump over LABELING_DUMP_LIMIT labels, a count with more digits than
-Python converts to text), a computation that ran out of
+dump over invariants.LABELING_DUMP_LIMIT labels, a count with more
+digits than Python converts to text), a computation that ran out of
 stack or memory (reported as "error: <message>", or "error: <type>"
 when the message is empty), or any other failure inside a subcommand
 (reported as "error: <type>: <message>"), 2 usage error.
@@ -38,7 +38,7 @@ import argparse
 import json
 import sys
 from functools import cache
-from itertools import accumulate, chain
+from itertools import chain
 from math import log10
 
 from . import __version__
@@ -62,7 +62,7 @@ from .core import (
 # Not called here, but bench/spans.py rebinds this name in this module to
 # trace it, and its install() fails on a name that is gone.
 from .core import parse_matrix_text  # noqa: F401
-from .diagram import framed_semiarc_sources, parse_gauss
+from .diagram import parse_gauss
 from .errors import BirackError, NotASubbirack, ParseError, SizeTooLarge
 from .families import CayleyGroup, constant_action, tau_sigma_rho_birack, tsr_birack
 from .invariants import (
@@ -73,13 +73,6 @@ from .invariants import (
     normalize,
     subbirack_polynomial,
 )
-
-# The most labels `invariant --labelings` prints for one link, one per
-# semiarc of each framed labeling.  The dump holds every labeling of every
-# framing in memory before printing: the 10^6 labelings of 6 labels of the
-# 6-component unlink over a 10-element birack take about 0.7 s and 240 MB,
-# and time and memory grow with the labels.
-LABELING_DUMP_LIMIT = 6 * 10**6
 
 
 def _emit(text: str) -> None:
@@ -262,16 +255,9 @@ def _cmd_invariant(args) -> int:
         d = parse_gauss(code)
         value = compute_invariant(d, b, args.type)
         # Frame the labelings only if the output prints them, searching
-        # the link's groups again, as rows of 1-indexed labels.
-        labelings = None
-        if args.labelings:
-            # Framings are counted until the total passes the bound.
-            sizes = (m * len(framed_semiarc_sources(d, w, b.rank))
-                     for w, m in value.per_framing if m)
-            if any(total > LABELING_DUMP_LIMIT for total in accumulate(sizes)):
-                raise SizeTooLarge(
-                    f"--labelings would print more than {LABELING_DUMP_LIMIT} labels")
-            labelings = _framed_rows(d, b, 1)
+        # the link's groups again, as rows of 1-indexed labels; an
+        # oversized dump is refused before any row is built.
+        labelings = _framed_rows(d, b, 1) if args.labelings else None
         if args.normalize:
             value = normalize(value, d, b)
         _check_digits(value, d, b)

@@ -12,7 +12,21 @@ class BirackError(Exception):
     """Base class for all domain errors raised by this library."""
 
 
-class AxiomViolation(BirackError):
+class _WitnessError(BirackError):
+    """A domain error with a machine-readable reason, an optional detail
+    and an optional witness, its message "reason: detail (witness: ...)"."""
+
+    def __init__(self, reason: str, detail: str = "", witness=None):
+        self.reason = reason
+        self.detail = detail
+        self.witness = witness
+        msg = reason if not detail else f"{reason}: {detail}"
+        if witness is not None:
+            msg += f" (witness: {witness})"
+        super().__init__(msg)
+
+
+class AxiomViolation(_WitnessError):
     """A candidate operation table fails one of the birack axioms.
 
     reason is machine readable, one of:
@@ -24,16 +38,10 @@ class AxiomViolation(BirackError):
     """
 
     def __init__(self, reason: str, witness=None, detail: str = ""):
-        self.reason = reason
-        self.witness = witness
-        self.detail = detail
-        msg = reason if not detail else f"{reason}: {detail}"
-        if witness is not None:
-            msg += f" (witness: {witness})"
-        super().__init__(msg)
+        super().__init__(reason, detail, witness)
 
 
-class ConstructionError(BirackError):
+class ConstructionError(_WitnessError):
     """A birack-family constructor was fed parameters outside its contract.
 
     reason is machine readable, one of:
@@ -44,15 +52,6 @@ class ConstructionError(BirackError):
     An entry that is not an element label (not an int, or out of range)
     raises ValueError before any of these checks.
     """
-
-    def __init__(self, reason: str, detail: str = "", witness=None):
-        self.reason = reason
-        self.detail = detail
-        self.witness = witness
-        msg = reason if not detail else f"{reason}: {detail}"
-        if witness is not None:
-            msg += f" (witness: {witness})"
-        super().__init__(msg)
 
 
 class ParseError(BirackError):
@@ -73,9 +72,9 @@ class SizeTooLarge(BirackError):
     """Exhaustive enumeration was requested beyond its supported size, a
     birack, table file, family birack or permutation would have more
     elements than core.ELEMENT_LIMIT, a link has more framing vectors than
-    invariants.FRAMING_LIMIT, a --labelings dump would print more labels
-    than the CLI's bound, or a count has more digits than Python converts
-    to text."""
+    invariants.FRAMING_LIMIT, a labeling dump would hold more labels than
+    invariants.LABELING_DUMP_LIMIT, or a count has more digits than Python
+    converts to text."""
 
 
 class NotASubbirack(BirackError):

@@ -40,12 +40,10 @@ distinct cut label set once, weighted by its framings, and compute one
 signature per distinct image.
 
 Every diagram is searched group by group (_group_searches): components
-that share crossings form a group, and each distinct group diagram, its
-crossings renumbered in order of first pass, gets one search, shared by
-the groups equal to it up to crossing ids (a connected diagram is one
-group, searched whole; the c circles of a c-unlink are one circle,
-searched once, and so are two Hopf links numbered apart).
-compute_invariant folds each distinct search once.  A labeling is
+that share crossings form a group, and each distinct group diagram gets
+one search, keyed by that diagram (a connected diagram is one group,
+searched whole; the c circles of a c-unlink are one circle, searched
+once).  compute_invariant folds each distinct search once.  A labeling is
 a tuple of its groups' labelings, on the framing that concatenates
 theirs, so per-framing counts are products of the groups' counts, and
 the image of a labeling is the join (the closure of the union) of its
@@ -60,8 +58,10 @@ labeling.  Only a dump needs the labelings: _framed_rows searches d's
 groups through the same _group_searches, frames each search's labelings
 on its group's own framings and writes a labeling of framing w as one
 labeling per group on w's entries for its components, as a tuple of
-labels.  labelings_by_framing wraps the tuples in Labeling, and the
-CLI's --labelings dump prints them 1-indexed without building any.
+labels, once it has counted that the dump holds at most
+LABELING_DUMP_LIMIT labels.  labelings_by_framing wraps the tuples in
+Labeling, and the CLI's --labelings dump prints them 1-indexed without
+building any.
 
 The rho signature of an image sums its elements' terms s1^c1 s2^c2 t1^r1
 t2^r2 from a table of the four statistics, counted along rows and
@@ -86,8 +86,8 @@ from operator import eq, itemgetter
 
 from . import core
 from .core import FiniteBirack, is_subbirack, perm_cycles
-# with_framing and enumerate_labelings are not called here; they stay
-# because bench/spans.py binds both names on this module.
+# with_framing, enumerate_labelings and labeling_image are not called
+# here; they stay because bench/spans.py binds these names on this module.
 from .diagram import Diagram, framed_semiarc_sources, unlink, with_framing  # noqa: F401
 from .errors import KindMismatch, LengthMismatch, NotASubbirack, SizeTooLarge
 from .homsearch import (  # noqa: F401
@@ -105,6 +105,12 @@ KINDS = ("integral", "writhe", "image", "rho")
 # compute_invariant keeps one count per vector of (Z_N)^c, so its time and
 # memory grow as N^c.
 FRAMING_LIMIT = 10**6
+
+# The most labels a dump of one link holds, one per semiarc of each framed
+# labeling, all in memory at once: the 6-component unlink over a 10-element
+# birack (10^6 labelings of 6 labels) takes 1.8 s of CPU and 215 MB peak RSS
+# in labelings_by_framing (2-vCPU Xeon, Python 3.11).
+LABELING_DUMP_LIMIT = 6 * 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -160,24 +166,23 @@ def _framing_keys(cut: CutLabelings) -> list[tuple]:
     kinks, which carry the tail label t to pi^m_i(t); that must be the
     head label h, so m_i is fixed modulo the length of t's pi-cycle.  The
     pair is None where h is not on t's cycle: the labeling lies on no
-    framing.
+    framing.  Each component's pair is computed once per distinct (tail
+    label, head label) its labelings have; an uncut component's tail is
+    its head.
     """
     b, found = cut.birack, cut.assignments
     cycle, position, length = [0] * b.n, [0] * b.n, [0] * b.n
     for cyc in perm_cycles(b.pi):
         for i, x in enumerate(cyc):
             cycle[x], position[x], length[x] = cyc[0], i, len(cyc)
-    rng = range(b.n)
     columns = []
     for tail, head, writhe in zip(cut.tails, cut.heads, cut.diagram.writhe_vector):
-        # an uncut component (tail == head) meets only the n pairs (t, t)
-        pairs = zip(rng, rng) if tail == head else product(rng, repeat=2)
+        ends = list(zip(map(itemgetter(tail), found), map(itemgetter(head), found)))
         pair = {
             (t, h): ((writhe + position[h] - position[t]) % length[t], length[t])
             if cycle[t] == cycle[h] else None
-            for t, h in pairs
+            for t, h in set(ends)
         }
-        ends = zip(map(itemgetter(tail), found), map(itemgetter(head), found))
         columns.append(map(pair.__getitem__, ends))
     return list(zip(*columns)) if columns else [()] * len(found)
 
@@ -194,39 +199,51 @@ def _framed_rows(
     each label plus offset) over (Z_N)^c, read off the cut searches of d's
     groups (_group_searches), in lexicographic order.
 
-    Each distinct group search's cut labelings are bucketed once by the
-    framings of the group's own components.  The labelings of framing w
-    are the product of the groups' buckets at w's entries for their
-    components, each semiarc of d read from its group's labeling.  Framed
-    semiarc (s, h) of framed_semiarc_sources carries the label h
-    half-kinks past that of s: alpha(pi^j(x)) for h = 2j + 1 and
-    pi^(j+1)(x) for h = 2j + 2.  The offset is added once, in that table
-    of labels, so the CLI's 1-indexed rows cost nothing per labeling.
+    Each distinct group diagram's cut labelings are bucketed once by the
+    framings of its own components.  The labelings of framing w are the
+    product of the groups' buckets at w's entries for their components,
+    each semiarc of d read from its group's labeling.  Raises
+    SizeTooLarge, before any row is built, when the rows would hold more
+    than LABELING_DUMP_LIMIT labels; framings are counted in order until
+    the total passes the bound.  Framed semiarc (s, h) of
+    framed_semiarc_sources carries the label h half-kinks past that of s:
+    alpha(pi^j(x)) for h = 2j + 1 and pi^(j+1)(x) for h = 2j + 2.  The
+    offset is added once, in that table of labels, so the CLI's 1-indexed
+    rows cost nothing per labeling.
     """
     N = b.rank
-    groups, cuts = _group_searches(d, b)
+    groups, subs, searches = _group_searches(d, b)
+    buckets: dict[Diagram, dict] = {}  # group diagram -> its framing vector -> its cut labelings
+    for sub, cut in searches.items():
+        bucket = buckets[sub] = {}
+        for a, key in zip(cut.assignments, _framing_keys(cut)):
+            if None not in key:
+                for w in _framings(key, N):
+                    bucket.setdefault(w, []).append(a)
+    # (w, each group's cut labelings on w's entries for its components,
+    # their product's size), the labels counted until they pass the bound
+    framings = []
+    labels = 0
+    for w in product(range(N), repeat=len(d.components)):
+        found = [buckets[sub].get(tuple(w[i] for i in g), ()) for g, sub in zip(groups, subs)]
+        count = prod(map(len, found))
+        if count:
+            labels += count * len(framed_semiarc_sources(d, w, N))
+            if labels > LABELING_DUMP_LIMIT:
+                raise SizeTooLarge(f"the labelings of every framing would hold more than "
+                                   f"{LABELING_DUMP_LIMIT} labels")
+        framings.append((w, found, count))
     source: dict[int, tuple[int, int]] = {}  # d's semiarc -> (group, the group diagram's semiarc)
-    buckets = []  # per group: its framing vector -> its cut labelings on that framing
-    shared: dict[int, dict] = {}  # one bucket per distinct search
-    for gi, (g, cut) in enumerate(zip(groups, cuts)):
+    for gi, (g, sub) in enumerate(zip(groups, subs)):
         for j, i in enumerate(g):
             for k in range(max(len(d.components[i]), 1)):
-                source[d.semiarc_after(i, k)] = (gi, cut.diagram.semiarc_after(j, k))
-        if id(cut) not in shared:
-            bucket = shared[id(cut)] = {}
-            for a, key in zip(cut.assignments, _framing_keys(cut)):
-                if None not in key:
-                    for w in _framings(key, N):
-                        bucket.setdefault(w, []).append(a)
-        buckets.append(shared[id(cut)])
+                source[d.semiarc_after(i, k)] = (gi, sub.semiarc_after(j, k))
     steps = [list(range(b.n))]  # steps[h][x]: the label h half-kinks past x
     for _ in range(N - 1):
         steps += [[b.alpha[x] for x in steps[-1]], [b.pi[x] for x in steps[-1]]]
     steps = [[x + offset for x in step] for step in steps]
     framed = []
-    for w in product(range(N), repeat=len(d.components)):
-        found = [bucket.get(tuple(w[i] for i in g), ()) for g, bucket in zip(groups, buckets)]
-        count = prod(map(len, found))
+    for w, found, count in framings:
         columns = []
         for s, h in framed_semiarc_sources(d, w, N) if count else ():
             gi, t = source[s]
@@ -343,22 +360,16 @@ def _linked_groups(d: Diagram) -> list[list[int]]:
     return list(groups.values())
 
 
-def _group_diagram(d: Diagram, group: list[int]) -> Diagram:
-    """The diagram of d's components in group, its crossings renumbered
-    1, 2, ... in order of first pass, so groups equal up to crossing ids
-    are equal diagrams; semiarc numbers do not depend on crossing ids."""
-    ids: dict[int, int] = {}
-    return Diagram([[(ids.setdefault(p.crossing, len(ids) + 1), p.role, p.sign)
-                     for p in d.components[i]] for i in group])
+def _group_searches(
+    d: Diagram, b: FiniteBirack,
+) -> tuple[list[list[int]], list[Diagram], dict[Diagram, CutLabelings]]:
+    """d's linked groups, each group's diagram (its components of d, in
+    order), and one cut search per distinct group diagram, keyed by it.
 
-
-def _group_searches(d: Diagram, b: FiniteBirack) -> tuple[list[list[int]], list[CutLabelings]]:
-    """d's linked groups and one cut search per group, in group order.
-
-    Groups with equal diagrams share one search: the c circles of a
-    c-unlink, and groups equal up to crossing ids.  A group of every
-    component is searched as d.  Raises SizeTooLarge, before any search,
-    when d has more than FRAMING_LIMIT framing vectors over b.
+    Equal group diagrams, such as the c circles of a c-unlink, share one
+    search.  A diagram of one group is its own group diagram.  Raises
+    SizeTooLarge, before any search, when d has more than FRAMING_LIMIT
+    framing vectors over b.
     """
     c, N = len(d.components), b.rank
     if N ** c > FRAMING_LIMIT:
@@ -367,9 +378,8 @@ def _group_searches(d: Diagram, b: FiniteBirack) -> tuple[list[list[int]], list[
             f"more than {FRAMING_LIMIT}"
         )
     groups = _linked_groups(d)
-    subs = [_group_diagram(d, g) if len(g) < c else d for g in groups]
-    searches = {sub: cut_labelings(sub, b) for sub in dict.fromkeys(subs)}
-    return groups, [searches[sub] for sub in subs]
+    subs = [Diagram([d.components[i] for i in g]) for g in groups] if len(groups) > 1 else [d]
+    return groups, subs, {sub: cut_labelings(sub, b) for sub in dict.fromkeys(subs)}
 
 
 def _fold_search(cut: CutLabelings, images: bool) -> tuple[list[int], dict]:
@@ -380,7 +390,7 @@ def _fold_search(cut: CutLabelings, images: bool) -> tuple[list[int], dict]:
     closure (kink labels are alpha and pi images, and a set closed under B
     is closed under S and S^-1 by subbirack_closure's theorem), so its
     image is the closure of the cut label set: each distinct set is closed
-    once.
+    once, by core.subbirack_closure.
     """
     b = cut.birack
     N = b.rank
@@ -399,7 +409,7 @@ def _fold_search(cut: CutLabelings, images: bool) -> tuple[list[int], dict]:
             if None not in key:
                 uses[labels] += m * prod(N // period for _, period in key)
         for labels, m in uses.items():
-            image = labeling_image(Labeling(tuple(labels)), b)
+            image = core.subbirack_closure(b, labels)
             by_image[image] = by_image.get(image, 0) + m
     return per_framing, by_image
 
@@ -413,10 +423,9 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
     if kind not in KINDS:
         raise KindMismatch(f"unknown invariant kind {kind!r}")
     images = kind in ("image", "rho")
-    groups, cuts = _group_searches(d, b)
-    distinct = {id(cut): cut for cut in cuts}  # equal groups share a search
-    folded = {i: _fold_search(cut, images) for i, cut in distinct.items()}
-    totals, by_images = zip(*(folded[id(cut)] for cut in cuts))
+    groups, subs, searches = _group_searches(d, b)
+    folded = {sub: _fold_search(cut, images) for sub, cut in searches.items()}
+    totals, by_images = zip(*map(folded.__getitem__, subs))
     # A labeling is one labeling per group, on every framing of each, so
     # counts multiply and images join across groups.
     framings = product(range(b.rank), repeat=len(d.components))

@@ -23,7 +23,11 @@ from conftest import (
     TREFOIL,
     kink_chain,
 )
-from test_invariants import AROUND, DATA_BIRACKS, _sample_links
+from test_invariants import AROUND, DATA_BIRACKS, _framings_counted, _sample_links
+
+
+# the start of the one-line refusal of a --labelings dump over the bound
+DUMP_REFUSAL = "the labelings of every framing would hold more than"
 
 
 @pytest.fixture
@@ -325,39 +329,29 @@ class TestInvariantCommand:
         capsys.readouterr()
 
     def test_labeling_dump_bound(self, monkeypatch, capsys):
-        import biracks.cli
-
-        def forbidden(*args):
-            raise AssertionError("framed the labelings of an oversized dump")
-
+        # the 7-unlink over the rank-1 ten_element: its one framing's
+        # semiarcs are read once, to count its labels, and no row is built
         monkeypatch.chdir(Path(__file__).resolve().parent.parent)
-        monkeypatch.setattr(biracks.cli, "_framed_rows", forbidden)
+        calls = _framings_counted(monkeypatch)
         for kind in ("integral", "writhe", "image", "rho"):
+            calls.clear()
             code, out, err = _run(["invariant", "--birack", "data/ten_element.txt",
                                    "--gauss", ";" * 6, "--type", kind, "--labelings"], capsys)
-            assert (code, out, err) == (
-                1, "", "error: --labelings would print more than 6000000 labels\n")
+            assert (code, out, err) == (1, "", f"error: {DUMP_REFUSAL} 6000000 labels\n")
+            assert calls == [(0,) * 7]
 
     def test_labeling_dump_bound_stops_counting(self, tmp_path, monkeypatch, capsys):
-        import biracks.cli
+        import biracks.invariants
 
         # the 3-unlink over a rank-6 birack has 6^3 framings; the bound is
         # passed at the first, so only its semiarcs are counted
         path = tmp_path / "tsr7.txt"
         path.write_text(format_matrix(tsr_birack(7, 3, 0, 1)))
-        calls = []
-        sources = biracks.cli.framed_semiarc_sources
-
-        def counting(d, w, rank):
-            calls.append(w)
-            return sources(d, w, rank)
-
-        monkeypatch.setattr(biracks.cli, "framed_semiarc_sources", counting)
-        monkeypatch.setattr(biracks.cli, "LABELING_DUMP_LIMIT", 1000)
+        calls = _framings_counted(monkeypatch)
+        monkeypatch.setattr(biracks.invariants, "LABELING_DUMP_LIMIT", 1000)
         code, out, err = _run(["invariant", "--birack", str(path), "--gauss", ";;",
                                "--type", "integral", "--labelings"], capsys)
-        assert (code, out, err) == (
-            1, "", "error: --labelings would print more than 1000 labels\n")
+        assert (code, out, err) == (1, "", f"error: {DUMP_REFUSAL} 1000 labels\n")
         assert calls == [(0, 0, 0)]
 
     def test_framing_bound(self, two_element_file, capsys):
@@ -368,41 +362,37 @@ class TestInvariantCommand:
                    "more than 1000000\n")
 
     def test_labeling_dump_bound_is_inclusive(self, monkeypatch, capsys):
-        import biracks.cli
+        import biracks.invariants
 
         # the 4 * 10^4 labels of the 4-unlink print at a bound of 4 * 10^4;
         # the 5-unlink's 5 * 10^5 do not
         monkeypatch.chdir(Path(__file__).resolve().parent.parent)
-        monkeypatch.setattr(biracks.cli, "LABELING_DUMP_LIMIT", 4 * 10**4)
+        monkeypatch.setattr(biracks.invariants, "LABELING_DUMP_LIMIT", 4 * 10**4)
         args = ["invariant", "--birack", "data/ten_element.txt", "--type", "integral",
                 "--labelings", "--gauss"]
         code, out, err = _run([*args, ";;;"], capsys)
         assert (code, len(out.splitlines()), err) == (0, 1 + 10**4, "")
         code, out, err = _run([*args, ";;;;"], capsys)
-        assert (code, out, err) == (
-            1, "", "error: --labelings would print more than 40000 labels\n")
+        assert (code, out, err) == (1, "", f"error: {DUMP_REFUSAL} 40000 labels\n")
 
     def test_labeling_dump_bound_counts_kink_labels(self, monkeypatch, capsys):
-        import biracks.cli
+        import biracks.invariants
 
         # four components of 30 kinks have as many labelings as the
         # 4-unlink, 10^4, but 240 labels each where the unlink's have 4
         monkeypatch.chdir(Path(__file__).resolve().parent.parent)
-        monkeypatch.setattr(biracks.cli, "LABELING_DUMP_LIMIT", 4 * 10**4)
+        monkeypatch.setattr(biracks.invariants, "LABELING_DUMP_LIMIT", 4 * 10**4)
         chains = ";".join(
             ",".join(f"O{i}+,U{i}+" for i in range(30 * c + 1, 30 * c + 31)) for c in range(4))
         args = ["invariant", "--birack", "data/ten_element.txt", "--type", "integral",
                 "--labelings", "--gauss"]
         code, out, err = _run([*args, ";;;"], capsys)
         assert (code, len(out.splitlines()), err) == (0, 1 + 10**4, "")
-
-        def forbidden(*args):
-            raise AssertionError("framed the labelings of an oversized dump")
-
-        monkeypatch.setattr(biracks.cli, "_framed_rows", forbidden)
+        # the one framing is counted and refused, and no row is built
+        calls = _framings_counted(monkeypatch)
         code, out, err = _run([*args, chains], capsys)
-        assert (code, out, err) == (
-            1, "", "error: --labelings would print more than 40000 labels\n")
+        assert (code, out, err) == (1, "", f"error: {DUMP_REFUSAL} 40000 labels\n")
+        assert calls == [(0,) * 4]
 
     def test_labeling_dump_json(self, two_element_file, capsys):
         assert main(["invariant", "--birack", two_element_file,
@@ -457,17 +447,12 @@ class TestDumpRows:
             assert json.loads(out)["labelings"] == [[list(w), rows] for w, rows in reference]
 
     def test_oversized_dump_writes_no_rows(self, monkeypatch, capsys):
-        import biracks.cli
-
-        def forbidden(*args):
-            raise AssertionError("wrote the rows of an oversized dump")
-
         monkeypatch.chdir(ROOT)
-        monkeypatch.setattr(biracks.cli, "_framed_rows", forbidden)
+        calls = _framings_counted(monkeypatch)
         code, out, err = _run(["invariant", "--birack", "data/ten_element.txt", "--gauss",
                                ";" * 6, "--type", "rho", "--labelings", "--json"], capsys)
-        assert (code, out, err) == (
-            1, "", "error: --labelings would print more than 6000000 labels\n")
+        assert (code, out, err) == (1, "", f"error: {DUMP_REFUSAL} 6000000 labels\n")
+        assert calls == [(0,) * 7]
 
 
 class TestDigitLimit:

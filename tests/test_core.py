@@ -1318,3 +1318,27 @@ class TestCycles:
 
         with pytest.raises(ParseError):
             parse_cycles(bad, 4)
+
+
+def test_witness_error_messages():
+    """AxiomViolation takes (reason, witness, detail) and ConstructionError
+    (reason, detail, witness); both keep the three as attributes and write
+    "reason: detail (witness: ...)", leaving out what is not given."""
+    from biracks import BirackError, ConstructionError
+
+    cases = [
+        (AxiomViolation("YangBaxterFails", (0, 1, 2), "B1 differs"),
+         "YangBaxterFails: B1 differs (witness: (0, 1, 2))", (0, 1, 2), "B1 differs"),
+        (AxiomViolation("NotPairBijective"), "NotPairBijective", None, ""),
+        (AxiomViolation("SidewaysNotUnique", witness=0), "SidewaysNotUnique (witness: 0)", 0, ""),
+        (ConstructionError("NotAGroup", "no identity element", 3),
+         "NotAGroup: no identity element (witness: 3)", 3, "no identity element"),
+        (ConstructionError("Eq4Fails"), "Eq4Fails", None, ""),
+        (ConstructionError("NotInvertible", witness=(1,)), "NotInvertible (witness: (1,))",
+         (1,), ""),
+    ]
+    for exc, message, witness, detail in cases:
+        assert isinstance(exc, BirackError)
+        assert (str(exc), exc.args) == (message, (message,))
+        assert (exc.witness, exc.detail) == (witness, detail)
+        assert exc.reason == message.partition(":")[0].partition(" ")[0]

@@ -383,6 +383,21 @@ DATA_BIRACKS = sorted(p.stem for p in DATA.glob("*.txt") if p.name != "sample_li
 RANDOM_CODES = [random_gauss_code(random.Random(seed)) for seed in range(40)]
 
 
+def _framings_counted(monkeypatch) -> list:
+    """The framing vectors whose framed semiarcs a dump reads, in order:
+    once each to count its labels, and once more for each framing whose
+    rows are built."""
+    calls = []
+    sources = biracks.invariants.framed_semiarc_sources
+
+    def counting(d, w, rank):
+        calls.append(w)
+        return sources(d, w, rank)
+
+    monkeypatch.setattr(biracks.invariants, "framed_semiarc_sources", counting)
+    return calls
+
+
 def _assert_matches_framed_reference(d, b, multisets: bool) -> None:
     """Per-framing counts, framed labelings and (optionally) image and rho
     multisets from the cut search equal searching every with_framing
@@ -498,23 +513,26 @@ class TestSplitDiagrams:
             return search(*args)
 
         monkeypatch.setattr(biracks.homsearch, "_search", counted)
-        # (diagram, searches, groups): equal groups, the 3-unlink's three
-        # circles or two Hopf links equal up to crossing ids, share one
-        # search; a Hopf link and a circle get one each
-        cases = [(unlink(3), 1, 3), (parse_gauss("O1+,U2+;U1+,O2+;O3+,U4+;U3+,O4+"), 1, 2),
-                 (parse_gauss(HOPF + ";"), 2, 2),
+        # (diagram, searches, groups): equal group diagrams, the 3-unlink's
+        # three circles, share one search; two Hopf links on other
+        # crossings, or a Hopf link and a circle, get one each
+        two_hopf = parse_gauss("O1+,U2+;U1+,O2+;O3+,U4+;U3+,O4+")
+        cases = [(unlink(3), 1, 3), (two_hopf, 2, 2), (parse_gauss(HOPF + ";"), 2, 2),
                  (parse_gauss(AROUND[0]), 2, 2), (parse_gauss(AROUND[1]), 2, 2),
                  (parse_gauss(HOPF), 1, 1), (Diagram([]), 1, 1)]
         for d, searches, groups in cases:
             calls.clear()
             compute_invariant(d, two_orbit4, kind)
             assert len(calls) == searches
-            # the helper returns each group's search, shared by equal groups
+            # the helper keys one search by each distinct group diagram
             calls.clear()
-            _, cuts = biracks.invariants._group_searches(d, two_orbit4)
+            found, subs, cuts = biracks.invariants._group_searches(d, two_orbit4)
             assert len(calls) == searches
-            assert len(cuts) == groups
-            assert len(set(map(id, cuts))) == searches
+            assert len(found) == len(subs) == groups
+            assert list(cuts) == list(dict.fromkeys(subs))
+            assert all(cut.diagram == sub for sub, cut in cuts.items())
+            assert subs == ([Diagram([d.components[i] for i in g]) for g in found]
+                            if groups > 1 else [d])
 
     @pytest.mark.parametrize("kind", ["image", "rho"])
     def test_join_count(self, kind, ten_element, monkeypatch):
@@ -577,6 +595,54 @@ class TestFramingBound:
     def test_rank_one_has_one_framing(self, ten_element):
         v = compute_invariant(unlink(30), ten_element, "integral")
         assert (v.value, v.per_framing) == (10**30, (((0,) * 30, 10**30),))
+
+
+class TestLabelingDumpBound:
+    """labelings_by_framing refuses more than LABELING_DUMP_LIMIT labels
+    before it builds any row."""
+
+    def test_refused_before_any_row(self, ten_element, monkeypatch):
+        # the 7-unlink over the rank-1 ten_element has one framing of 10^7
+        # labelings of 7 labels; counting it reads its semiarcs once, and
+        # building its rows would read them again
+        calls = _framings_counted(monkeypatch)
+        with pytest.raises(SizeTooLarge) as info:
+            labelings_by_framing(unlink(7), ten_element)
+        assert str(info.value) == (
+            "the labelings of every framing would hold more than 6000000 labels")
+        assert calls == [(0,) * 7]
+
+
+class TestSearchAndClosureCounts:
+    """compute_invariant's cut_labelings and subbirack_closure calls over
+    the sample links, unlink(2..4) and a Hopf link with a circle, by data
+    birack and kind, pinned so a change that searches or closes more
+    fails: one search per distinct group diagram, and no closure for the
+    integral and writhe kinds."""
+
+    @pytest.mark.parametrize("kind,searches,closures", [
+        ("integral", 44, 0), ("writhe", 44, 0), ("image", 44, 253), ("rho", 44, 253)])
+    def test_counts(self, kind, searches, closures, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(biracks.invariants, "cut_labelings",
+                            counted("search", biracks.invariants.cut_labelings))
+        for module in (biracks.core, biracks.homsearch):
+            monkeypatch.setattr(module, "subbirack_closure",
+                                counted("closure", module.subbirack_closure))
+        diagrams = [parse_gauss(code) for _, code in _sample_links()]
+        diagrams += [unlink(2), unlink(3), unlink(4), parse_gauss(HOPF + ";")]
+        for birack in DATA_BIRACKS:
+            b = read_matrix_file(str(DATA / f"{birack}.txt"))
+            for d in diagrams:
+                compute_invariant(d, b, kind)
+        assert (calls["search"], calls["closure"]) == (searches, closures)
 
 
 class TestUnlinkClosedForm:

@@ -181,12 +181,21 @@ def test_one_group_search_helper():
     """Counts and --labelings dumps split a diagram into its groups and
     search them in one place: _group_searches is the one caller of
     cut_labelings, and compute_invariant, _framed_rows and
-    labelings_by_framing all reach it."""
+    labelings_by_framing all reach it.  Its searches are keyed by their
+    group diagrams, so invariants.py tells searches apart by no id() and
+    builds no group diagram with renumbered crossings (it reads no pass's
+    crossing id)."""
     graph = _call_graph("invariants.py")
     assert {name for name, callees in graph.items() if "cut_labelings" in callees} == {
         "_group_searches"}
     assert "_group_searches" in graph["compute_invariant"] & graph["_framed_rows"]
     assert "_framed_rows" in graph["labelings_by_framing"]
+    tree = ast.parse((ROOT / "src" / "biracks" / "invariants.py").read_text(encoding="utf-8"))
+    ids = [line for name, line in _called_names(tree) if name == "id"]
+    renumbering = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "crossing"
+                   or isinstance(node, ast.FunctionDef) and node.name == "_group_diagram"]
+    assert (ids, renumbering) == ([], [])
 
 
 def test_one_checked_constructor():

@@ -125,11 +125,16 @@ class Diagram:
 
     def semiarc_after(self, component: int, position: int) -> int:
         """Global index of the semiarc leaving a pass."""
+        if not 0 <= position < max(len(self.components[component]), 1):
+            raise IndexError(f"component {component} has no position {position}")
         return self._offsets[component] + position
 
     def semiarc_before(self, component: int, position: int) -> int:
-        """Global index of the semiarc entering a pass."""
-        k = len(self.components[component])
+        """Global index of the semiarc entering a pass; a crossing-free
+        circle's one semiarc enters and leaves its position 0."""
+        k = max(len(self.components[component]), 1)
+        if not 0 <= position < k:
+            raise IndexError(f"component {component} has no position {position}")
         return self._offsets[component] + (position - 1) % k
 
     def semiarc_map(self) -> list[tuple[int, int]]:

@@ -33,8 +33,8 @@ candidates whose closures share a quad with a semiarc the pick fixed are
 recomputed, in increasing index order, and once one of them fixes every
 unfixed semiarc the later ones are skipped: no closure gains more than
 the unfixed count, and ties go to the lowest index.  So the plan is the
-one that recomputing every closure at every level gives, and steps are
-built for the pick alone.  Which rule fires at a quad depends only on
+one that recomputing every closure at every level gives, and each pick
+reuses the steps its closure was computed with.  Which rule fires at a quad depends only on
 which slots are known, never on their values, so each plan level
 compiles once into a list of steps, each writing or checking one slot
 from one table.  A quad fires once, by the first rule whose sources are
@@ -57,7 +57,7 @@ closing crossings keep their determinations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .core import FiniteBirack, subbirack_closure
 from .diagram import Diagram
@@ -123,9 +123,9 @@ Step = tuple[int, str, int, int, bool]
 
 
 def _fire(quads: list[Quad], touching: list[list[int]], known: list[bool],
-          s: int, steps: list[Step] | None = None) -> list[int]:
-    """The semiarcs that fixing s fixes given the known ones, s first; if
-    steps is given, the steps that fix them are appended to it, in order.
+          s: int) -> tuple[list[int], list[Step]]:
+    """The semiarcs that fixing s fixes given the known ones, s first, and
+    the steps that fix them, in order.
 
     The quads touching each newly fixed semiarc go on a stack; a popped
     quad fires its first rule whose sources are fixed, once, writing its
@@ -133,6 +133,7 @@ def _fire(quads: list[Quad], touching: list[list[int]], known: list[bool],
     marked known while it runs and unmarked before it returns.
     """
     grown = [s]
+    steps: list[Step] = []
     known[s] = True
     fired: set[int] = set()
     stack = list(touching[s])
@@ -147,8 +148,7 @@ def _fire(quads: list[Quad], touching: list[list[int]], known: list[bool],
                 fired.add(qi)
                 for k, table in zip(targets, tables):
                     t = quad[k]
-                    if steps is not None:
-                        steps.append((t, table, a, c, known[t]))
+                    steps.append((t, table, a, c, known[t]))
                     if not known[t]:
                         known[t] = True
                         grown.append(t)
@@ -156,7 +156,7 @@ def _fire(quads: list[Quad], touching: list[list[int]], known: list[bool],
                 break
     for t in grown:
         known[t] = False
-    return grown
+    return grown, steps
 
 
 def _plan(quads: list[Quad], size: int) -> list[tuple[int, list[Step]]]:
@@ -164,60 +164,52 @@ def _plan(quads: list[Quad], size: int) -> list[tuple[int, list[Step]]]:
     each with the steps that fix its closure.
 
     A semiarc's closure is itself plus every semiarc the rules then fix,
-    given what earlier picks already fixed.  Ties go to the lowest index.
-    With nothing fixed, a semiarc fixes more than itself only if it fills
-    both sources of a rule at one quad (a kink), so only those are fired
-    before the first pick.  A candidate's closure can change only if a
-    quad it visits gains a fixed semiarc, and then one of its closure's
-    semiarcs shares that quad with a semiarc the pick fixed.  Only those
-    candidates are fired again after a pick, in increasing index order;
-    every other closure stays current.  No closure gains more than the
-    unfixed count, so once a refired candidate reaches it, the next pick
-    is that candidate or a lower-index one, and every lower-index closure
-    is current: the later refire candidates are marked stale (an empty
-    closure) and not fired.  The pick is fired once more, for its steps,
-    and the plan ends when every semiarc is fixed.
+    given what earlier picks fixed; it is kept with its steps, and ties go
+    to the lowest index.  Each closure starts as its semiarc alone.  It
+    can change only if a quad it visits gains a fixed semiarc, which then
+    shares that quad with one of its semiarcs.  Each round refires just
+    those candidates, in increasing index order: first the kinks (with
+    nothing fixed only they fix more than themselves), then after each
+    pick the ones near what it fixed.  No closure gains more than the
+    unfixed count, so once one reaches it, the next pick is it or a
+    current lower-index one, and the later candidates are marked stale
+    (an empty closure) and not fired.  The plan ends when all are fixed.
     """
     touching: list[list[int]] = [[] for _ in range(size)]
     for qi, quad in enumerate(quads):
         for sm in set(quad):
             touching[sm].append(qi)
     known = [False] * size
-    kinks = {quad[i] for quad in quads for (i, j), _, _ in _RULES if quad[i] == quad[j]}
-    closures = [_fire(quads, touching, known, s) if s in kinks else [s]
-                for s in range(size)]
+    closures = [([s], []) for s in range(size)]
     # watchers[t]: the unknown semiarcs whose closure holds t
-    watchers: list[set[int]] = [set() for _ in range(size)]
-    for s, grown in enumerate(closures):
-        for t in grown:
-            watchers[t].add(s)
-    heap = [(-len(grown), s) for s, grown in enumerate(closures)]
-    heapify(heap)
+    watchers = [{s} for s in range(size)]
+    heap = [(-1, s) for s in range(size)]  # sorted, so already a heap
+    # the first round refires the kink semiarcs
+    near = {quad[i] for quad in quads for (i, j), _, _ in _RULES if quad[i] == quad[j]}
     levels = []
     unknown = size
     while unknown:
+        full = False
+        for c in sorted({c for t in near for c in watchers[t]}):
+            for t in closures[c][0]:
+                watchers[t].discard(c)
+            if full or known[c]:
+                closures[c] = ([], [])
+                continue
+            grown, _ = closures[c] = _fire(quads, touching, known, c)
+            for t in grown:
+                watchers[t].add(c)
+            heappush(heap, (-len(grown), c))
+            full = len(grown) == unknown
         gain, s = heappop(heap)
-        if known[s] or -gain != len(closures[s]):
-            continue  # picked already, or a stale gain
-        steps: list[Step] = []
-        fresh = _fire(quads, touching, known, s, steps)
+        while known[s] or -gain != len(closures[s][0]):
+            gain, s = heappop(heap)  # picked already, or a stale gain
+        fresh, steps = closures[s]
         levels.append((s, steps))
         for t in fresh:
             known[t] = True
         unknown -= len(fresh)
         near = {u for t in fresh for qi in touching[t] for u in quads[qi]}
-        full = False
-        for c in sorted({c for t in near for c in watchers[t]}):
-            for t in closures[c]:
-                watchers[t].discard(c)
-            if full or known[c]:
-                closures[c] = []
-                continue
-            closures[c] = _fire(quads, touching, known, c)
-            for t in closures[c]:
-                watchers[t].add(c)
-            heappush(heap, (-len(closures[c]), c))
-            full = len(closures[c]) == unknown
     return levels
 
 

@@ -553,7 +553,8 @@ def reference_plan(quads, size):
     with both sources of any rule fixed fixes all four slots), and the
     largest gain over the fixed set wins, ties to the lowest index.  Only
     the picked level's steps come from homsearch._fire, which must grow
-    exactly that closure.
+    exactly that closure, so comparing levels checks the steps _plan keeps
+    from its candidate fires.
     """
     def closure(fixed):
         while True:
@@ -570,8 +571,7 @@ def reference_plan(quads, size):
     while len(fixed) < size:
         gains = {s: len(closure(fixed | {s})) for s in range(size) if s not in fixed}
         s = min(gains, key=lambda u: (-gains[u], u))
-        steps: list = []
-        grown = _fire(quads, touching, [u in fixed for u in range(size)], s, steps)
+        grown, steps = _fire(quads, touching, [u in fixed for u in range(size)], s)
         before, fixed = fixed, closure(fixed | {s})
         assert sorted(grown) == sorted(fixed - before)
         levels.append((s, steps))

@@ -103,6 +103,25 @@ class TestSerialize:
         assert payload["crossings"]["1"]["over"] == [0, 0]
 
 
+class TestSemiarcIndex:
+    """semiarc_before and semiarc_after index a pass of one component, a
+    crossing-free circle's one semiarc at position 0, and raise IndexError
+    for any other position."""
+
+    def test_circle_semiarc(self):
+        d = unlink(2)
+        assert [(d.semiarc_before(c, 0), d.semiarc_after(c, 0)) for c in (0, 1)] == [
+            (0, 0), (1, 1)]
+
+    @pytest.mark.parametrize("code,component,position", [
+        (HOPF, 0, 5), (HOPF, 0, 2), (HOPF, 1, 2), (HOPF, 0, -1), ("", 0, 1), (";", 1, -1)])
+    def test_outside_component(self, code, component, position):
+        d = parse_gauss(code)
+        for index in (d.semiarc_before, d.semiarc_after):
+            with pytest.raises(IndexError):
+                index(component, position)
+
+
 class TestUnlink:
     def test_one_component(self):
         d = unlink(1)

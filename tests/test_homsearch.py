@@ -300,15 +300,15 @@ class TestPlan:
                 quads, size, _, _ = _crossing_quads(d, cut)
                 assert _plan(quads, size) == reference_plan(quads, size), (d, cut)
 
-    # (closed, cut): one fire per level for its steps, plus the candidates
-    # refired after a pick until one closes every unknown semiarc
+    # (closed, cut): the kinks and, after each pick, the candidates refired
+    # until one closes every unknown semiarc; a pick reuses its closure's steps
     FIRES = {
-        "unknot": (1, 1),
-        "hopf": (4, 4),
-        "trefoil": (4, 4),
-        "figure_eight": (4, 6),
-        "cinquefoil": (4, 4),
-        "stevedore": (4, 13),
+        "unknot": (0, 0),
+        "hopf": (2, 2),
+        "trefoil": (2, 2),
+        "figure_eight": (2, 4),
+        "cinquefoil": (2, 2),
+        "stevedore": (2, 10),
     }
 
     @staticmethod
@@ -321,7 +321,7 @@ class TestPlan:
 
     @pytest.mark.parametrize("k", [3, 5, 7, 9, 11])
     def test_torus_knot_fires(self, k, plan_fires):
-        assert self.closed_and_cut(plan_fires, braid_closure(2, [1] * k)) == (4, 4)
+        assert self.closed_and_cut(plan_fires, braid_closure(2, [1] * k)) == (2, 2)
 
 
 class TestCountLabelings:
@@ -340,8 +340,9 @@ class TestCountLabelings:
 class TestDeepDiagrams:
     """Searches far deeper than the interpreter's recursion limit."""
 
-    # closures the plan may compute: 3.5 per kink.  A kink rule applied one
-    # kink at a time once made the plan quadratic (ROADMAP item 7).
+    # closures the plan may compute: 3.5 per kink, where it computes 3,000
+    # and 7,500 (2.5 per kink).  A kink rule applied one kink at a time once
+    # made the plan quadratic (ROADMAP item 7).
     PLAN_FIRES = {1200: 4200, 3000: 10500}
 
     @pytest.mark.parametrize("kinks", [1200, 3000])

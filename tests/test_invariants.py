@@ -614,11 +614,14 @@ class TestLabelingDumpBound:
 
 
 class TestSearchAndClosureCounts:
-    """compute_invariant's cut_labelings and subbirack_closure calls over
-    the sample links, unlink(2..4) and a Hopf link with a circle, by data
-    birack and kind, pinned so a change that searches or closes more
-    fails: one search per distinct group diagram, and no closure for the
-    integral and writhe kinds."""
+    """compute_invariant's cut_labelings, subbirack_closure and plan
+    closure (homsearch._fire) calls over the sample links, unlink(2..4)
+    and a Hopf link with a circle, by data birack and kind, pinned so a
+    change that searches or closes more fails: one search per distinct
+    group diagram, no subbirack closure for the integral and writhe kinds,
+    and no plan closure computed twice."""
+
+    FIRES = 78  # the same for every kind: the searches are the same
 
     @pytest.mark.parametrize("kind,searches,closures", [
         ("integral", 44, 0), ("writhe", 44, 0), ("image", 44, 253), ("rho", 44, 253)])
@@ -636,13 +639,14 @@ class TestSearchAndClosureCounts:
         for module in (biracks.core, biracks.homsearch):
             monkeypatch.setattr(module, "subbirack_closure",
                                 counted("closure", module.subbirack_closure))
+        monkeypatch.setattr(biracks.homsearch, "_fire", counted("fire", biracks.homsearch._fire))
         diagrams = [parse_gauss(code) for _, code in _sample_links()]
         diagrams += [unlink(2), unlink(3), unlink(4), parse_gauss(HOPF + ";")]
         for birack in DATA_BIRACKS:
             b = read_matrix_file(str(DATA / f"{birack}.txt"))
             for d in diagrams:
                 compute_invariant(d, b, kind)
-        assert (calls["search"], calls["closure"]) == (searches, closures)
+        assert (calls["search"], calls["closure"], calls["fire"]) == (searches, closures, self.FIRES)
 
 
 class TestUnlinkClosedForm:

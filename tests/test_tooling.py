@@ -9,10 +9,11 @@ only the text parsers call int().  Every table file is read through one
 label table, and every matrix file through one reader.  Counts and
 labeling dumps search a diagram's groups through one helper.  Each
 structure has one checked constructor.  The labeling search writes its
-four determinations in one rule table, and every column of a birack
-table comes from one reader.  Every table size bound reads
-core.ELEMENT_LIMIT.  Every source file parses as the oldest Python the
-package declares, and every console script it declares runs.
+four determinations in one rule table, and its branch planner computes
+closures in one place.  Every column of a birack table comes from one
+reader.  Every table size bound reads core.ELEMENT_LIMIT.  Every source
+file parses as the oldest Python the package declares, and every console
+script it declares runs.
 """
 
 import ast
@@ -313,6 +314,23 @@ def test_determinations_written_once():
                 found.append((owner, name))
     assert sorted(found) == sorted(("_RULES", name) for name in DETERMINATION_TABLES)
 
+
+
+def test_one_closure_path():
+    """The branch planner computes closures in one place: homsearch._fire
+    has one call site in the package, in _plan's refire loop, and no
+    parameter with a default, so it has one mode and a pick is never
+    fired a second time for its steps."""
+    sites = []
+    for path in sorted((ROOT / "src" / "biracks").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            sites += [(path.name, getattr(stmt, "name", stmt.lineno))
+                      for name, _ in _called_names(stmt) if name == "_fire"]
+    tree = ast.parse((ROOT / "src" / "biracks" / "homsearch.py").read_text(encoding="utf-8"))
+    fire = [stmt.args for stmt in tree.body
+            if isinstance(stmt, ast.FunctionDef) and stmt.name == "_fire"]
+    assert sites == [("homsearch.py", "_plan")]
+    assert [(a.defaults, [d for d in a.kw_defaults if d is not None]) for a in fire] == [([], [])]
 
 def test_one_column_reader():
     """FiniteBirack holds each table once, as the byte rows _analyze

@@ -44,6 +44,17 @@ each plan semiarc in increasing order on an explicit stack, so its depth
 is not bounded by the interpreter's recursion limit; enumerate_labelings
 sorts the labelings into lexicographic order of the assignment vector.
 
+A plan depends on the diagram and on whether it is cut, never on the
+birack, so _compiled builds it once per (diagram, cut) key, with the
+semiarc count, tails and heads, as nested tuples whose steps name their
+tables; a search binds the birack's tables to those names.  Every
+birack, invariant kind, request and thread searching an equal diagram
+shares the plan.  The cache keeps the _PLANS_KEPT (32) most recently used
+plans.  One costs about 0.36 KB per crossing and keeps its key diagram
+(about 0.5 KB per crossing) alive: 1.02 MB in all for a 1,200-kink
+unknot and 2.66 MB for a 3,000-kink one (tracemalloc), so the worst case
+is 32 times the largest diagram searched.
+
 cut_labelings runs the same plan and search once on a diagram cut open:
 each component with crossings enters its pass 0 on a fresh head semiarc
 instead of its tail, the semiarc leaving its last pass.  Its labelings
@@ -57,6 +68,7 @@ closing crossings keep their determinations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heappop, heappush
 
 from .core import FiniteBirack, subbirack_closure
@@ -79,7 +91,7 @@ class Labeling:
 Quad = tuple[int, int, int, int]
 
 
-def _crossing_quads(d: Diagram, cut: bool = False
+def _crossing_quads(d: Diagram, cut: bool
                     ) -> tuple[list[Quad], int, tuple[int, ...], tuple[int, ...]]:
     """Crossing quads, semiarc count, and each component's tail and head.
 
@@ -213,17 +225,37 @@ def _plan(quads: list[Quad], size: int) -> list[tuple[int, list[Step]]]:
     return levels
 
 
-def _search(quads: list[Quad], size: int,
+Level = tuple[int, tuple[Step, ...]]
+
+# Plans kept at once.  One pass of a benchmark workload compiles at most
+# 23 distinct (diagram, cut) keys (search_knots, seeds 0-3), and the
+# data/sample_links.txt batch 12, so 32 keep a whole pass with room to
+# spare while bounding what large diagrams can hold.
+_PLANS_KEPT = 32
+
+
+@lru_cache(maxsize=_PLANS_KEPT)
+def _compiled(d: Diagram, cut: bool
+              ) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[Level, ...]]:
+    """The semiarc count, tails, heads and plan levels of d, closed or cut,
+    as tuples all through, each step naming its table.  Shared by every
+    search of an equal diagram, so nothing in it may be mutated."""
+    quads, size, tails, heads = _crossing_quads(d, cut)
+    levels = tuple((s, tuple(steps)) for s, steps in _plan(quads, size))
+    return size, tails, heads, levels
+
+
+def _search(plan: tuple[Level, ...], size: int,
             b: FiniteBirack) -> tuple[list[tuple[int, ...]], int]:
-    """Labeling assignments of size semiarcs under quads, in search order,
-    and the search nodes tried.
+    """Labeling assignments of size semiarcs under a compiled plan, in
+    search order, and the search nodes tried.
 
     One node is one value tried at a branch point.  A level sets its
     branch semiarc and runs its steps, which read only what that level or
     an earlier one wrote; below the last level every semiarc is written.
     """
     levels = [(s, [(t, getattr(b, table), a, c, check) for t, table, a, c, check in steps])
-              for s, steps in _plan(quads, size)]
+              for s, steps in plan]
     assign = [0] * size
     results: list[tuple[int, ...]] = []
     depth = len(levels)
@@ -252,14 +284,14 @@ def _search(quads: list[Quad], size: int,
 
 def enumerate_labelings(d: Diagram, b: FiniteBirack) -> list[Labeling]:
     """All labelings of d by b, duplicate-free, in lexicographic order."""
-    quads, size, _, _ = _crossing_quads(d)
-    return [Labeling(r) for r in sorted(_search(quads, size, b)[0])]
+    size, _, _, levels = _compiled(d, False)
+    return [Labeling(r) for r in sorted(_search(levels, size, b)[0])]
 
 
 def count_labelings(d: Diagram, b: FiniteBirack) -> int:
     """|Hom| for one framed diagram; same semantics as enumerate_labelings."""
-    quads, size, _, _ = _crossing_quads(d)
-    return len(_search(quads, size, b)[0])
+    size, _, _, levels = _compiled(d, False)
+    return len(_search(levels, size, b)[0])
 
 
 @dataclass(frozen=True)
@@ -283,8 +315,8 @@ class CutLabelings:
 def cut_labelings(d: Diagram, b: FiniteBirack) -> CutLabelings:
     """Search d by b once, every component with crossings cut open when
     the rank is above 1 (at rank 1 there is one framing and no cut)."""
-    quads, size, tails, heads = _crossing_quads(d, cut=b.rank > 1)
-    found, nodes = _search(quads, size, b)
+    size, tails, heads, levels = _compiled(d, b.rank > 1)
+    found, nodes = _search(levels, size, b)
     return CutLabelings(d, b, tails, heads, tuple(found), nodes)
 
 

@@ -48,7 +48,7 @@ from biracks import (
     with_framing,
 )
 from biracks.core import _AXIOM_ORDER, _ybe_holds, _ybe_witness
-from biracks.homsearch import _RULES, _fire
+from biracks.homsearch import _RULES, _compiled, _fire
 
 # ---------------------------------------------------------------------------
 # Reference biracks
@@ -186,6 +186,13 @@ def enumerated_biracks(n: int) -> tuple[FiniteBirack, ...]:
 # ---------------------------------------------------------------------------
 # Fixtures
 # ---------------------------------------------------------------------------
+
+@pytest.fixture(autouse=True)
+def cold_plans():
+    """Every test starts from an empty plan cache, so a count of the plans
+    or closures a test computes does not hang on what earlier tests ran."""
+    _compiled.cache_clear()
+
 
 @pytest.fixture(scope="session")
 def two_element() -> FiniteBirack:

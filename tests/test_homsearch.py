@@ -1,5 +1,8 @@
 import hashlib
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from pathlib import Path
 
@@ -7,9 +10,11 @@ import pytest
 
 from biracks import (
     Labeling,
+    compute_invariant,
     count_labelings,
     enumerate_labelings,
     labeling_image,
+    normalize,
     parse_gauss,
     phi_integral,
     read_matrix_file,
@@ -19,7 +24,9 @@ from biracks import (
     with_framing,
 )
 import biracks.homsearch
-from biracks.homsearch import _crossing_quads, _plan, _search, cut_labelings
+from biracks.cli import main
+from biracks.homsearch import _compiled, _crossing_quads, _plan, _search, cut_labelings
+from biracks.invariants import KINDS
 from conftest import (
     HOPF,
     TREFOIL,
@@ -33,6 +40,7 @@ from conftest import (
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+DATA_BIRACKS = sorted(p.stem for p in DATA.glob("*.txt") if p.name != "sample_links.txt")
 
 
 class TestKnownCounts:
@@ -163,8 +171,8 @@ def _sample_links() -> list[tuple[str, str]]:
 
 
 def _closed_nodes(d, b) -> int:
-    quads, size, _, _ = _crossing_quads(d)
-    return _search(quads, size, b)[1]
+    size, _, _, plan = _compiled(d, False)
+    return _search(plan, size, b)[1]
 
 
 class TestNodeCounts:
@@ -258,8 +266,8 @@ class TestSearchOrder:
             b = read_matrix_file(str(DATA / f"{name}.txt"))
             for _, code in _sample_links():
                 for cut in (False, True):
-                    quads, size, _, _ = _crossing_quads(parse_gauss(code), cut)
-                    h.update(repr(_search(quads, size, b)).encode())
+                    size, _, _, plan = _compiled(parse_gauss(code), cut)
+                    h.update(repr(_search(plan, size, b)).encode())
         assert h.hexdigest() == "f48cbea9802b779d1d1f60acffed69fc3870f8f9cfbfa2fbbd64e73865a569d8"
 
 
@@ -295,10 +303,12 @@ class TestPlan:
     """The greedy branch plan, and the closures it computes to build it."""
 
     def test_matches_reference(self):
+        # through the compile step, which keeps _plan's levels as tuples
         for d in _plan_diagrams():
             for cut in (False, True):
-                quads, size, _, _ = _crossing_quads(d, cut)
-                assert _plan(quads, size) == reference_plan(quads, size), (d, cut)
+                quads, size, tails, heads = _crossing_quads(d, cut)
+                levels = tuple((s, tuple(steps)) for s, steps in reference_plan(quads, size))
+                assert _compiled(d, cut) == (size, tails, heads, levels), (d, cut)
 
     # (closed, cut): the kinks and, after each pick, the candidates refired
     # until one closes every unknown semiarc; a pick reuses its closure's steps
@@ -322,6 +332,110 @@ class TestPlan:
     @pytest.mark.parametrize("k", [3, 5, 7, 9, 11])
     def test_torus_knot_fires(self, k, plan_fires):
         assert self.closed_and_cut(plan_fires, braid_closure(2, [1] * k)) == (2, 2)
+
+
+class TestPlanCache:
+    """homsearch._compiled keeps at most 32 plans, one per (diagram, cut)
+    key, shared by every birack, kind, request and thread; every test
+    starts from an empty cache (conftest.cold_plans).  TestPlan checks the
+    cached plans against reference_plan."""
+
+    MAXSIZE = 32
+
+    @staticmethod
+    def batch_links():
+        return [parse_gauss(code) for _, code in _sample_links()] + [
+            unlink(2), unlink(3), unlink(4), parse_gauss(HOPF + ";")]
+
+    def test_cold_and_warm_values(self):
+        cases = [(d, read_matrix_file(str(DATA / f"{birack}.txt")), kind)
+                 for birack in DATA_BIRACKS for kind in KINDS for d in self.batch_links()]
+
+        def values(case):
+            v = compute_invariant(*case)
+            nv = normalize(v, *case[:2])
+            return v, v.value_string(), nv, nv.value_string()
+
+        cold = []
+        for case in cases:
+            _compiled.cache_clear()
+            cold.append(values(case))
+        _compiled.cache_clear()
+        for case in cases:
+            values(case)
+        misses = _compiled.cache_info().misses
+        assert [values(case) for case in cases] == cold
+        assert _compiled.cache_info().misses == misses
+
+    def test_entries_are_tuples(self):
+        def leaf_types(x):
+            if isinstance(x, tuple):
+                for y in x:
+                    yield from leaf_types(y)
+            else:
+                yield type(x)
+
+        for d in [*self.batch_links(), parse_gauss(kink_chain(3)), braid_closure(2, [1] * 5)]:
+            for cut in (False, True):
+                assert set(leaf_types(_compiled(d, cut))) <= {int, bool, str}, (d, cut)
+
+    def test_bounded(self):
+        assert _compiled.cache_info().maxsize == self.MAXSIZE
+        for k in range(1, self.MAXSIZE + 6):
+            _compiled(parse_gauss(kink_chain(k)), False)
+            assert _compiled.cache_info().currsize <= self.MAXSIZE
+        info = _compiled.cache_info()
+        assert (info.misses, info.currsize) == (self.MAXSIZE + 5, self.MAXSIZE)
+
+    def test_second_batch_plans_nothing(self, monkeypatch, capsys):
+        # every data birack and kind over data/sample_links.txt: its 6 links
+        # planned closed and cut once, then never again
+        monkeypatch.chdir(DATA.parent)
+        calls = []
+        plan = biracks.homsearch._plan
+
+        def counted(*args):
+            calls.append(args)
+            return plan(*args)
+
+        monkeypatch.setattr(biracks.homsearch, "_plan", counted)
+
+        def batch():
+            for birack in DATA_BIRACKS:
+                for kind in KINDS:
+                    assert main(["invariant", "--birack", f"data/{birack}.txt",
+                                 "--batch", "data/sample_links.txt", "--type", kind]) == 0
+            return capsys.readouterr().out
+
+        first = batch()
+        planned = len(calls)
+        assert batch() == first
+        assert (planned, len(calls) - planned) == (12, 0)
+
+    def test_threads_share_the_cache(self):
+        cases = [(parse_gauss(code), read_matrix_file(str(DATA / f"{birack}.txt")))
+                 for birack in DATA_BIRACKS for _, code in _sample_links()]
+
+        def values():
+            return [compute_invariant(d, b, kind) for d, b in cases for kind in KINDS]
+
+        serial = values()
+        _compiled.cache_clear()
+        start = threading.Barrier(4, timeout=60)
+
+        def run():
+            start.wait()
+            return values()
+
+        # switch threads often, so that they interleave inside the cache
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = [f.result(timeout=120) for f in [pool.submit(run) for _ in range(4)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [serial] * 4
 
 
 class TestCountLabelings:

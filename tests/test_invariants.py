@@ -614,14 +614,19 @@ class TestLabelingDumpBound:
 
 
 class TestSearchAndClosureCounts:
-    """compute_invariant's cut_labelings, subbirack_closure and plan
-    closure (homsearch._fire) calls over the sample links, unlink(2..4)
-    and a Hopf link with a circle, by data birack and kind, pinned so a
-    change that searches or closes more fails: one search per distinct
-    group diagram, no subbirack closure for the integral and writhe kinds,
-    and no plan closure computed twice."""
+    """compute_invariant's cut_labelings, subbirack_closure, plan
+    (homsearch._plan) and plan closure (homsearch._fire) calls over the
+    sample links, unlink(2..4) and a Hopf link with a circle, by data
+    birack and kind, from a cold plan cache, pinned so a change that
+    searches, plans or closes more fails: one search per distinct group
+    diagram, no subbirack closure for the integral and writhe kinds, one
+    plan per distinct (diagram, cut) key over every birack, and no plan
+    closure computed twice."""
 
-    FIRES = 78  # the same for every kind: the searches are the same
+    # the same for every kind: the searches are the same.  The 12 plans are
+    # the 6 sample links closed and cut; the unlinks' circle and the Hopf
+    # link with a circle reuse the unknot's and the Hopf link's.
+    PLANS, FIRES = 12, 30
 
     @pytest.mark.parametrize("kind,searches,closures", [
         ("integral", 44, 0), ("writhe", 44, 0), ("image", 44, 253), ("rho", 44, 253)])
@@ -639,14 +644,17 @@ class TestSearchAndClosureCounts:
         for module in (biracks.core, biracks.homsearch):
             monkeypatch.setattr(module, "subbirack_closure",
                                 counted("closure", module.subbirack_closure))
-        monkeypatch.setattr(biracks.homsearch, "_fire", counted("fire", biracks.homsearch._fire))
+        for name in ("_plan", "_fire"):
+            monkeypatch.setattr(biracks.homsearch, name,
+                                counted(name, getattr(biracks.homsearch, name)))
         diagrams = [parse_gauss(code) for _, code in _sample_links()]
         diagrams += [unlink(2), unlink(3), unlink(4), parse_gauss(HOPF + ";")]
         for birack in DATA_BIRACKS:
             b = read_matrix_file(str(DATA / f"{birack}.txt"))
             for d in diagrams:
                 compute_invariant(d, b, kind)
-        assert (calls["search"], calls["closure"], calls["fire"]) == (searches, closures, self.FIRES)
+        assert (calls["search"], calls["closure"], calls["_plan"], calls["_fire"]) == (
+            searches, closures, self.PLANS, self.FIRES)
 
 
 class TestUnlinkClosedForm:

@@ -9,9 +9,10 @@ only the text parsers call int().  Every table file is read through one
 label table, and every matrix file through one reader.  Counts and
 labeling dumps search a diagram's groups through one helper.  Each
 structure has one checked constructor.  The labeling search writes its
-four determinations in one rule table, and its branch planner computes
-closures in one place.  Every column of a birack table comes from one
-reader.  Every table size bound reads core.ELEMENT_LIMIT.  Every source
+four determinations in one rule table, its branch planner computes
+closures in one place, and every search plans through one cached compile
+step.  Every column of a birack table comes from one reader.  Every
+table size bound reads core.ELEMENT_LIMIT.  Every source
 file parses as the oldest Python the package declares, and every console
 script it declares runs.
 """
@@ -331,6 +332,19 @@ def test_one_closure_path():
             if isinstance(stmt, ast.FunctionDef) and stmt.name == "_fire"]
     assert sites == [("homsearch.py", "_plan")]
     assert [(a.defaults, [d for d in a.kw_defaults if d is not None]) for a in fire] == [([], [])]
+
+
+def test_one_plan_path():
+    """Every search plans through one cached compile step: _plan and
+    _crossing_quads each have one call site in the package, in
+    homsearch._compiled, so no search plans a diagram outside the cache."""
+    sites = []
+    for path in sorted((ROOT / "src" / "biracks").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            sites += [(name, path.name, getattr(stmt, "name", stmt.lineno))
+                      for name, _ in _called_names(stmt) if name in ("_plan", "_crossing_quads")]
+    assert sorted(sites) == [("_crossing_quads", "homsearch.py", "_compiled"),
+                             ("_plan", "homsearch.py", "_compiled")]
 
 def test_one_column_reader():
     """FiniteBirack holds each table once, as the byte rows _analyze

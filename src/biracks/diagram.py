@@ -20,7 +20,10 @@ Semiarcs
 A component with k >= 1 passes has k semiarcs; semiarc i runs from pass i
 to pass i+1 (cyclically), i.e. it is the strand segment *leaving* pass i.
 A crossing-free component has a single semiarc.  Semiarcs are numbered
-globally, component by component.
+globally, component by component: Diagram.component_semiarcs holds each
+component's semiarcs as a range, the one place that numbering is made.
+The semiarc leaving pass i is span[i] and the one entering it span[i - 1],
+so a component's closing semiarc, which enters its pass 0, is span[-1].
 
 Writhe and framing
 ------------------
@@ -72,7 +75,9 @@ class Crossing:
 class Diagram:
     """A validated signed Gauss code with semiarc indexing.
 
-    Immutable after construction; framing changes return new diagrams.
+    component_semiarcs holds, per component, the range of its global
+    semiarc indices; every semiarc lookup reads it.  Immutable after
+    construction; framing changes return new diagrams.
     """
 
     def __init__(self, components: Iterable[Iterable[Pass]]):
@@ -107,12 +112,11 @@ class Diagram:
         self.components = tuple(comps)
         self.crossings = crossings
 
-        offsets = []
-        total = 0
+        spans, total = [], 0
         for comp in comps:
-            offsets.append(total)
-            total += max(len(comp), 1)
-        self._offsets = tuple(offsets)
+            start, total = total, total + max(len(comp), 1)
+            spans.append(range(start, total))
+        self.component_semiarcs = tuple(spans)
         self.semiarc_count = total
 
         writhe = [0] * len(comps)
@@ -125,35 +129,30 @@ class Diagram:
 
     def semiarc_after(self, component: int, position: int) -> int:
         """Global index of the semiarc leaving a pass."""
-        if not 0 <= position < max(len(self.components[component]), 1):
+        span = self.component_semiarcs[component]
+        if not 0 <= position < len(span):
             raise IndexError(f"component {component} has no position {position}")
-        return self._offsets[component] + position
+        return span[position]
 
     def semiarc_before(self, component: int, position: int) -> int:
         """Global index of the semiarc entering a pass; a crossing-free
         circle's one semiarc enters and leaves its position 0."""
-        k = max(len(self.components[component]), 1)
-        if not 0 <= position < k:
+        span = self.component_semiarcs[component]
+        if not 0 <= position < len(span):
             raise IndexError(f"component {component} has no position {position}")
-        return self._offsets[component] + (position - 1) % k
+        return span[position - 1]
 
     def semiarc_map(self) -> list[tuple[int, int]]:
         """Global semiarc index -> (component, position-it-leaves)."""
-        out = []
-        for ci, comp in enumerate(self.components):
-            for pi in range(max(len(comp), 1)):
-                out.append((ci, pi))
-        return out
+        return [(ci, pi) for ci, span in enumerate(self.component_semiarcs)
+                for pi in range(len(span))]
 
     def crossing_semiarcs(self, cid: int) -> tuple[int, int, int, int]:
         """(over-in, under-in, under-out, over-out) global semiarc indices."""
         cr = self.crossings[cid]
-        return (
-            self.semiarc_before(*cr.over),
-            self.semiarc_before(*cr.under),
-            self.semiarc_after(*cr.under),
-            self.semiarc_after(*cr.over),
-        )
+        (oc, op), (uc, up) = cr.over, cr.under
+        over, under = self.component_semiarcs[oc], self.component_semiarcs[uc]
+        return over[op - 1], under[up - 1], under[up], over[op]
 
     # ---------- serialization ----------
 
@@ -271,10 +270,9 @@ def framed_semiarc_sources(d: Diagram, target, N: int) -> list[tuple[int, int]]:
     kink.
     """
     sources = []
-    for ci, (comp, kinks) in enumerate(zip(d.components, _kink_counts(d, target, N))):
-        first = d.semiarc_after(ci, 0)
-        closing = first + max(len(comp), 1) - 1
+    for comp, span, kinks in zip(d.components, d.component_semiarcs,
+                                 _kink_counts(d, target, N)):
         if comp or not kinks:
-            sources += [(s, 0) for s in range(first, closing + 1)]
-        sources += [(closing, h) for h in range(1, 2 * kinks + 1)]
+            sources += [(s, 0) for s in span]
+        sources += [(span[-1], h) for h in range(1, 2 * kinks + 1)]
     return sources

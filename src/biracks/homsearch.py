@@ -102,8 +102,8 @@ def _crossing_quads(d: Diagram, cut: bool
     """
     size = d.semiarc_count
     tails, heads = [], []
-    for ci, comp in enumerate(d.components):
-        tails.append(d.semiarc_after(ci, max(len(comp), 1) - 1))
+    for comp, span in zip(d.components, d.component_semiarcs):
+        tails.append(span[-1])
         if cut and comp:
             heads.append(size)
             size += 1

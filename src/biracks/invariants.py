@@ -221,31 +221,31 @@ def _framed_rows(
                 for w in _framings(key, N):
                     bucket.setdefault(w, []).append(a)
     # (w, each group's cut labelings on w's entries for its components,
-    # their product's size), the labels counted until they pass the bound
+    # their product's size, w's framed semiarcs if it has labelings), the
+    # labels counted until they pass the bound
     framings = []
     labels = 0
     for w in product(range(N), repeat=len(d.components)):
         found = [buckets[sub].get(tuple(w[i] for i in g), ()) for g, sub in zip(groups, subs)]
         count = prod(map(len, found))
-        if count:
-            labels += count * len(framed_semiarc_sources(d, w, N))
-            if labels > LABELING_DUMP_LIMIT:
-                raise SizeTooLarge(f"the labelings of every framing would hold more than "
-                                   f"{LABELING_DUMP_LIMIT} labels")
-        framings.append((w, found, count))
+        sources = framed_semiarc_sources(d, w, N) if count else ()
+        labels += count * len(sources)
+        if labels > LABELING_DUMP_LIMIT:
+            raise SizeTooLarge(f"the labelings of every framing would hold more than "
+                               f"{LABELING_DUMP_LIMIT} labels")
+        framings.append((w, found, count, sources))
     source: dict[int, tuple[int, int]] = {}  # d's semiarc -> (group, the group diagram's semiarc)
     for gi, (g, sub) in enumerate(zip(groups, subs)):
-        for j, i in enumerate(g):
-            for k in range(max(len(d.components[i]), 1)):
-                source[d.semiarc_after(i, k)] = (gi, sub.semiarc_after(j, k))
+        for i, span in zip(g, sub.component_semiarcs):
+            source.update((s, (gi, t)) for s, t in zip(d.component_semiarcs[i], span))
     steps = [list(range(b.n))]  # steps[h][x]: the label h half-kinks past x
     for _ in range(N - 1):
         steps += [[b.alpha[x] for x in steps[-1]], [b.pi[x] for x in steps[-1]]]
     steps = [[x + offset for x in step] for step in steps]
     framed = []
-    for w, found, count in framings:
+    for w, found, count, sources in framings:
         columns = []
-        for s, h in framed_semiarc_sources(d, w, N) if count else ():
+        for s, h in sources:
             gi, t = source[s]
             # in product order (the last group fastest) each label of group
             # gi repeats once per labeling of the later groups, and that

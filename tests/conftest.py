@@ -169,6 +169,26 @@ def insert_curl(code: str, rng: random.Random) -> str:
     return ";".join(map(",".join, components))
 
 
+def insert_bigon(code: str, rng: random.Random) -> str:
+    """code with a bigon of two fresh crossings a, b of opposite signs (sign
+    drawn): O a, O b at one random position and U a, U b or U b, U a (order
+    drawn) at another, on any components: a Reidemeister II move, which
+    leaves the writhe vector as it was."""
+    components = [part.split(",") if part else [] for part in code.split(";")]
+    a = max(map(int, re.findall(r"\d+", code)), default=0) + 1
+    signs = rng.choice(("+-", "-+"))
+    over = [f"O{a}{signs[0]}", f"O{a + 1}{signs[1]}"]
+    under = [f"U{a}{signs[0]}", f"U{a + 1}{signs[1]}"][::rng.choice((1, -1))]
+    spots = []
+    for _ in range(2):
+        ci = rng.randrange(len(components))
+        spots.append((ci, rng.randint(0, len(components[ci]))))
+    # the later spot first, so the earlier one still points where it did
+    for (ci, at), pair in sorted(zip(spots, (over, under)), key=lambda x: x[0], reverse=True):
+        components[ci][at:at] = pair
+    return ";".join(map(",".join, components))
+
+
 def relabel_crossings(code: str, rng: random.Random) -> str:
     """The same code with its crossing ids mapped to random distinct ids."""
     ids = sorted({int(m) for m in re.findall(r"\d+", code)})

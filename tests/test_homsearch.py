@@ -466,6 +466,20 @@ class TestDeepDiagrams:
         fires = plan_fires(lambda: counts.append(count_labelings(d, trefoil_birack)))
         assert counts == [3] and fires <= self.PLAN_FIRES[kinks]
 
+    # closures the plan of a Hopf link with k positive kinks on each
+    # component may compute when it is searched cut: 7 per kink, where it
+    # computes 5k + 2
+    LINKED_PLAN_FIRES = {100: 700, 200: 1400, 400: 2800, 800: 5600}
+
+    @pytest.mark.parametrize("kinks", [100, 200, 400, 800])
+    def test_linked_kink_chains(self, kinks, two_element, plan_fires):
+        chains = [",".join(f"O{i}+,U{i}+" for i in range(first, first + kinks))
+                  for first in (3, 3 + kinks)]
+        d = parse_gauss(f"O1+,U2+,{chains[0]};U1+,O2+,{chains[1]}")
+        assert two_element.rank > 1  # so cut_labelings cuts the link open
+        fires = plan_fires(lambda: cut_labelings(d, two_element))
+        assert fires <= self.LINKED_PLAN_FIRES[kinks]
+
     def test_torus_knot_2_301(self, trefoil_birack):
         d = braid_closure(2, [1] * 301)
         assert len(d.components) == 1 and len(d.crossings) == 301

@@ -50,6 +50,7 @@ from conftest import (
     braid_closure,
     enumerated_biracks,
     framed_reference,
+    insert_bigon,
     insert_curl,
     per_labeling_multiset,
     rack_counting_oracle,
@@ -385,8 +386,8 @@ RANDOM_CODES = [random_gauss_code(random.Random(seed)) for seed in range(40)]
 
 def _framings_counted(monkeypatch) -> list:
     """The framing vectors whose framed semiarcs a dump reads, in order:
-    once each to count its labels, and once more for each framing whose
-    rows are built."""
+    once for each framing that has labelings, to count its labels, and
+    kept from then on to build its rows."""
     calls = []
     sources = biracks.invariants.framed_semiarc_sources
 
@@ -603,14 +604,27 @@ class TestLabelingDumpBound:
 
     def test_refused_before_any_row(self, ten_element, monkeypatch):
         # the 7-unlink over the rank-1 ten_element has one framing of 10^7
-        # labelings of 7 labels; counting it reads its semiarcs once, and
-        # building its rows would read them again
+        # labelings of 7 labels; counting it reads its semiarcs once
         calls = _framings_counted(monkeypatch)
         with pytest.raises(SizeTooLarge) as info:
             labelings_by_framing(unlink(7), ten_element)
         assert str(info.value) == (
             "the labelings of every framing would hold more than 6000000 labels")
         assert calls == [(0,) * 7]
+
+    @pytest.mark.parametrize("birack", DATA_BIRACKS)
+    def test_framed_semiarcs_read_once(self, birack, monkeypatch):
+        # each framing with labelings has its framed semiarcs read once, for
+        # its label count and its rows, and a framing without any is not
+        # read; over four_element_two_orbits all 16 framings of the
+        # 4-unlink and all 8 of Hopf with a circle have labelings
+        b = read_matrix_file(str(DATA / f"{birack}.txt"))
+        calls = _framings_counted(monkeypatch)
+        codes = [code for _, code in _sample_links()] + [";;;", "O1+,U2+;U1+,O2+;"]
+        for code in codes:
+            calls.clear()
+            framed = labelings_by_framing(parse_gauss(code), b)
+            assert calls == [w for w, labs in framed if labs], code
 
 
 class TestSearchAndClosureCounts:
@@ -869,6 +883,24 @@ class TestMoveInvariance:
             assert dc.writhe_vector != d.writhe_vector
             for kind in KINDS:
                 assert compute_invariant(dc, b, kind) == compute_invariant(d, b, kind), curled
+
+    @pytest.mark.parametrize("birack", [*DATA_BIRACKS, "tsr(5,2,0,1)", "tsr(7,3,0,1)"])
+    def test_seeded_bigon_insertions(self, birack):
+        # a bigon adds two crossings of opposite signs, so the writhe
+        # vector and every value stay as they were; the tsr biracks have
+        # rank 4 and 6
+        if birack.startswith("tsr"):
+            b = tsr_birack(*map(int, re.findall(r"\d+", birack)))
+        else:
+            b = read_matrix_file(str(DATA / f"{birack}.txt"))
+        codes = [code for _, code in _sample_links()] + RANDOM_CODES
+        for seed, code in enumerate(codes):
+            bigon = insert_bigon(code, random.Random(seed))
+            d, db = parse_gauss(code), parse_gauss(bigon)
+            assert len(db.crossings) == len(d.crossings) + 2
+            assert db.writhe_vector == d.writhe_vector
+            for kind in KINDS:
+                assert compute_invariant(db, b, kind) == compute_invariant(d, b, kind), bigon
 
     def test_kink_insertion_invariant(self, test_biracks):
         # adding a positive kink to the input code only realigns framings

@@ -12,7 +12,8 @@ structure has one checked constructor.  The labeling search writes its
 four determinations in one rule table, its branch planner computes
 closures in one place, and every search plans through one cached compile
 step.  Every column of a birack table comes from one reader.  Every
-table size bound reads core.ELEMENT_LIMIT.  Every source
+table size bound reads core.ELEMENT_LIMIT.  Only Diagram numbers a
+component's semiarcs.  Every source
 file parses as the oldest Python the package declares, and every console
 script it declares runs.
 """
@@ -20,6 +21,7 @@ script it declares runs.
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -380,6 +382,33 @@ def test_one_column_reader():
                     tuple_rows.append((path.name, owner))
     assert columns == []
     assert tuple_rows == [("core.py", "_analyze")] * 2
+
+
+def _semiarc_counts(node, owner=""):
+    """(qualified name of the innermost enclosing class or function, line)
+    of each max(len(...), 1) under node: a component's semiarc count, one
+    even for a crossing-free circle."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from _semiarc_counts(child, f"{owner}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Call) and re.fullmatch(r"max\(len\(.*\), 1\)", ast.unparse(child)):
+            yield owner, child.lineno
+        yield from _semiarc_counts(child, owner)
+
+
+def test_one_semiarc_layout():
+    """Diagram owns semiarc numbering: only Diagram.__init__ counts a
+    component's semiarcs, into the ranges of Diagram.component_semiarcs
+    that every other reader indexes, and no module keeps component
+    offsets of its own."""
+    counts, offsets = [], []
+    for path in sorted((ROOT / "src" / "biracks").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        counts += [(path.name, owner) for owner, _ in _semiarc_counts(tree)]
+        offsets += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "_offsets"]
+    assert (counts, offsets) == ([("diagram.py", "Diagram.__init__")], [])
 
 
 def test_python_310_syntax():

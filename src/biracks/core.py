@@ -46,8 +46,9 @@ parse_cycles refuse more, through _bound.  _analyze checks the tables'
 shape and labels on the same byte rows, so FiniteBirack and verify_axioms
 check every table alike, whoever built it.
 
-Subbiracks: _close is the semi-naive closure under B, and _join_fold the
-one join fold through their lattice, for all_subbiracks and invariants.
+Subbiracks: _close is the semi-naive closure under B, called only by
+subbirack_closure, for one seed, and _join_fold, the one fold of weighted
+seed sets through their lattice, for all_subbiracks and invariants.
 
 Matrix file convention
 ----------------------
@@ -788,8 +789,9 @@ def subbirack_closure(b: FiniteBirack, seed) -> frozenset[int]:
     Y, hence onto Y; so for a, x in Y the y with B1(x, y) = a lies in Y,
     and S(a, x) = (B2(x, y), y) lies in Y x Y.  B and S map Y x Y
     injectively into itself, hence onto, so B^-1 and S^-1 keep Y too.
+    The closure holds int labels: a seed of True is label 1.
     """
-    return _close(b, set(), set(_entries(seed, 0, b.n - 1)))
+    return _close(b, set(), set(bytes(_entries(seed, 0, b.n - 1))))
 
 
 def _close(b: FiniteBirack, closed, frontier) -> frozenset[int]:
@@ -817,9 +819,9 @@ def is_subbirack(b: FiniteBirack, subset) -> bool:
 
 
 def _atoms(b: FiniteBirack):
-    """The distinct singleton closures, yielded lazily: one closure per
-    orbit of the kink maps alpha and pi, from the orbit's least element.
-    all_subbiracks' docstring proves that an orbit shares one closure."""
+    """The least element of each orbit of the kink maps alpha and pi,
+    yielded lazily; nothing is closed.  all_subbiracks' docstring proves
+    that the elements of an orbit share one closure."""
     seen = [False] * b.n
     for x in range(b.n):
         if seen[x]:
@@ -832,27 +834,25 @@ def _atoms(b: FiniteBirack):
                 if not seen[z]:
                     seen[z] = True
                     stack.append(z)
-        yield subbirack_closure(b, {x})
+        yield x
 
 
-def _join_fold(b: FiniteBirack, parts, joins: dict | None = None) -> dict[frozenset[int], int]:
-    """Fold parts, {closed set: weight} dicts, from {frozenset(): 1}: a join
-    (closure of the union) of one set per part weighs the product of their
-    weights, summed.  Nested sets join to the larger; every other pair is
-    closed through _close, and memoized in joins, a dict, when one is
-    given.  all_subbiracks gives none: its rounds meet each pair once.
+def _join_fold(b: FiniteBirack, parts) -> dict[frozenset[int], int]:
+    """Fold parts, {seed set: weight} dicts, from {frozenset(): 1}: the
+    closure of the union of one seed per part weighs the product of their
+    weights, summed.  The states are closed sets.  A state that holds a
+    seed keeps it; every other (state, seed) pair is closed through _close
+    once per call, in a memo that holds both key orders, as the join of a
+    closed set with a seed is the closure of their union either way.
     """
     states: dict[frozenset[int], int] = {frozenset(): 1}
+    joins: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
     for part in parts:
         folded: dict[frozenset[int], int] = {}
         for s, m in states.items():
             for t, k in part.items():
                 if t <= s:
                     joined = s
-                elif s <= t:
-                    joined = t
-                elif joins is None:
-                    joined = _close(b, s, t - s)
                 else:
                     joined = joins.get((s, t))
                     if joined is None:
@@ -866,10 +866,10 @@ def all_subbiracks(b: FiniteBirack) -> list[frozenset[int]]:
     """Every non-empty closed subset, sorted by size then lexicographically.
 
     Every closed set is the join (closure of the union) of the singleton
-    closures it holds, its atoms, so it is a state of _join_fold over one
-    {empty set, atom} part per atom; the 2^n seeds are never enumerated.
+    closures it holds, so it is a state of _join_fold over one
+    {empty set, {x}} part per x; the 2^n seeds are never enumerated.
 
-    The atoms are closed once per orbit of the group generated by the kink
+    _atoms yields one x per orbit of the group generated by the kink
     maps alpha and pi, because all elements of an orbit share one closure.
     f(x) = S2^-1(x, x) and g(x) = S1^-1(x, x) lie in closure({x}) by
     subbirack_closure's theorem, so closure({f(x)}) lies in closure({x}).
@@ -879,7 +879,7 @@ def all_subbiracks(b: FiniteBirack) -> list[frozenset[int]]:
     in closure({alpha(x)}) = closure({x}), and pi is a permutation, so
     its cycles share one closure too.  S is never read.
     """
-    found = _join_fold(b, ({frozenset(): 1, atom: 1} for atom in _atoms(b)))
+    found = _join_fold(b, ({frozenset(): 1, frozenset((x,)): 1} for x in _atoms(b)))
     return sorted(filter(None, found), key=lambda s: (len(s), sorted(s)))
 
 
@@ -901,8 +901,9 @@ def classify(b: FiniteBirack) -> BirackClass:
     (no proper non-empty subbirack).  B is a bijection, so B o B = id
     exactly when B = B^-1: the tables are compared with their inverses.
 
-    Simplicity closes one singleton per orbit of the kink maps alpha and
-    pi, lazily, and stops at the first proper closure.  That suffices:
+    Simplicity closes the singleton of each representative _atoms yields,
+    one per orbit of the kink maps alpha and pi, lazily, through
+    subbirack_closure, and stops at the first proper closure.  That suffices:
     closure({x}) holds alpha^-1(x) = S2^-1(x, x), so closures are equal
     along the cycles of alpha, and then it holds
     pi(x) = S1^-1(alpha(x), alpha(x)), so they are equal along the cycles
@@ -912,7 +913,7 @@ def classify(b: FiniteBirack) -> BirackClass:
     involutory = b.b1 == b.b1inv and b.b2 == b.b2inv
     # A proper non-empty subbirack holds the closure of any of its
     # elements, so a birack is simple iff every singleton closes to it all.
-    simple = all(len(atom) == b.n for atom in _atoms(b))
+    simple = all(len(subbirack_closure(b, (x,))) == b.n for x in _atoms(b))
     return BirackClass(
         is_biquandle=biquandle,
         is_rack=rack,

@@ -48,6 +48,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, NamedTuple
 
 from .core import _int_params
@@ -81,19 +82,19 @@ class Diagram:
     """
 
     def __init__(self, components: Iterable[Iterable[Pass]]):
-        comps: list[tuple[Pass, ...]] = [
-            tuple(Pass(c, r, s) for c, r, s in comp)
-            for comp in components
-        ]
+        comps: list[tuple[Pass, ...]] = []
         occurrences: dict[int, list[tuple[int, int, str, int]]] = {}
-        for ci, comp in enumerate(comps):
-            for pi, p in enumerate(comp):
-                if not (isinstance(p.crossing, int) and p.crossing > 0 and p.role in ("O", "U")
-                        and isinstance(p.sign, int) and p.sign in (1, -1)):
-                    raise ParseError(f"bad pass {p!r}")
-                occurrences.setdefault(p.crossing, []).append(
-                    (ci, pi, p.role, p.sign)
-                )
+        for ci, comp in enumerate(components):
+            passes = []
+            for pi, (c, r, s) in enumerate(comp):
+                if not (isinstance(c, int) and c > 0 and r in ("O", "U")
+                        and isinstance(s, int) and s in (1, -1)):
+                    raise ParseError(f"bad pass {Pass(c, r, s)!r}")
+                # stored as ints: a crossing or sign given as True is 1
+                p = Pass(index(c), r, 1 if s > 0 else -1)
+                passes.append(p)
+                occurrences.setdefault(p.crossing, []).append((ci, pi, r, p.sign))
+            comps.append(tuple(passes))
 
         crossings: dict[int, Crossing] = {}
         for cid, occ in occurrences.items():

@@ -35,9 +35,9 @@ and per-framing counts, come from one fold in compute_invariant; phi_*
 return its value.  Integral and writhe count the framings of each cut
 labeling without building labelings.  The image and the subbirack
 polynomial depend on a labeling only through the closure of its labels,
-which is the closure of its cut labels, so image and rho close each
-distinct cut label set once, weighted by its framings, and compute one
-signature per distinct image.
+which is the closure of its cut labels, so image and rho weigh each
+distinct cut label set by its framings, leave the closing to one fold
+(core._join_fold) and compute one signature per distinct image.
 
 Every diagram is searched group by group (_group_searches): components
 that share crossings form a group, and each distinct group diagram gets
@@ -46,11 +46,11 @@ searched whole; the c circles of a c-unlink are one circle, searched
 once).  compute_invariant folds each distinct search once.  A labeling is
 a tuple of its groups' labelings, on the framing that concatenates
 theirs, so per-framing counts are products of the groups' counts, and
-the image of a labeling is the join (the closure of the union) of its
-groups' images.  Image and rho fold the groups' image weights through
-the subbirack lattice by all_subbiracks' fold (core._join_fold),
-joining each distinct pair of closed sets once, so a c-unlink over n
-elements costs one search of n labelings and at most as
+the image of a labeling is the closure of the union of its groups' cut
+label sets.  Image and rho fold the groups' label-set weights by the
+fold that builds the subbirack lattice (core._join_fold), which closes
+each distinct (closed state, label set) pair once in its own memo, so a
+c-unlink over n elements costs one search of n labelings and at most as
 many states as subbiracks, not n^c labelings (the split case of counting
 homomorphisms by decomposition, Diaz, Serna and Thilikos, "Counting
 H-colorings of partial k-trees", 2002).  A value holds counts only, no
@@ -384,16 +384,16 @@ def _group_searches(
 
 def _fold_search(cut: CutLabelings, images: bool) -> tuple[list[int], dict]:
     """The labeling count of each framing of cut's diagram, in lexicographic
-    order, and, if images is set, the labelings over every framing by image.
+    order, and, if images is set, the labelings over every framing by their
+    cut label set.
 
     A framed labeling's labels lie between its cut labels and their
     closure (kink labels are alpha and pi images, and a set closed under B
     is closed under S and S^-1 by subbirack_closure's theorem), so its
-    image is the closure of the cut label set: each distinct set is closed
-    once, by core.subbirack_closure.
+    image is the closure of its cut label set, which compute_invariant's
+    fold computes.
     """
-    b = cut.birack
-    N = b.rank
+    N = cut.birack.rank
     keys = _framing_keys(cut)
     counts: Counter = Counter()  # framing vector -> labelings
     for key, m in Counter(keys).items():
@@ -401,17 +401,13 @@ def _fold_search(cut: CutLabelings, images: bool) -> tuple[list[int], dict]:
             for w in _framings(key, N):
                 counts[w] += m
     per_framing = [counts[w] for w in product(range(N), repeat=len(cut.tails))]
-    by_image: dict[frozenset[int], int] = {}  # image -> labelings over every framing
+    seeds: Counter = Counter()  # cut label set -> labelings over every framing
     if images:
-        label_sets = list(map(frozenset, cut.assignments))
-        uses: Counter = Counter()  # label set -> labelings over every framing
+        label_sets = map(frozenset, cut.assignments)
         for (key, labels), m in Counter(zip(keys, label_sets)).items():
             if None not in key:
-                uses[labels] += m * prod(N // period for _, period in key)
-        for labels, m in uses.items():
-            image = core.subbirack_closure(b, labels)
-            by_image[image] = by_image.get(image, 0) + m
-    return per_framing, by_image
+                seeds[labels] += m * prod(N // period for _, period in key)
+    return per_framing, seeds
 
 
 def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
@@ -425,7 +421,7 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
     images = kind in ("image", "rho")
     groups, subs, searches = _group_searches(d, b)
     folded = {sub: _fold_search(cut, images) for sub, cut in searches.items()}
-    totals, by_images = zip(*map(folded.__getitem__, subs))
+    totals, seeds = zip(*map(folded.__getitem__, subs))
     # A labeling is one labeling per group, on every framing of each, so
     # counts multiply and images join across groups.
     framings = product(range(b.rank), repeat=len(d.components))
@@ -442,7 +438,7 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
         counts = dict(per_framing)  # in lexicographic order, so sorting is linear
     else:
         counts = Counter()  # image size or MultiPoly -> labelings
-        joined = core._join_fold(b, by_images, joins={})
+        joined = core._join_fold(b, seeds)
         # each element's statistics once, for the elements of some image
         table = _statistics(b, frozenset().union(*joined)) if kind == "rho" else None
         for image, m in joined.items():

@@ -965,6 +965,12 @@ class TestSubbiracks:
         assert subbirack_closure(two_orbit4, set()) == frozenset()
         assert subbirack_closure(two_orbit4, range(4)) == frozenset(range(4))
 
+    def test_bool_seed_closes_to_int_labels(self, two_element):
+        closure = subbirack_closure(two_element, [True])
+        assert json.dumps(sorted(closure)) == "[0, 1]"
+        assert {type(x) for x in closure} == {int}
+        assert {type(x) for x in subbirack_closure(two_element, [False, True])} == {int}
+
     def test_all_subbiracks_two_orbit(self, two_orbit4):
         assert all_subbiracks(two_orbit4) == [
             frozenset({0, 1}),
@@ -1127,40 +1133,65 @@ class TestClosureUnderBAlone:
 
 
 class TestOrbitAtoms:
-    """One singleton closure per orbit of the kink maps alpha and pi."""
+    """_atoms yields one representative per orbit of the kink maps alpha
+    and pi, its least element, and closes nothing; the orbit shares the
+    representative's closure."""
 
     def test_orbits_share_one_closure(self):
         for b, seeds, closures, _ in _oracle_cases():
             atom = {next(iter(seed)): c for seed, c in zip(seeds, closures) if len(seed) == 1}
             assert len(atom) == b.n
-            # closures agree along alpha and pi, so on every orbit
-            assert all(atom[b.alpha[x]] == atom[x] == atom[b.pi[x]] for x in range(b.n))
-            atoms = list(biracks.core._atoms(b))
-            assert set(atoms) == set(atom.values())
+            reps = list(biracks.core._atoms(b))
+            orbits = []
+            for x in reps:
+                orbit, stack = {x}, [x]
+                while stack:
+                    y = stack.pop()
+                    for z in (b.alpha[y], b.pi[y]):
+                        if z not in orbit:
+                            orbit.add(z)
+                            stack.append(z)
+                # the representative's closure holds along alpha and pi
+                assert all(atom[b.alpha[y]] == atom[y] == atom[b.pi[y]] == atom[x]
+                           for y in orbit)
+                assert min(orbit) == x
+                orbits.append(orbit)
+            # the orbits partition the elements, one representative each
+            assert sorted(y for orbit in orbits for y in orbit) == list(range(b.n))
+            assert set(atom[x] for x in reps) == set(atom.values())
             # observed on every case, not proven: distinct orbits, distinct atoms
-            assert len(atoms) == len(set(atoms))
+            assert len(reps) == len(set(atom[x] for x in reps))
 
     @pytest.mark.parametrize("args,closures", [
         ((67, 11, 0, 1), 2), ((67, 2, 0, 1), 2), ((16, 1, 0, 1), 16), ((3, 2, 0, 1, 2), 5),
     ])
     def test_closure_count(self, monkeypatch, args, closures):
+        b = tsr_birack(*args)
+        reps = list(biracks.core._atoms(b))
+        proper = [len(subbirack_closure(b, {x})) < b.n for x in reps]
         calls = []
-        close = biracks.core.subbirack_closure
+        close = biracks.core._close
 
-        def counting(b, seed):
-            calls.append(seed)
-            return close(b, seed)
+        def counting(b, closed, frontier):
+            calls.append(frontier)
+            return close(b, closed, frontier)
 
-        monkeypatch.setattr(biracks.core, "subbirack_closure", counting)
-        list(biracks.core._atoms(tsr_birack(*args)))
-        assert len(calls) == closures
+        monkeypatch.setattr(biracks.core, "_close", counting)
+        # one representative per orbit, and no closure to find them
+        assert len(list(biracks.core._atoms(b))) == closures
+        assert calls == []
+        # classify closes the representatives in order, up to the first
+        # proper closure
+        simple = classify(b).is_simple
+        assert len(calls) == (proper.index(True) + 1 if any(proper) else closures)
+        assert simple is not any(proper)
 
 
 class TestAtomJoins:
-    """all_subbiracks folds its atoms through core._join_fold: each state
-    is closed with an atom at most once, and not at all when it holds the
-    atom.  The counts are deterministic and include the atoms' own
-    closures."""
+    """all_subbiracks folds one singleton per kink-map orbit through
+    core._join_fold: each state is closed with a singleton at most once,
+    and not at all when it holds it.  The counts are deterministic and
+    include the singletons' own closures, from the empty state."""
 
     @staticmethod
     def _counted(monkeypatch, b):
@@ -1185,7 +1216,7 @@ class TestAtomJoins:
         subs, calls = self._counted(monkeypatch, tsr_birack(8, 1, 0, 1))
         assert (len(subs), calls) == (255, 255)
         assert calls <= 255 * 8
-        # 10 atoms, then 50 joins for 24 sets: distinct states join to one
+        # 10 singletons, then 50 joins for 24 sets: distinct states join to one
         # set here, so a set can be closed more than once, and the count
         # depends on the atom order
         subs, calls = self._counted(monkeypatch, ten_element)

@@ -78,6 +78,19 @@ class TestParse:
             Diagram([[bad, (1, "U", 1)]])
 
 
+    def test_bool_crossing_and_sign_stored_as_ints(self):
+        # True passes as crossing id 1 and sign +1, and is stored as the
+        # int, so the JSON export and the code read 1, never true
+        d = Diagram([[(True, "O", True), (1, "U", True)]])
+        assert [type(p.crossing) for p in d.components[0]] == [int, int]
+        assert [type(p.sign) for p in d.components[0]] == [int, int]
+        assert type(d.crossings[1].sign) is int
+        assert json.loads(d.to_json())["crossings"]["1"]["sign"] == 1
+        assert '"sign": 1' in d.to_json() and "true" not in d.to_json()
+        assert d.serialize() == "O1+,U1+" and d == parse_gauss("O1+,U1+")
+        assert Diagram([[(2, "U", -1), (2, "O", -1)]]).crossings[2].sign == -1
+
+
 class TestSerialize:
     @pytest.mark.parametrize("code", [TREFOIL, FIGURE_EIGHT, HOPF, "", ";", "O1-,U1-"])
     def test_round_trip(self, code):

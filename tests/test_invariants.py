@@ -52,6 +52,7 @@ from conftest import (
     framed_reference,
     insert_bigon,
     insert_curl,
+    naive_closure,
     per_labeling_multiset,
     rack_counting_oracle,
     random_gauss_code,
@@ -338,28 +339,34 @@ class TestSurvey:
     def test_one_closure_per_label_set(self, kind, birack, request, monkeypatch):
         b = request.getfixturevalue(birack)
         calls = []
-        closure = biracks.core.subbirack_closure
+        close = biracks.core._close
 
         def counted(*args):
             calls.append(args)
-            return closure(*args)
+            return close(*args)
 
-        monkeypatch.setattr(biracks.core, "subbirack_closure", counted)
-        monkeypatch.setattr(biracks.homsearch, "subbirack_closure", counted)
+        monkeypatch.setattr(biracks.core, "_close", counted)
         # a split diagram is searched group by group, equal groups once:
         # unlink(2) is two equal unknots, searched and folded as one
-        for d, groups in ((unlink(2), [unlink(1)]), (parse_gauss(HOPF), [parse_gauss(HOPF)]),
+        for d, groups in ((unlink(2), [unlink(1)] * 2), (parse_gauss(HOPF), [parse_gauss(HOPF)]),
                           (parse_gauss(TREFOIL), [parse_gauss(TREFOIL)])):
-            label_sets = []
+            parts = []
             for group in groups:
                 cut = cut_labelings(group, b)
                 # the distinct label sets of the cut labelings on some framing
-                label_sets += {frozenset(a) for a in cut.assignments
-                               if all(a[h] in _pi_orbit(b, a[t])
-                                      for t, h in zip(cut.tails, cut.heads))}
+                parts.append({frozenset(a) for a in cut.assignments
+                              if all(a[h] in _pi_orbit(b, a[t])
+                                     for t, h in zip(cut.tails, cut.heads))})
+            # the fold closes each unordered pair of a state and a label
+            # set it does not hold, once: every label set with the empty
+            # state, then, for unlink(2), the second unknot's with each image
+            states, pairs = {frozenset()}, set()
+            for part in parts:
+                pairs |= {frozenset((s, t)) for s in states for t in part if not t <= s}
+                states = {naive_closure(b, s | t) for s in states for t in part}
             calls.clear()
             compute_invariant(d, b, kind)
-            assert len(calls) == len(label_sets)
+            assert len(calls) == len(pairs)
 
     def test_unknown_kind(self, two_element, monkeypatch):
         d = parse_gauss(HOPF)
@@ -628,7 +635,7 @@ class TestLabelingDumpBound:
 
 
 class TestSearchAndClosureCounts:
-    """compute_invariant's cut_labelings, subbirack_closure, plan
+    """compute_invariant's cut_labelings, subbirack closure (core._close), plan
     (homsearch._plan) and plan closure (homsearch._fire) calls over the
     sample links, unlink(2..4) and a Hopf link with a circle, by data
     birack and kind, from a cold plan cache, pinned so a change that
@@ -643,7 +650,7 @@ class TestSearchAndClosureCounts:
     PLANS, FIRES = 12, 30
 
     @pytest.mark.parametrize("kind,searches,closures", [
-        ("integral", 44, 0), ("writhe", 44, 0), ("image", 44, 253), ("rho", 44, 253)])
+        ("integral", 44, 0), ("writhe", 44, 0), ("image", 44, 649), ("rho", 44, 649)])
     def test_counts(self, kind, searches, closures, monkeypatch):
         calls = Counter()
 
@@ -655,9 +662,7 @@ class TestSearchAndClosureCounts:
 
         monkeypatch.setattr(biracks.invariants, "cut_labelings",
                             counted("search", biracks.invariants.cut_labelings))
-        for module in (biracks.core, biracks.homsearch):
-            monkeypatch.setattr(module, "subbirack_closure",
-                                counted("closure", module.subbirack_closure))
+        monkeypatch.setattr(biracks.core, "_close", counted("closure", biracks.core._close))
         for name in ("_plan", "_fire"):
             monkeypatch.setattr(biracks.homsearch, name,
                                 counted(name, getattr(biracks.homsearch, name)))
@@ -901,6 +906,61 @@ class TestMoveInvariance:
             assert db.writhe_vector == d.writhe_vector
             for kind in KINDS:
                 assert compute_invariant(db, b, kind) == compute_invariant(d, b, kind), bigon
+
+    # The six sign patterns of the braid relation, sigma_i as i and its
+    # inverse as I, with j = i + 1: each pair is a Reidemeister III move.
+    BRAID_RELATIONS = [("iji", "jij"), ("IJI", "JIJ"), ("ijI", "Jij"),
+                       ("Iji", "jiJ"), ("iJI", "JIj"), ("IJi", "jIJ")]
+
+    @staticmethod
+    def _braid_pairs(swap):
+        """(strands, left word, right word) for 3 and 4 strands, two seeds
+        per relation: a seeded word with left or right spliced in at a
+        seeded position and generator i, right rewritten by swap."""
+        def letters(pattern, i):
+            return [(i if c in "iI" else i + 1) * (1 if c.islower() else -1) for c in pattern]
+
+        pairs = []
+        for strands in (3, 4):
+            for r, (left, right) in enumerate(TestMoveInvariance.BRAID_RELATIONS):
+                for seed in range(2):
+                    rng = random.Random(100 * strands + 10 * r + seed)
+                    word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                            for _ in range(rng.randint(0, 4))]
+                    i, at = rng.randint(1, strands - 2), rng.randint(0, len(word))
+                    pairs.append((strands, word[:at] + letters(left, i) + word[at:],
+                                  word[:at] + letters(swap(right), i) + word[at:]))
+        return pairs
+
+    @pytest.mark.parametrize("birack", [*DATA_BIRACKS, "tsr(5,2,0,1)", "tsr(7,3,0,1)"])
+    def test_seeded_braid_relations(self, birack):
+        # the closures of two braid words one braid relation apart are
+        # one link, with the same components and writhe vector; the tsr
+        # biracks have rank 4 and 6
+        if birack.startswith("tsr"):
+            b = tsr_birack(*map(int, re.findall(r"\d+", birack)))
+        else:
+            b = read_matrix_file(str(DATA / f"{birack}.txt"))
+        for strands, left, right in self._braid_pairs(lambda word: word):
+            da, db = braid_closure(strands, left), braid_closure(strands, right)
+            assert da != db and da.writhe_vector == db.writhe_vector
+            for kind in KINDS:
+                assert compute_invariant(da, b, kind) == compute_invariant(db, b, kind), (
+                    left, right)
+
+    def test_braid_crossing_change_is_seen(self):
+        # negative control: with the middle crossing of the right side
+        # changed the substitution is not a move, and some value differs
+        sample = [read_matrix_file(str(DATA / f"{name}.txt")) for name in DATA_BIRACKS]
+        sample += [tsr_birack(5, 2, 0, 1), tsr_birack(7, 3, 0, 1)]
+        changed = 0
+        for strands, left, right in self._braid_pairs(lambda word: word[0] + word[1].swapcase()
+                                                      + word[2]):
+            da, db = braid_closure(strands, left), braid_closure(strands, right)
+            changed += any(compute_invariant(da, b, kind) != compute_invariant(db, b, kind)
+                           for b in sample for kind in KINDS)
+        # 8 of the 24 pairs here
+        assert changed > 0
 
     def test_kink_insertion_invariant(self, test_biracks):
         # adding a positive kink to the input code only realigns framings

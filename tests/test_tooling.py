@@ -13,7 +13,8 @@ four determinations in one rule table, its branch planner computes
 closures in one place, and every search plans through one cached compile
 step.  Every column of a birack table comes from one reader.  Every
 table size bound reads core.ELEMENT_LIMIT.  Only Diagram numbers a
-component's semiarcs.  Every source
+component's semiarcs.  Subbiracks are closed in one fold, core._join_fold,
+besides the one-seed subbirack_closure.  Every source
 file parses as the oldest Python the package declares, and every console
 script it declares runs.
 """
@@ -347,6 +348,36 @@ def test_one_plan_path():
                       for name, _ in _called_names(stmt) if name in ("_plan", "_crossing_quads")]
     assert sorted(sites) == [("_crossing_quads", "homsearch.py", "_compiled"),
                              ("_plan", "homsearch.py", "_compiled")]
+
+
+# The functions that return the closure of a label set
+CLOSURES = {"_close", "subbirack_closure", "labeling_image", "_join_fold"}
+
+
+def test_one_subbirack_closure_path():
+    """Only core.subbirack_closure, for one seed, and core._join_fold, for
+    weighted seed sets with its own memo, call _close; invariants.py closes
+    label sets only through the fold; and every call of _join_fold passes
+    (b, parts) and nothing more, so no caller brings a memo of its own."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "biracks").glob("*.py"))}
+    assert trees
+    closing = [(name, stmt.name) for name, tree in trees.items() for stmt in tree.body
+               if isinstance(stmt, ast.FunctionDef)
+               and any(called == "_close" for called, _ in _called_names(stmt))]
+    invariants = {called for called, _ in _called_names(trees["invariants.py"])}
+    calls = [(len(node.args), [k.arg for k in node.keywords])
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "_join_fold"
+                                                or getattr(node.func, "attr", None) == "_join_fold")]
+    fold = [stmt.args for stmt in trees["core.py"].body
+            if isinstance(stmt, ast.FunctionDef) and stmt.name == "_join_fold"]
+    assert sorted(closing) == [("core.py", "_join_fold"), ("core.py", "subbirack_closure")]
+    assert invariants & CLOSURES == {"_join_fold"}
+    assert calls and all(call == (2, []) for call in calls)
+    assert [[a.arg for a in args.args] + [a.arg for a in args.kwonlyargs]
+            + [args.vararg, args.kwarg] for args in fold] == [["b", "parts", None, None]]
+
 
 def test_one_column_reader():
     """FiniteBirack holds each table once, as the byte rows _analyze

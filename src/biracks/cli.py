@@ -203,7 +203,12 @@ def _cmd_poly(args) -> int:
     return 0
 
 
-def _invariant_payload(name, kind, birack_file, code, value, labelings=None) -> dict:
+def _invariant_json(name, kind, birack_file, code, value, labelings, text) -> str:
+    """One result as json.dumps(payload, sort_keys=True) renders it.  The
+    labelings rows, when given, are rendered from text, the label strings,
+    as the text dump renders them, and spliced in at the "labelings" key,
+    which sorts between the payload's other keys: json's per-number chunks
+    of every label would take several times the output's memory."""
     payload = {
         "invariant": kind + ("-normalized" if value.normalized else ""),
         "birack_file": birack_file,
@@ -213,9 +218,15 @@ def _invariant_payload(name, kind, birack_file, code, value, labelings=None) -> 
         "multiset": value.multiset,
         "per_framing_counts": value.per_framing,
     }
-    if labelings is not None:
-        payload["labelings"] = labelings
-    return payload
+    if labelings is None:
+        return json.dumps(payload, sort_keys=True)
+    head = json.dumps({k: v for k, v in payload.items() if k < "labelings"}, sort_keys=True)
+    tail = json.dumps({k: v for k, v in payload.items() if k > "labelings"}, sort_keys=True)
+    framings = ", ".join(
+        f"[[{', '.join(map(str, w))}], ["
+        + ", ".join(f"[{', '.join(map(text.__getitem__, r))}]" for r in rows) + "]]"
+        for w, rows in labelings)
+    return f'{head[:-1]}, "labelings": [{framings}], {tail[1:]}'
 
 
 def _check_digits(value, d, b) -> None:
@@ -262,14 +273,14 @@ def _cmd_invariant(args) -> int:
             value = normalize(value, d, b)
         _check_digits(value, d, b)
         results.append((name, code, value, labelings))
+    text = list(map(str, range(b.n + 1)))  # a 1-indexed label's text
     if args.json:
-        payload = [
-            _invariant_payload(name, args.type, args.birack, code, value, labelings)
+        rendered = [
+            _invariant_json(name, args.type, args.birack, code, value, labelings, text)
             for name, code, value, labelings in results
         ]
-        _emit(json.dumps(payload[0] if args.gauss is not None else payload, sort_keys=True))
+        _emit(rendered[0] if args.gauss is not None else f"[{', '.join(rendered)}]")
     else:
-        text = list(map(str, range(b.n + 1)))  # a 1-indexed label's text
         for name, code, value, labelings in results:
             if args.gauss is not None:
                 _emit(value.value_string())

@@ -47,8 +47,11 @@ shape and labels on the same byte rows, so FiniteBirack and verify_axioms
 check every table alike, whoever built it.
 
 Subbiracks: _close is the semi-naive closure under B, called only by
-subbirack_closure, for one seed, and _join_fold, the one fold of weighted
-seed sets through their lattice, for all_subbiracks and invariants.
+_join_fold, the one fold of weighted seed sets through their lattice, for
+subbirack_closure, all_subbiracks, classify and invariants.  The fold keeps
+its joins in a cache per birack (_joins), shared across calls, requests
+and threads and bounded in biracks (_BIRACKS_KEPT, 16) and in entries per
+birack (_JOIN_LABELS // n); full, it holds at most about 50 MB.
 
 Matrix file convention
 ----------------------
@@ -73,6 +76,7 @@ import itertools
 import re
 import struct
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from math import lcm
 from operator import getitem, itemgetter
 
@@ -789,9 +793,12 @@ def subbirack_closure(b: FiniteBirack, seed) -> frozenset[int]:
     Y, hence onto Y; so for a, x in Y the y with B1(x, y) = a lies in Y,
     and S(a, x) = (B2(x, y), y) lies in Y x Y.  B and S map Y x Y
     injectively into itself, hence onto, so B^-1 and S^-1 keep Y too.
-    The closure holds int labels: a seed of True is label 1.
+    The closure holds int labels: a seed of True is label 1.  Once the
+    labels are checked, the closure is _join_fold's over the one seed, so
+    it shares b's join cache.
     """
-    return _close(b, set(), set(bytes(_entries(seed, 0, b.n - 1))))
+    [closure] = _join_fold(b, ({frozenset(bytes(_entries(seed, 0, b.n - 1))): 1},))
+    return closure
 
 
 def _close(b: FiniteBirack, closed, frontier) -> frozenset[int]:
@@ -837,16 +844,50 @@ def _atoms(b: FiniteBirack):
         yield x
 
 
+# Biracks whose joins are kept at once.  One pass of a benchmark workload
+# joins over at most 10 distinct biracks (birack_tables; search_knots 4,
+# enhanced_unlinks 2), so 16 keep a whole pass with room to spare.
+_BIRACKS_KEPT = 16
+
+# Labels whose joins one birack keeps: an n-element birack keeps at most
+# _JOIN_LABELS // n entries, two per join (one per key order).  Scaling by
+# n keeps the bytes level, since an entry's sets grow with n: a full cache
+# of random joins holds at most 2.6 MB (n = 8) and 1.0 MB at n = 256
+# (tracemalloc), where a flat 2^14 entries would hold 262 MB.  One pass of
+# enhanced_unlinks keeps 308 entries over a 10-element birack, under a
+# tenth of its 3,276.
+_JOIN_LABELS = 1 << 15
+
+
+@lru_cache(maxsize=_BIRACKS_KEPT)
+def _joins(b: FiniteBirack) -> dict[tuple[frozenset[int], frozenset[int]], frozenset[int]]:
+    """b's join cache, (closed set, seed set) -> closure of their union,
+    in both key orders.  FiniteBirack hashes and compares by its tables, so
+    a table read again from the same file finds it.  The key birack keeps
+    its tables alive, 8 n^2 bytes (512 KB at n = 256), so the worst case
+    is _BIRACKS_KEPT times 2.6 MB of joins and 512 KB of tables, under
+    50 MB in all."""
+    return {}
+
+
 def _join_fold(b: FiniteBirack, parts) -> dict[frozenset[int], int]:
     """Fold parts, {seed set: weight} dicts, from {frozenset(): 1}: the
     closure of the union of one seed per part weighs the product of their
     weights, summed.  The states are closed sets.  A state that holds a
     seed keeps it; every other (state, seed) pair is closed through _close
-    once per call, in a memo that holds both key orders, as the join of a
-    closed set with a seed is the closure of their union either way.
+    once, into b's join cache (_joins), which holds both key orders, as the
+    join of a closed set with a seed is the closure of their union either
+    way.  Every call, request and thread folding over a birack equal to b
+    shares that cache; it is emptied before a join would take it past
+    _JOIN_LABELS // n entries, which all_subbiracks over the twist
+    tsr(16,1,0,1), whose 65,535 joins never repeat, does 64 times.  Each
+    dict operation is atomic and every value is the closure of its key,
+    so threads need no lock: two may close one pair twice, or each add a
+    join past the bound before either empties the cache.
     """
     states: dict[frozenset[int], int] = {frozenset(): 1}
-    joins: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
+    joins = _joins(b)
+    room = _JOIN_LABELS // b.n - 2  # entries that leave room for one more join
     for part in parts:
         folded: dict[frozenset[int], int] = {}
         for s, m in states.items():
@@ -856,6 +897,8 @@ def _join_fold(b: FiniteBirack, parts) -> dict[frozenset[int], int]:
                 else:
                     joined = joins.get((s, t))
                     if joined is None:
+                        if len(joins) > room:
+                            joins.clear()
                         joined = joins[s, t] = joins[t, s] = _close(b, s, t - s)
                 folded[joined] = folded.get(joined, 0) + m * k
         states = folded

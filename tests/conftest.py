@@ -47,7 +47,7 @@ from biracks import (
     ValidationReport,
     with_framing,
 )
-from biracks.core import _AXIOM_ORDER, _ybe_holds, _ybe_witness
+from biracks.core import _AXIOM_ORDER, _joins, _ybe_holds, _ybe_witness
 from biracks.homsearch import _RULES, _compiled, _fire
 
 # ---------------------------------------------------------------------------
@@ -208,10 +208,12 @@ def enumerated_biracks(n: int) -> tuple[FiniteBirack, ...]:
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(autouse=True)
-def cold_plans():
-    """Every test starts from an empty plan cache, so a count of the plans
-    or closures a test computes does not hang on what earlier tests ran."""
+def cold_caches():
+    """Every test starts from empty plan and join caches, so a count of the
+    plans or closures a test computes does not hang on what earlier tests
+    ran."""
     _compiled.cache_clear()
+    _joins.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import pytest
 from biracks.cli import main
 from biracks import (
     compute_invariant,
+    normalize,
     format_matrix,
     from_matrix,
     parse_gauss,
@@ -453,6 +454,66 @@ class TestDumpRows:
                                ";" * 6, "--type", "rho", "--labelings", "--json"], capsys)
         assert (code, out, err) == (1, "", f"error: {DUMP_REFUSAL} 6000000 labels\n")
         assert calls == [(0,) * 7]
+
+
+class TestLabelingsJson:
+    """A --labelings --json result, its rows spliced in from label strings,
+    is byte for byte json.dumps(payload, sort_keys=True) of the payload
+    with its labelings as lists of 1-indexed labels, for --gauss and for
+    --batch."""
+
+    # unlink(1..4) and the Hopf link; over two_element the unknot's framing
+    # w = 1, and the Hopf link's framings (0, 1) and (1, 0), have no labelings
+    CODES = ["", ";", ";;", ";;;", HOPF]
+    NAMES = ['say "hi"', "nœud ∞", "back\\slash", "caf\u00e9"]
+
+    @staticmethod
+    def payload(name, path, code, kind, normalized):
+        b, d = read_matrix_file(path), parse_gauss(code)
+        v = compute_invariant(d, b, kind)
+        if normalized:
+            v = normalize(v, d, b)
+        return {
+            "invariant": kind + "-normalized" * normalized,
+            "birack_file": path,
+            "gauss_code": code,
+            "link": name,
+            "value_canonical_string": v.value_string(),
+            "multiset": v.multiset,
+            "per_framing_counts": v.per_framing,
+            "labelings": [[list(w), [[x + 1 for x in lab.assignment] for lab in labs]]
+                          for w, labs in labelings_by_framing(d, b)],
+        }
+
+    @pytest.mark.parametrize("kind,normalized", [("integral", False), ("rho", True)])
+    @pytest.mark.parametrize("birack", DATA_BIRACKS)
+    def test_gauss(self, birack, kind, normalized, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        path = f"data/{birack}.txt"
+        for code in self.CODES:
+            args = ["invariant", "--birack", path, "--gauss", code, "--type", kind,
+                    "--labelings", "--json"] + ["--normalize"] * normalized
+            expected = json.dumps(self.payload("-", path, code, kind, normalized), sort_keys=True)
+            assert _run(args, capsys) == (0, expected + "\n", ""), code
+
+    def test_framings_without_labelings(self, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        _, out, _ = _run(["invariant", "--birack", "data/two_element.txt", "--gauss", HOPF,
+                          "--type", "integral", "--labelings", "--json"], capsys)
+        assert '[[0, 1], []], [[1, 0], []]' in out
+
+    @pytest.mark.parametrize("kind", ["image", "writhe"])
+    def test_batch(self, kind, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        path = "data/two_element.txt"
+        jobs = list(zip(self.NAMES + self.NAMES[:1], self.CODES))
+        batch = tmp_path / "links.txt"
+        batch.write_text("".join(f"{name}\t{code}\n" for name, code in jobs), encoding="utf-8")
+        expected = json.dumps([self.payload(name, path, code, kind, False) for name, code in jobs],
+                              sort_keys=True)
+        assert _run(["invariant", "--birack", path, "--batch", str(batch), "--type", kind,
+                     "--labelings", "--json"], capsys) == (0, expected + "\n", "")
+        assert json.loads(expected)[1]["link"] == "nœud ∞"
 
 
 class TestDigitLimit:

@@ -1169,6 +1169,7 @@ class TestOrbitAtoms:
         b = tsr_birack(*args)
         reps = list(biracks.core._atoms(b))
         proper = [len(subbirack_closure(b, {x})) < b.n for x in reps]
+        biracks.core._joins.cache_clear()  # count from a cold join cache
         calls = []
         close = biracks.core._close
 
@@ -1185,6 +1186,10 @@ class TestOrbitAtoms:
         simple = classify(b).is_simple
         assert len(calls) == (proper.index(True) + 1 if any(proper) else closures)
         assert simple is not any(proper)
+        # the joins are kept, so classifying b again closes nothing
+        calls.clear()
+        assert classify(b).is_simple is simple
+        assert calls == []
 
 
 class TestAtomJoins:

@@ -337,7 +337,7 @@ class TestPlan:
 class TestPlanCache:
     """homsearch._compiled keeps at most 32 plans, one per (diagram, cut)
     key, shared by every birack, kind, request and thread; every test
-    starts from an empty cache (conftest.cold_plans).  TestPlan checks the
+    starts from an empty cache (conftest.cold_caches).  TestPlan checks the
     cached plans against reference_plan."""
 
     MAXSIZE = 32

@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import random
 import re
+import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -364,7 +367,12 @@ class TestSurvey:
             for part in parts:
                 pairs |= {frozenset((s, t)) for s in states for t in part if not t <= s}
                 states = {naive_closure(b, s | t) for s in states for t in part}
+            # once per call: each diagram starts from a cold join cache,
+            # and the same call again finds every join kept
+            biracks.core._joins.cache_clear()
             calls.clear()
+            compute_invariant(d, b, kind)
+            assert len(calls) == len(pairs)
             compute_invariant(d, b, kind)
             assert len(calls) == len(pairs)
 
@@ -638,11 +646,12 @@ class TestSearchAndClosureCounts:
     """compute_invariant's cut_labelings, subbirack closure (core._close), plan
     (homsearch._plan) and plan closure (homsearch._fire) calls over the
     sample links, unlink(2..4) and a Hopf link with a circle, by data
-    birack and kind, from a cold plan cache, pinned so a change that
-    searches, plans or closes more fails: one search per distinct group
-    diagram, no subbirack closure for the integral and writhe kinds, one
-    plan per distinct (diagram, cut) key over every birack, and no plan
-    closure computed twice."""
+    birack and kind, from cold plan and join caches, pinned so a change
+    that searches, plans or closes more fails: one search per distinct
+    group diagram, no subbirack closure for the integral and writhe kinds,
+    each join closed once per birack (later diagrams find the joins earlier
+    ones kept), one plan per distinct (diagram, cut) key over every
+    birack, and no plan closure computed twice."""
 
     # the same for every kind: the searches are the same.  The 12 plans are
     # the 6 sample links closed and cut; the unlinks' circle and the Hopf
@@ -650,7 +659,7 @@ class TestSearchAndClosureCounts:
     PLANS, FIRES = 12, 30
 
     @pytest.mark.parametrize("kind,searches,closures", [
-        ("integral", 44, 0), ("writhe", 44, 0), ("image", 44, 649), ("rho", 44, 649)])
+        ("integral", 44, 0), ("writhe", 44, 0), ("image", 44, 187), ("rho", 44, 187)])
     def test_counts(self, kind, searches, closures, monkeypatch):
         calls = Counter()
 
@@ -674,6 +683,118 @@ class TestSearchAndClosureCounts:
                 compute_invariant(d, b, kind)
         assert (calls["search"], calls["closure"], calls["_plan"], calls["_fire"]) == (
             searches, closures, self.PLANS, self.FIRES)
+
+
+class TestJoinCache:
+    """core._joins keeps each birack's joins for every later fold, request
+    and thread, in at most _BIRACKS_KEPT biracks and _JOIN_LABELS // n
+    entries per birack; every test starts from an empty cache
+    (conftest.cold_caches)."""
+
+    @staticmethod
+    def cases():
+        diagrams = [parse_gauss(code) for _, code in _sample_links()]
+        diagrams += [unlink(2), unlink(3), unlink(4), parse_gauss(HOPF + ";")]
+        return [(d, read_matrix_file(str(DATA / f"{birack}.txt")), kind)
+                for birack in DATA_BIRACKS for kind in ("image", "rho") for d in diagrams]
+
+    @staticmethod
+    def values(case):
+        v = compute_invariant(*case)
+        nv = normalize(v, *case[:2])
+        return v, v.value_string(), nv, nv.value_string()
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        calls = []
+        close = biracks.core._close
+
+        def counting(*args):
+            calls.append(args)
+            return close(*args)
+
+        monkeypatch.setattr(biracks.core, "_close", counting)
+        return calls
+
+    def test_cold_and_warm_values(self, monkeypatch):
+        cases = self.cases()
+        cold = []
+        for case in cases:
+            biracks.core._joins.cache_clear()
+            cold.append(self.values(case))
+        calls = self.counted(monkeypatch)
+        assert [self.values(case) for case in cases] == cold
+        assert calls
+        calls.clear()
+        assert [self.values(case) for case in cases] == cold
+        assert calls == []
+
+    def test_birack_read_again_closes_nothing(self, monkeypatch):
+        path = str(DATA / "ten_element.txt")
+        first, again = read_matrix_file(path), read_matrix_file(path)
+        assert first is not again
+        calls = self.counted(monkeypatch)
+        value = compute_invariant(unlink(3), first, "rho")
+        assert calls
+        calls.clear()
+        assert compute_invariant(unlink(3), again, "rho") == value
+        assert calls == []
+
+    @pytest.mark.parametrize("n,labels", [(12, biracks.core._JOIN_LABELS), (8, 8 * 16)])
+    def test_entries_bounded(self, n, labels, monkeypatch):
+        # the twist B(x, y) = (y, x): every subset is closed, and none of
+        # its 2^n - 1 joins repeats
+        monkeypatch.setattr(biracks.core, "_JOIN_LABELS", labels)
+        b = tsr_birack(n, 1, 0, 1)
+        joins = biracks.core._joins(b)
+        kept = []
+        close = biracks.core._close
+
+        def counting(*args):
+            kept.append(len(joins))
+            return close(*args)
+
+        monkeypatch.setattr(biracks.core, "_close", counting)
+        assert len(all_subbiracks(b)) == 2 ** n - 1
+        assert len(kept) == 2 ** n - 1
+        # each join adds two entries to what was kept before it, and the
+        # 2 (2^n - 1) entries of all the joins would pass the bound
+        assert max(kept) + 2 <= labels // n < 2 ** (n + 1)
+        assert len(joins) <= labels // n
+
+    def test_biracks_bounded(self):
+        bound = biracks.core._BIRACKS_KEPT
+        assert biracks.core._joins.cache_info().maxsize == bound
+        tables = [tsr_birack(n, 1, 0, 1) for n in range(2, bound + 7)]
+        for b in tables:
+            assert biracks.core.subbirack_closure(b, {0}) == {0}
+            assert biracks.core._joins.cache_info().currsize <= bound
+        info = biracks.core._joins.cache_info()
+        assert (info.misses, info.currsize) == (bound + 5, bound)
+
+    @pytest.mark.parametrize("labels", [biracks.core._JOIN_LABELS, 64])
+    def test_threads_share_the_cache(self, labels, monkeypatch):
+        # with 64 labels a 10-element birack keeps 6 entries, so threads
+        # empty the cache while others read it
+        monkeypatch.setattr(biracks.core, "_JOIN_LABELS", labels)
+        cases = self.cases()
+        serial = [self.values(case) for case in cases]
+        biracks.core._joins.cache_clear()
+        start = threading.Barrier(4, timeout=60)
+
+        def run():
+            start.wait()
+            return [self.values(case) for case in cases]
+
+        # switch threads often, so that they interleave inside the cache
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = [f.result(timeout=120) for f in [pool.submit(run) for _ in range(4)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [serial] * 4
 
 
 class TestUnlinkClosedForm:

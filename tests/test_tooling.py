@@ -355,10 +355,11 @@ CLOSURES = {"_close", "subbirack_closure", "labeling_image", "_join_fold"}
 
 
 def test_one_subbirack_closure_path():
-    """Only core.subbirack_closure, for one seed, and core._join_fold, for
-    weighted seed sets with its own memo, call _close; invariants.py closes
-    label sets only through the fold; and every call of _join_fold passes
-    (b, parts) and nothing more, so no caller brings a memo of its own."""
+    """Only core._join_fold, for weighted seed sets through its join cache,
+    calls _close, so subbirack_closure closes its one seed through the
+    fold; invariants.py closes label sets only through the fold; and every
+    call of _join_fold passes (b, parts) and nothing more, so no caller
+    brings a memo of its own."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted((ROOT / "src" / "biracks").glob("*.py"))}
     assert trees
@@ -372,7 +373,7 @@ def test_one_subbirack_closure_path():
                                                 or getattr(node.func, "attr", None) == "_join_fold")]
     fold = [stmt.args for stmt in trees["core.py"].body
             if isinstance(stmt, ast.FunctionDef) and stmt.name == "_join_fold"]
-    assert sorted(closing) == [("core.py", "_join_fold"), ("core.py", "subbirack_closure")]
+    assert closing == [("core.py", "_join_fold")]
     assert invariants & CLOSURES == {"_join_fold"}
     assert calls and all(call == (2, []) for call in calls)
     assert [[a.arg for a in args.args] + [a.arg for a in args.kwonlyargs]

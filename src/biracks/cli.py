@@ -13,10 +13,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 domain error (axiom violation, parse failure,
 a matrix or Cayley file or a family birack of more than
-core.ELEMENT_LIMIT (256) elements,
-a link with more than invariants.FRAMING_LIMIT framings, a --labelings
-dump over invariants.LABELING_DUMP_LIMIT labels, a count with more
-digits than Python converts to text), a computation that ran out of
+core.ELEMENT_LIMIT (256) elements, a link with more than
+invariants.FRAMING_LIMIT framings, --labelings dumps of a link or a
+batch over invariants.LABELING_DUMP_LIMIT labels in all, a count with
+more digits than Python converts to text), a computation that ran out of
 stack or memory (reported as "error: <message>", or "error: <type>"
 when the message is empty), or any other failure inside a subcommand
 (reported as "error: <type>: <message>"), 2 usage error.
@@ -262,18 +262,19 @@ def _cmd_invariant(args) -> int:
                 raise ParseError(f"batch line {ln.strip()!r} has no TAB after the name")
             jobs.append((name.strip(), code.strip()))
     results = []
+    held = 0  # the labels of the dumps so far
     for name, code in jobs:
         d = parse_gauss(code)
         value = compute_invariant(d, b, args.type)
         # Frame the labelings only if the output prints them, searching
-        # the link's groups again, as rows of 1-indexed labels; an
-        # oversized dump is refused before any row is built.
-        labelings = _framed_rows(d, b, 1) if args.labelings else None
+        # the link's groups again; a dump that would take the batch's
+        # labels past the bound is refused before any of its rows is built.
+        labelings, held = _framed_rows(d, b, held) if args.labelings else (None, held)
         if args.normalize:
             value = normalize(value, d, b)
         _check_digits(value, d, b)
         results.append((name, code, value, labelings))
-    text = list(map(str, range(b.n + 1)))  # a 1-indexed label's text
+    text = [str(v + 1) for v in range(b.n)]  # each label's 1-indexed text
     if args.json:
         rendered = [
             _invariant_json(name, args.type, args.birack, code, value, labelings, text)

@@ -72,9 +72,9 @@ class SizeTooLarge(BirackError):
     """Exhaustive enumeration was requested beyond its supported size, a
     birack, table file, family birack or permutation would have more
     elements than core.ELEMENT_LIMIT, a link has more framing vectors than
-    invariants.FRAMING_LIMIT, a labeling dump would hold more labels than
-    invariants.LABELING_DUMP_LIMIT, or a count has more digits than Python
-    converts to text."""
+    invariants.FRAMING_LIMIT, the labeling dumps of a link or a batch would
+    hold more labels than invariants.LABELING_DUMP_LIMIT, or a count has
+    more digits than Python converts to text."""
 
 
 class NotASubbirack(BirackError):

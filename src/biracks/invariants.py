@@ -49,19 +49,18 @@ theirs, so per-framing counts are products of the groups' counts, and
 the image of a labeling is the closure of the union of its groups' cut
 label sets.  Image and rho fold the groups' label-set weights by the
 fold that builds the subbirack lattice (core._join_fold), which closes
-each distinct (closed state, label set) pair once in its own memo, so a
+each distinct join once per birack in its join cache (core._joins), so a
 c-unlink over n elements costs one search of n labelings and at most as
 many states as subbiracks, not n^c labelings (the split case of counting
 homomorphisms by decomposition, Diaz, Serna and Thilikos, "Counting
 H-colorings of partial k-trees", 2002).  A value holds counts only, no
 labeling.  Only a dump needs the labelings: _framed_rows searches d's
-groups through the same _group_searches, frames each search's labelings
-on its group's own framings and writes a labeling of framing w as one
-labeling per group on w's entries for its components, as a tuple of
-labels, once it has counted that the dump holds at most
-LABELING_DUMP_LIMIT labels.  labelings_by_framing wraps the tuples in
-Labeling, and the CLI's --labelings dump prints them 1-indexed without
-building any.
+groups through the same _group_searches, builds each distinct (group
+diagram, group framing)'s rows of labels once, and gives framing w the
+product of its groups' rows, once it has counted that the dump holds at
+most LABELING_DUMP_LIMIT labels.  labelings_by_framing wraps the rows in
+Labeling, and the CLI's --labelings dump prints them without building
+any.
 
 The rho signature of an image sums its elements' terms s1^c1 s2^c2 t1^r1
 t2^r2 from a table of the four statistics, counted along rows and
@@ -80,9 +79,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, product, repeat
+from itertools import compress, product, starmap
 from math import prod
-from operator import eq, itemgetter
+from operator import add, eq, itemgetter
 
 from . import core
 from .core import FiniteBirack, is_subbirack, perm_cycles
@@ -106,10 +105,10 @@ KINDS = ("integral", "writhe", "image", "rho")
 # memory grow as N^c.
 FRAMING_LIMIT = 10**6
 
-# The most labels a dump of one link holds, one per semiarc of each framed
-# labeling, all in memory at once: the 6-component unlink over a 10-element
-# birack (10^6 labelings of 6 labels) takes 1.8 s of CPU and 215 MB peak RSS
-# in labelings_by_framing (2-vCPU Xeon, Python 3.11).
+# The most labels the dumps of one link, or of a CLI batch, hold, one per
+# semiarc of each framed labeling, all in memory at once: the 6-component
+# unlink over a 10-element birack (10^6 labelings of 6 labels) takes 1.8 s
+# of CPU and 215 MB peak RSS in labelings_by_framing (2-vCPU Xeon, Python 3.11).
 LABELING_DUMP_LIMIT = 6 * 10**6
 
 
@@ -192,69 +191,62 @@ def _framings(key, N: int):
     return product(*(range(residue, N, period) for residue, period in key))
 
 
-def _framed_rows(
-    d: Diagram, b: FiniteBirack, offset: int,
-) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
-    """(w, the sorted label tuples of with_framing(d, w, N)'s labelings,
-    each label plus offset) over (Z_N)^c, read off the cut searches of d's
-    groups (_group_searches), in lexicographic order.
+def _framed_rows(d: Diagram, b: FiniteBirack, held: int = 0) -> tuple[list, int]:
+    """(w, the sorted label tuples of with_framing(d, w, N)'s labelings)
+    over (Z_N)^c in lexicographic order, and held plus their labels.
 
-    Each distinct group diagram's cut labelings are bucketed once by the
-    framings of its own components.  The labelings of framing w are the
-    product of the groups' buckets at w's entries for their components,
-    each semiarc of d read from its group's labeling.  Raises
-    SizeTooLarge, before any row is built, when the rows would hold more
-    than LABELING_DUMP_LIMIT labels; framings are counted in order until
-    the total passes the bound.  Framed semiarc (s, h) of
+    Each distinct (group diagram, group framing) of d's groups
+    (_group_searches) has its rows built once, sorted, and framing w has
+    their product, group by group (sorted unless groups interleave; then
+    each row is put back in d's semiarc order).  Framed semiarc (s, h) of
     framed_semiarc_sources carries the label h half-kinks past that of s:
-    alpha(pi^j(x)) for h = 2j + 1 and pi^(j+1)(x) for h = 2j + 2.  The
-    offset is added once, in that table of labels, so the CLI's 1-indexed
-    rows cost nothing per labeling.
+    alpha(pi^j(x)) for h = 2j + 1, pi^(j+1)(x) for h = 2j + 2.  Raises
+    SizeTooLarge, before any row is built, when held (the labels of a
+    batch's earlier dumps) and the rows would pass LABELING_DUMP_LIMIT;
+    framings are counted in order until they do.
     """
     N = b.rank
     groups, subs, searches = _group_searches(d, b)
-    buckets: dict[Diagram, dict] = {}  # group diagram -> its framing vector -> its cut labelings
+    buckets: dict[tuple, list] = {}  # (group diagram, its framing vector) -> its cut labelings
     for sub, cut in searches.items():
-        bucket = buckets[sub] = {}
         for a, key in zip(cut.assignments, _framing_keys(cut)):
             if None not in key:
                 for w in _framings(key, N):
-                    bucket.setdefault(w, []).append(a)
-    # (w, each group's cut labelings on w's entries for its components,
-    # their product's size, w's framed semiarcs if it has labelings), the
-    # labels counted until they pass the bound
+                    buckets.setdefault((sub, w), []).append(a)
+    # (w, each group's bucket key if w has labelings, w's framed semiarcs
+    # if it has), the labels counted until they pass the bound
     framings = []
-    labels = 0
+    labels = held
     for w in product(range(N), repeat=len(d.components)):
-        found = [buckets[sub].get(tuple(w[i] for i in g), ()) for g, sub in zip(groups, subs)]
-        count = prod(map(len, found))
+        keys = [(sub, tuple(w[i] for i in g)) for g, sub in zip(groups, subs)]
+        count = prod(len(buckets.get(key, ())) for key in keys)
         sources = framed_semiarc_sources(d, w, N) if count else ()
         labels += count * len(sources)
         if labels > LABELING_DUMP_LIMIT:
-            raise SizeTooLarge(f"the labelings of every framing would hold more than "
-                               f"{LABELING_DUMP_LIMIT} labels")
-        framings.append((w, found, count, sources))
-    source: dict[int, tuple[int, int]] = {}  # d's semiarc -> (group, the group diagram's semiarc)
+            raise SizeTooLarge(f"the labelings of {'the batch' if held else 'every framing'} "
+                               f"would hold more than {LABELING_DUMP_LIMIT} labels")
+        framings.append((w, keys if count else [], sources))
+    group: dict[int, tuple[int, int]] = {}  # d's semiarc -> (group, the group diagram's semiarc)
     for gi, (g, sub) in enumerate(zip(groups, subs)):
         for i, span in zip(g, sub.component_semiarcs):
-            source.update((s, (gi, t)) for s, t in zip(d.component_semiarcs[i], span))
+            group.update((s, (gi, t)) for s, t in zip(d.component_semiarcs[i], span))
     steps = [list(range(b.n))]  # steps[h][x]: the label h half-kinks past x
     for _ in range(N - 1):
         steps += [[b.alpha[x] for x in steps[-1]], [b.pi[x] for x in steps[-1]]]
-    steps = [[x + offset for x in step] for step in steps]
+    built: dict[tuple, list] = {}  # bucket key -> its framed rows, sorted
     framed = []
-    for w, found, count, sources in framings:
-        columns = []
-        for s, h in sources:
-            gi, t = source[s]
-            # in product order (the last group fastest) each label of group
-            # gi repeats once per labeling of the later groups, and that
-            # run once per labeling of the earlier ones
-            later = prod(map(len, found[gi + 1:]))
-            run = list(chain.from_iterable(repeat(steps[h][a[t]], later) for a in found[gi]))
-            columns.append(chain.from_iterable(repeat(run, count // len(run))))
-        framed.append((w, sorted(zip(*columns)) if columns else [()] * count))
-    return framed
+    for w, keys, sources in framings:
+        rows = [()] if keys else []
+        ranks = [group[s][0] for s, _ in sources]  # the group of each framed semiarc
+        for gi, key in enumerate(keys):
+            if key not in built:
+                columns = [map(steps[h].__getitem__, map(itemgetter(group[s][1]), buckets[key]))
+                           for (s, h), r in zip(sources, ranks) if r == gi]
+                built[key] = sorted(zip(*columns)) if columns else [()] * len(buckets[key])
+            rows = list(starmap(add, product(rows, built[key])))
+        place = _place(sorted(range(len(ranks)), key=ranks.__getitem__))
+        framed.append((w, sorted(map(place, rows)) if place else rows))
+    return framed, labels
 
 
 def labelings_by_framing(
@@ -262,7 +254,7 @@ def labelings_by_framing(
 ) -> list[tuple[tuple[int, ...], list[Labeling]]]:
     """(w, labelings of with_framing(d, w, N)) over (Z_N)^c in lexicographic
     order; _framed_rows says how."""
-    return [(w, list(map(Labeling, rows))) for w, rows in _framed_rows(d, b, 0)]
+    return [(w, list(map(Labeling, rows))) for w, rows in _framed_rows(d, b)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +352,13 @@ def _linked_groups(d: Diagram) -> list[list[int]]:
     return list(groups.values())
 
 
+def _place(order: list[int]):
+    """The getter putting entry j of a tuple at position order[j]; None if order is sorted."""
+    if order == sorted(order):
+        return None
+    return itemgetter(*sorted(range(len(order)), key=order.__getitem__))
+
+
 def _group_searches(
     d: Diagram, b: FiniteBirack,
 ) -> tuple[list[list[int]], list[Diagram], dict[Diagram, CutLabelings]]:
@@ -428,9 +427,8 @@ def compute_invariant(d: Diagram, b: FiniteBirack, kind: str) -> InvariantValue:
     per_framing = tuple(zip(framings, map(prod, product(*totals))))
     # those framing vectors list the components group by group; when
     # groups interleave, put them back in component order
-    order = [i for g in groups for i in g]
-    if order != sorted(order):
-        place = itemgetter(*map(order.index, range(len(order))))
+    place = _place([i for g in groups for i in g])
+    if place:
         per_framing = tuple(sorted((place(w), m) for w, m in per_framing))
     if kind == "integral":
         counts = {(): sum(m for _, m in per_framing)}

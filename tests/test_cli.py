@@ -376,6 +376,32 @@ class TestInvariantCommand:
         code, out, err = _run([*args, ";;;;"], capsys)
         assert (code, out, err) == (1, "", f"error: {DUMP_REFUSAL} 40000 labels\n")
 
+    def test_labeling_dump_bound_counts_the_batch(self, tmp_path, monkeypatch, capsys):
+        import biracks.invariants
+
+        # two 3-unlinks over ten_element dump 3 * 10^3 labels each: both
+        # print at a bound of 6 * 10^3; at one label less each fits alone,
+        # but the second is refused once its one framing is counted, and
+        # nothing prints; a link that passes the bound alone is refused
+        # with the one-link message
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        batch = tmp_path / "links.txt"
+        batch.write_text("a\t;;\nb\t;;\n", encoding="utf-8")
+        args = ["invariant", "--birack", "data/ten_element.txt", "--batch", str(batch),
+                "--type", "integral", "--labelings"]
+        monkeypatch.setattr(biracks.invariants, "LABELING_DUMP_LIMIT", 6000)
+        code, out, err = _run(args, capsys)
+        assert (code, len(out.splitlines()), err) == (0, 2 + 2 * 10**3, "")
+        calls = _framings_counted(monkeypatch)
+        for limit, refused in ((5999, "the batch"), (2999, "every framing")):
+            monkeypatch.setattr(biracks.invariants, "LABELING_DUMP_LIMIT", limit)
+            for extra in ([], ["--json"]):
+                calls.clear()
+                code, out, err = _run([*args, *extra], capsys)
+                assert (code, out, err) == (1, "", f"error: the labelings of {refused} would "
+                                                   f"hold more than {limit} labels\n")
+                assert calls == [(0, 0, 0)] * (2 if limit == 5999 else 1)
+
     def test_labeling_dump_bound_counts_kink_labels(self, monkeypatch, capsys):
         import biracks.invariants
 

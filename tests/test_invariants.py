@@ -7,7 +7,8 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from itertools import product
+from itertools import permutations, product
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -519,6 +520,43 @@ class TestSplitDiagrams:
         for b in test_biracks.values():
             _assert_matches_framed_reference(d, b, multisets=True)
 
+    @pytest.mark.parametrize("birack", ["two_orbit4", "tsr(5,2,0,1)"])
+    def test_every_component_order(self, birack, request):
+        # a Hopf link, a trefoil and a circle, their four components in
+        # every order: the Hopf link's group interleaves with the others in
+        # the 12 orders that part its two components, so the dump puts its
+        # rows back in the diagram's semiarc order there.  The reference
+        # searches each framing of one order; another order permutes the
+        # framing's entries and each framed labeling's component blocks.
+        b = request.getfixturevalue(birack) if birack == "two_orbit4" else tsr_birack(5, 2, 0, 1)
+        parts = [*HOPF.split(";"), *_shifted(TREFOIL, 2), ""]
+        base = parse_gauss(";".join(parts))
+        reference = {v: (with_framing(base, v, b.rank).component_semiarcs,
+                         [lab.assignment for lab in labs])
+                     for v, labs in framed_reference(base, b)}
+        interleaved = 0
+        for order in permutations(range(len(parts))):
+            d = parse_gauss(";".join(parts[k] for k in order))
+            components = [i for g in biracks.invariants._linked_groups(d) for i in g]
+            interleaved += components != sorted(components)
+            expected = []
+            for w in product(range(b.rank), repeat=len(parts)):
+                spans, rows = reference[tuple(w[order.index(k)] for k in range(len(parts)))]
+                blocks = itemgetter(*(s for k in order for s in spans[k]))
+                expected.append((w, sorted(map(blocks, rows))))
+            assert compute_invariant(d, b, "writhe").per_framing == tuple(
+                (w, len(rows)) for w, rows in expected)
+            assert [(w, [lab.assignment for lab in labs])
+                    for w, labs in labelings_by_framing(d, b)] == expected
+        assert interleaved == 12
+
+    def test_product_at_scale(self, ten_element):
+        # the 5-unlink over the rank-1 ten_element has one framing, whose
+        # 10^5 labelings are the product of its circles' 10 labels each
+        [(w, labs)] = labelings_by_framing(unlink(5), ten_element)
+        assert w == (0,) * 5
+        assert [lab.assignment for lab in labs] == list(product(range(10), repeat=5))
+
     @pytest.mark.parametrize("kind", ["integral", "writhe", "image", "rho"])
     def test_one_search_per_group(self, kind, two_orbit4, monkeypatch):
         calls = []
@@ -626,6 +664,22 @@ class TestLabelingDumpBound:
         assert str(info.value) == (
             "the labelings of every framing would hold more than 6000000 labels")
         assert calls == [(0,) * 7]
+
+    def test_batch_labels_count(self, ten_element, monkeypatch):
+        # the labels of a batch's earlier dumps count against the bound:
+        # the 3-unlink's 3 * 10^3 labels fit after 3 * 10^3 held at a bound
+        # of 6 * 10^3, and after one more are refused before any row is built
+        monkeypatch.setattr(biracks.invariants, "LABELING_DUMP_LIMIT", 6000)
+        framed, held = biracks.invariants._framed_rows(unlink(3), ten_element, 3000)
+        assert ([w for w, _ in framed], len(framed[0][1]), held) == ([(0, 0, 0)], 10**3, 6000)
+
+        def forbidden(*args):
+            raise AssertionError("built a row")
+
+        monkeypatch.setattr(biracks.invariants, "starmap", forbidden)
+        with pytest.raises(SizeTooLarge) as info:
+            biracks.invariants._framed_rows(unlink(3), ten_element, 3001)
+        assert str(info.value) == "the labelings of the batch would hold more than 6000 labels"
 
     @pytest.mark.parametrize("birack", DATA_BIRACKS)
     def test_framed_semiarcs_read_once(self, birack, monkeypatch):

@@ -746,11 +746,11 @@ def _load_map(lines, n: int) -> list[int]:
 
 
 def _read_lines(path, noun: str) -> list[str]:
-    """The lines of a UTF-8 text file, as iterating it gives them.
-    ParseError naming the file kind noun and the path when the file is
-    not UTF-8."""
+    """The lines of a UTF-8 text file, as iterating it gives them, less a
+    leading byte order mark.  ParseError naming the file kind noun and
+    the path when the file is not UTF-8."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.readlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{noun} file {path} is not UTF-8 text "

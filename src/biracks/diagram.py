@@ -112,6 +112,8 @@ class Diagram:
 
         self.components = tuple(comps)
         self.crossings = crossings
+        # diagrams key caches and dicts, so hash the passes once
+        self._hash = hash(self.components)
 
         spans, total = [], 0
         for comp in comps:
@@ -185,7 +187,7 @@ class Diagram:
         return isinstance(other, Diagram) and self.components == other.components
 
     def __hash__(self) -> int:
-        return hash(self.components)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Diagram({self.serialize()!r})"

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from .core import ELEMENT_LIMIT, FiniteBirack, _bound, _entries, _int_params, compose_perms
+from .core import (ELEMENT_LIMIT, _IDENTITY, FiniteBirack, _bound, _entries, _int_params,
+                   compose_perms)
 from .errors import ConstructionError, SizeTooLarge
 
 
@@ -171,15 +172,21 @@ class CayleyGroup:
                 raise ConstructionError("NotAGroup", f"element {x} has no inverse")
         self.inverse = tuple(inv)
 
+        # For each x, compare (xy)z with x(yz) over all (y, z) at once: the
+        # rows of xy laid end to end, against the table with row x applied
+        # to every entry.  Only a failing x is scanned for its witness.
+        rows = [bytes(row) for row in table]
+        pad = _IDENTITY[n:]
+        flat = b"".join(rows)
         for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if table[table[x][y]][z] != table[x][table[y][z]]:
-                        raise ConstructionError(
-                            "NotAGroup",
-                            "multiplication is not associative",
-                            witness=(x, y, z),
-                        )
+            if flat.translate(rows[x] + pad) != b"".join(map(rows.__getitem__, table[x])):
+                y, z = next((y, z) for y in range(n) for z in range(n)
+                            if table[table[x][y]][z] != table[x][table[y][z]])
+                raise ConstructionError(
+                    "NotAGroup",
+                    "multiplication is not associative",
+                    witness=(x, y, z),
+                )
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]

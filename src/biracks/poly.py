@@ -30,7 +30,13 @@ Variables are ordered q1 < q2 < ... < s1 < s2 < t1 < t2 < z, then any
 other names lexicographically.  Monomials are ordered by total degree,
 then by exponent vector, both descending, so the canonical string is
 deterministic across runs and platforms.  A leading negative term is
-rendered with a bare "-" prefix.
+rendered with a bare "-" prefix.  An exponent 1 is left out, except
+after a name ending in a letter that another name follows: z times ab3
+is "z^1ab3", as "zab3" would read as one name.
+
+Both parsers read terms through one reader, _read_terms, which splits on
+" + " / " - " outside braces.  Braces pair up one level deep (an exponent
+is a multipoly), so nested braces are a parse error.
 """
 
 from __future__ import annotations
@@ -210,7 +216,8 @@ class MultiPoly(_Combination):
 
     @staticmethod
     def _render(key: ExponentKey, mag: int) -> str:
-        factors = "".join(v if e == 1 else f"{v}^{e}" for v, e in key)
+        factors = "".join(v if e == 1 and not (v[-1:].isalpha() and i < len(key) - 1)
+                          else f"{v}^{e}" for i, (v, e) in enumerate(key))
         if not factors:
             return str(mag)
         return factors if mag == 1 else f"{mag}{factors}"
@@ -261,80 +268,53 @@ class NestedPoly(_Combination):
 # Parsing the canonical text back into values
 # ---------------------------------------------------------------------------
 
-_TERM_RE = re.compile(r"^(\d+)?((?:[A-Za-z]+\d*(?:\^\d+)?)*)$")
+# A term ends at " + " / " - " or at the end; a braced exponent is read past.
+_TERM_END_RE = re.compile(r"(\{[^{}]*\})| ([+-]) |$")
+_BRACES_RE = re.compile(r"[^{}]*(?:\{[^{}]*\}[^{}]*)*")
+_TERM_RE = re.compile(r"^(?=.)(\d+)?((?:[A-Za-z]+\d*(?:\^\d+)?)*)$")
 _FACTOR_RE = re.compile(r"([A-Za-z]+\d*)(?:\^(\d+))?")
+_NESTED_TERM_RE = re.compile(r"^(\d+)?z\^\{(.*)\}$", re.DOTALL)
 
 
-def _split_terms(text: str) -> list[tuple[int, str]]:
-    """Split on top-level ' + ' / ' - ' separators; returns (sign, body)."""
+def _read_terms(text: str, term_re: re.Pattern, kind: str):
+    """Yield (sign, term_re match) per term of polynomial text, none for
+    "0".  ParseError on empty text, nested or unpaired braces, a bad term."""
     text = text.strip()
+    if text == "0":
+        return
     if not text:
         raise ParseError("empty polynomial text")
-    out: list[tuple[int, str]] = []
-    sign = 1
+    op, start = "+", 0
     if text.startswith("-"):
-        sign = -1
-        text = text[1:].lstrip()
-    depth = 0
-    current: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced braces in {text!r}")
-        if depth == 0 and text.startswith(" + ", i):
-            out.append((sign, "".join(current)))
-            sign, current, i = 1, [], i + 3
-            continue
-        if depth == 0 and text.startswith(" - ", i):
-            out.append((sign, "".join(current)))
-            sign, current, i = -1, [], i + 3
-            continue
-        current.append(ch)
-        i += 1
-    if depth != 0:
+        op, text = "-", text[1:].lstrip()
+    if not _BRACES_RE.fullmatch(text):
         raise ParseError(f"unbalanced braces in {text!r}")
-    out.append((sign, "".join(current)))
-    return out
+    for end in _TERM_END_RE.finditer(text):
+        if end.group(1):
+            continue
+        body = text[start:end.start()].strip()
+        m = term_re.match(body)
+        if not m:
+            raise ParseError(f"bad {kind} term {body!r}")
+        yield (-1 if op == "-" else 1), m
+        op, start = end.group(2), end.end()
 
 
 def parse_multipoly(text: str) -> MultiPoly:
     """Parse the canonical MultiPoly grammar (round-trips canonical_string)."""
-    text = text.strip()
-    if text == "0":
-        return MultiPoly.zero()
     terms: Counter = Counter()
-    for sign, body in _split_terms(text):
-        body = body.strip()
-        m = _TERM_RE.match(body)
-        if not m or (m.group(1) is None and not m.group(2)):
-            raise ParseError(f"bad polynomial term {body!r}")
-        coeff = int(m.group(1)) if m.group(1) else 1
-        exponents: dict[str, int] = {}
-        # group 2 is a run of _FACTOR_RE matches, so finditer reads it whole
-        for fm in _FACTOR_RE.finditer(m.group(2)):
-            var = fm.group(1)
-            exp = int(fm.group(2)) if fm.group(2) else 1
-            exponents[var] = exponents.get(var, 0) + exp
-        terms[tuple(exponents.items())] += sign * coeff
+    for sign, m in _read_terms(text, _TERM_RE, "polynomial"):
+        exponents: Counter = Counter()
+        # group 2 is a run of _FACTOR_RE matches, so findall reads it whole
+        for var, exp in _FACTOR_RE.findall(m.group(2)):
+            exponents[var] += int(exp or 1)
+        terms[tuple(exponents.items())] += sign * int(m.group(1) or 1)
     return MultiPoly(terms)
 
 
 def parse_nestedpoly(text: str) -> NestedPoly:
     """Parse the canonical NestedPoly grammar (round-trips canonical_string)."""
-    text = text.strip()
-    if text == "0":
-        return NestedPoly.zero()
     terms: Counter = Counter()
-    for sign, body in _split_terms(text):
-        body = body.strip()
-        m = re.match(r"^(\d+)?z\^\{(.*)\}$", body, re.DOTALL)
-        if not m:
-            raise ParseError(f"bad nested term {body!r}")
-        mult = int(m.group(1)) if m.group(1) else 1
-        terms[parse_multipoly(m.group(2))] += sign * mult
+    for sign, m in _read_terms(text, _NESTED_TERM_RE, "nested"):
+        terms[parse_multipoly(m.group(2))] += sign * int(m.group(1) or 1)
     return NestedPoly(terms)

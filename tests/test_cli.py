@@ -34,21 +34,21 @@ DUMP_REFUSAL = "the labelings of every framing would hold more than"
 @pytest.fixture
 def two_element_file(tmp_path):
     path = tmp_path / "two.txt"
-    path.write_text(format_matrix(from_matrix(2, TWO_ELEMENT_MATRIX)))
+    path.write_text(format_matrix(from_matrix(2, TWO_ELEMENT_MATRIX)), encoding="utf-8")
     return str(path)
 
 
 @pytest.fixture
 def constant4_file(tmp_path):
     path = tmp_path / "ca4.txt"
-    path.write_text(format_matrix(from_matrix(4, CONSTANT_ACTION_4_MATRIX)))
+    path.write_text(format_matrix(from_matrix(4, CONSTANT_ACTION_4_MATRIX)), encoding="utf-8")
     return str(path)
 
 
 @pytest.fixture
 def two_orbit_file(tmp_path):
     path = tmp_path / "orbit4.txt"
-    path.write_text(format_matrix(from_matrix(4, TWO_ORBIT_4_MATRIX)))
+    path.write_text(format_matrix(from_matrix(4, TWO_ORBIT_4_MATRIX)), encoding="utf-8")
     return str(path)
 
 
@@ -61,7 +61,7 @@ class TestVerify:
     def test_invalid_duplicate_column(self, tmp_path, capsys):
         # a repeated entry makes one B1 row non-bijective
         path = tmp_path / "bad.txt"
-        path.write_text("2\n1 1 2 2\n1 2 1 1\n")
+        path.write_text("2\n1 1 2 2\n1 2 1 1\n", encoding="utf-8")
         assert main(["verify", str(path)]) == 1
         out = capsys.readouterr().out
         assert "NOT a birack" in out
@@ -120,12 +120,13 @@ class TestMake:
         cayley.write_text(
             "4\n" + "\n".join(
                 " ".join(str((a + c) % 4 + 1) for c in range(4)) for a in range(4)
-            ) + "\n"
+            ) + "\n",
+            encoding="utf-8",
         )
         # tau(x) = 3x mod 4 on 1-indexed labels {1..4} representing {0..3}
-        (tmp_path / "tau.txt").write_text("1 4 3 2\n")
-        (tmp_path / "sigma.txt").write_text("1 3 1 3\n")  # x -> 2x
-        (tmp_path / "rho.txt").write_text("1 4 3 2\n")
+        (tmp_path / "tau.txt").write_text("1 4 3 2\n", encoding="utf-8")
+        (tmp_path / "sigma.txt").write_text("1 3 1 3\n", encoding="utf-8")  # x -> 2x
+        (tmp_path / "rho.txt").write_text("1 4 3 2\n", encoding="utf-8")
         assert main([
             "make", "tsrho", "--cayley", str(cayley),
             "--tau", str(tmp_path / "tau.txt"),
@@ -236,7 +237,8 @@ class TestInvariantCommand:
         links = tmp_path / "links.txt"
         links.write_text(
             "# comment line\n"
-            f"unknot\t\nhopf\t{HOPF}\ntrefoil\t{TREFOIL}\n"
+            f"unknot\t\nhopf\t{HOPF}\ntrefoil\t{TREFOIL}\n",
+            encoding="utf-8",
         )
         assert main(["invariant", "--birack", two_element_file,
                      "--batch", str(links), "--type", "integral"]) == 0
@@ -248,7 +250,7 @@ class TestInvariantCommand:
 
     def test_gauss_and_batch_exclusive(self, two_element_file, tmp_path, capsys):
         links = tmp_path / "links.txt"
-        links.write_text("unknot\t\n")
+        links.write_text("unknot\t\n", encoding="utf-8")
         assert main(["invariant", "--birack", two_element_file, "--gauss", "",
                      "--batch", str(links), "--type", "integral"]) == 2
 
@@ -269,7 +271,7 @@ class TestInvariantCommand:
         import biracks.invariants
 
         links = tmp_path / "links.txt"
-        links.write_text(f"unknot\t\nhopf\t{HOPF}\ntrefoil\t{TREFOIL}\n")
+        links.write_text(f"unknot\t\nhopf\t{HOPF}\ntrefoil\t{TREFOIL}\n", encoding="utf-8")
         calls = []
         search = biracks.invariants.cut_labelings
 
@@ -347,7 +349,7 @@ class TestInvariantCommand:
         # the 3-unlink over a rank-6 birack has 6^3 framings; the bound is
         # passed at the first, so only its semiarcs are counted
         path = tmp_path / "tsr7.txt"
-        path.write_text(format_matrix(tsr_birack(7, 3, 0, 1)))
+        path.write_text(format_matrix(tsr_birack(7, 3, 0, 1)), encoding="utf-8")
         calls = _framings_counted(monkeypatch)
         monkeypatch.setattr(biracks.invariants, "LABELING_DUMP_LIMIT", 1000)
         code, out, err = _run(["invariant", "--birack", str(path), "--gauss", ";;",
@@ -438,7 +440,7 @@ class TestInvariantCommand:
 
     def test_deep_kink_chain(self, tmp_path, capsys):
         path = tmp_path / "tsr3122.txt"
-        path.write_text(format_matrix(tsr_birack(3, 1, 2, 2)))
+        path.write_text(format_matrix(tsr_birack(3, 1, 2, 2)), encoding="utf-8")
         code, out, err = _run(["invariant", "--birack", str(path),
                                "--gauss", kink_chain(1200), "--type", "integral"], capsys)
         assert (code, out, err) == (0, "3\n", "")
@@ -679,7 +681,7 @@ class TestCommentAndBlankLines:
     def test_matrix_file(self, two_orbit_file, tmp_path, capsys, command):
         text = Path(two_orbit_file).read_text(encoding="utf-8")
         commented = tmp_path / "commented.txt"
-        commented.write_text(_commented(text))
+        commented.write_text(_commented(text), encoding="utf-8")
         argv = [command[0], two_orbit_file] + command[1:]
         plain = _run(argv, capsys)
         assert plain[0] == 0 and plain[1]
@@ -687,7 +689,8 @@ class TestCommentAndBlankLines:
 
     def test_invariant_birack_file(self, two_orbit_file, tmp_path, capsys):
         commented = tmp_path / "commented.txt"
-        commented.write_text(_commented(Path(two_orbit_file).read_text(encoding="utf-8")))
+        commented.write_text(_commented(Path(two_orbit_file).read_text(encoding="utf-8")),
+                             encoding="utf-8")
         rest = ["--gauss", HOPF, "--type", "rho", "--labelings"]
         plain = _run(["invariant", "--birack", two_orbit_file] + rest, capsys)
         assert plain[0] == 0
@@ -707,7 +710,7 @@ class TestCommentAndBlankLines:
             argv = ["make", "tsrho"]
             for key, text in files.items():
                 path = tmp_path / f"{variant}_{key}.txt"
-                path.write_text(transform(text))
+                path.write_text(transform(text), encoding="utf-8")
                 argv += [f"--{key}", str(path)]
             outputs.append(_run(argv, capsys))
         assert outputs[0][0] == 0 and outputs[0][1]
@@ -719,7 +722,7 @@ class TestCommentAndBlankLines:
         outputs = []
         for name, body in (("plain", text), ("commented", _commented(text))):
             path = tmp_path / f"{name}_links.txt"
-            path.write_text(body)
+            path.write_text(body, encoding="utf-8")
             outputs.append(_run(["invariant", "--birack", two_element_file,
                                  "--batch", str(path), "--type", "image"] + extra,
                                 capsys))
@@ -729,7 +732,7 @@ class TestCommentAndBlankLines:
     def test_batch_tab_leading_line_keeps_empty_name(self, two_element_file,
                                                      tmp_path, capsys):
         path = tmp_path / "links.txt"
-        path.write_text(f"# comment\n\n\t{HOPF}\n")
+        path.write_text(f"# comment\n\n\t{HOPF}\n", encoding="utf-8")
         assert main(["invariant", "--birack", two_element_file,
                      "--batch", str(path), "--type", "integral"]) == 0
         assert capsys.readouterr().out == "\tintegral\t4\n"
@@ -738,7 +741,7 @@ class TestCommentAndBlankLines:
                                                 tmp_path, capsys):
         # read as a name with an empty code, it would count the unknot
         path = tmp_path / "links.txt"
-        path.write_text(f"hopf\t{HOPF}\ntrefoil {TREFOIL}\n")
+        path.write_text(f"hopf\t{HOPF}\ntrefoil {TREFOIL}\n", encoding="utf-8")
         code, out, err = _run(["invariant", "--birack", two_element_file,
                                "--batch", str(path), "--type", "integral"], capsys)
         assert (code, out) == (1, "")
@@ -756,7 +759,7 @@ class TestOutOfRangeEntry:
 
     def test_verify_reports_entry_and_exits_1(self, tmp_path, capsys):
         path = tmp_path / "range.txt"
-        path.write_text(self.RANGE)
+        path.write_text(self.RANGE, encoding="utf-8")
         assert main(["verify", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -769,13 +772,13 @@ class TestOutOfRangeEntry:
     def test_birack_loader(self, tmp_path, capsys, argv):
         # every command but verify loads its birack through read_matrix_file
         path = tmp_path / "range.txt"
-        path.write_text(self.RANGE)
+        path.write_text(self.RANGE, encoding="utf-8")
         assert _run([a.format(path) for a in argv], capsys) == (
             1, "", "error: entry 5 out of range 1..4\n")
 
     def test_poly_subbirack_entry(self, tmp_path, capsys):
         path = tmp_path / "orbit4.txt"
-        path.write_text(format_matrix(from_matrix(4, TWO_ORBIT_4_MATRIX)))
+        path.write_text(format_matrix(from_matrix(4, TWO_ORBIT_4_MATRIX)), encoding="utf-8")
         code, out, err = _run(["poly", str(path), "--subbirack", "3,5"], capsys)
         assert (code, out, err) == (1, "", "error: entry 5 out of range 1..4\n")
 
@@ -803,7 +806,7 @@ class TestTableFileErrors:
         argv = ["make", "tsrho"]
         for key, text in files.items():
             path = tmp_path / f"{key}.txt"
-            path.write_text(text)
+            path.write_text(text, encoding="utf-8")
             argv += [f"--{key}", str(path)]
         expected = "error: " + err.format(tau=tmp_path / "tau.txt") + "\n"
         assert _run(argv, capsys) == (1, "", expected)
@@ -848,3 +851,40 @@ class TestNotUtf8:
         path.write_bytes(b"unknot\t\nhopf\t\xff\n")
         assert _run(["invariant", "--birack", two_element_file, "--batch", str(path),
                      "--type", "integral"], capsys) == (1, "", self._error("batch", path))
+
+
+class TestByteOrderMark:
+    """A file saved with a UTF-8 byte order mark reads as it does without."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def _same_with_bom(self, tmp_path, capsys, files, argv, marked):
+        """argv's output with files written plain, then with file marked
+        led by a byte order mark: both succeed with the same output."""
+        runs = []
+        for bom in (b"", self.BOM):
+            for key, data in files.items():
+                (tmp_path / key).write_bytes((bom if key == marked else b"") + data)
+            runs.append(_run(argv, capsys))
+        assert runs[0][0] == 0 and runs[1] == runs[0]
+
+    @pytest.mark.parametrize("command", [["verify", "--json"], ["rank"], ["classify", "--json"]])
+    def test_matrix(self, tmp_path, capsys, command):
+        files = {"m.txt": format_matrix(from_matrix(4, TWO_ORBIT_4_MATRIX)).encode()}
+        self._same_with_bom(tmp_path, capsys, files, [*command, str(tmp_path / "m.txt")], "m.txt")
+
+    @pytest.mark.parametrize("marked", ["cayley", "tau", "sigma", "rho"])
+    def test_cayley_and_map(self, tmp_path, capsys, marked):
+        # cayley is a Cayley table file, the others are map files
+        files = {"cayley": b"2\n1 2\n2 1\n", "tau": b"1 2\n", "sigma": b"1 1\n", "rho": b"1 2\n"}
+        argv = ["make", "tsrho"]
+        for key in files:
+            argv += [f"--{key}", str(tmp_path / key)]
+        self._same_with_bom(tmp_path, capsys, files, argv, marked)
+
+    def test_batch(self, two_element_file, tmp_path, capsys):
+        files = {"links.txt": f"hopf\t{HOPF}\nunknot\t\n".encode()}
+        argv = ["invariant", "--birack", two_element_file, "--batch",
+                str(tmp_path / "links.txt"), "--type", "integral", "--json"]
+        self._same_with_bom(tmp_path, capsys, files, argv, "links.txt")
+        assert '"link": "hopf"' in _run(argv, capsys)[1]

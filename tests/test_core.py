@@ -601,7 +601,7 @@ class TestFailingReports:
     def test_verify_command(self, case, tmp_path, capsys):
         b1, b2, checks, describe, _ = FAILING_REPORTS[case]
         path = tmp_path / "candidate.txt"
-        path.write_text(_matrix_text(b1, b2))
+        path.write_text(_matrix_text(b1, b2), encoding="utf-8")
         assert main(["verify", str(path)]) == 1
         assert capsys.readouterr().out == describe + "\n"
         assert main(["verify", str(path), "--json"]) == 1
@@ -1229,7 +1229,7 @@ class TestAtomJoins:
 
     def test_twist_lists_every_subset(self, tmp_path, capsys):
         path = tmp_path / "twist10.txt"
-        path.write_text(format_matrix(tsr_birack(10, 1, 0, 1)))
+        path.write_text(format_matrix(tsr_birack(10, 1, 0, 1)), encoding="utf-8")
         assert main(["subbiracks", str(path)]) == 0
         # by size, then lexicographically: the CLI's order
         subsets = [c for k in range(1, 11) for c in itertools.combinations(range(1, 11), k)]

@@ -18,7 +18,7 @@ def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(demo)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+        cwd=ROOT, env=env, capture_output=True, text=True, encoding="utf-8", timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -340,6 +341,32 @@ class TestTauSigmaRho:
         with pytest.raises(ConstructionError) as exc:
             CayleyGroup(table)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_associativity_witness_matches_scan(self, seed):
+        # S4 under a seeded relabeling, with up to three products changed
+        # away from the identity so that identity and inverses survive:
+        # the witness is the first failing (x, y, z) of the entry-by-entry
+        # scan, and a table with none builds
+        rng = random.Random(seed)
+        perms = list(itertools.permutations(range(4)))
+        rng.shuffle(perms)
+        index = {p: i for i, p in enumerate(perms)}
+        table = [[index[compose(p, q)] for q in perms] for p in perms]
+        others = [v for v in range(24) if v != index[(0, 1, 2, 3)]]
+        for _ in range(rng.randrange(4)):
+            x, y = rng.choice(others), rng.choice(others)
+            if table[x][y] in others:
+                table[x][y] = rng.choice(others)
+        n = len(table)
+        expected = next(((x, y, z) for x in range(n) for y in range(n) for z in range(n)
+                         if table[table[x][y]][z] != table[x][table[y][z]]), None)
+        if expected is None:
+            assert CayleyGroup(table).table == tuple(map(tuple, table))
+        else:
+            with pytest.raises(ConstructionError) as exc:
+                CayleyGroup(table)
+            assert (exc.value.reason, exc.value.witness) == ("NotAGroup", expected)
 
     # the Klein four-group, elements 0..3 under exclusive or
     KLEIN = [[x ^ y for y in range(4)] for x in range(4)]

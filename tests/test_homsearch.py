@@ -456,7 +456,7 @@ class TestDeepDiagrams:
 
     # closures the plan may compute: 3.5 per kink, where it computes 3,000
     # and 7,500 (2.5 per kink).  A kink rule applied one kink at a time once
-    # made the plan quadratic (ROADMAP item 7).
+    # made the plan quadratic (ROADMAP item 17).
     PLAN_FIRES = {1200: 4200, 3000: 10500}
 
     @pytest.mark.parametrize("kinks", [1200, 3000])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from biracks import (
@@ -96,8 +98,17 @@ class TestMultiPoly:
         assert len(calls) == 1
 
     def test_other_variables_sort_last_by_name(self):
-        assert mono(1, x=1, q1=1, a=2, z=1).canonical_string() == "q1za^2x"
+        assert mono(1, x=1, q1=1, a=2, z=1).canonical_string() == "q1z^1a^2x"
         assert mono(1, w2=1, t2=1).canonical_string() == "t2w2"
+
+    @pytest.mark.parametrize("exps,text", [
+        ({"z": 1, "ab3": 1}, "z^1ab3"), ({"s": 1, "t1": 1}, "s^1t1"),
+        ({"q": 1, "q1": 2}, "q^1q1^2"), ({"ab3": 1, "b": 1}, "ab3b"), ({"z": 1}, "z"),
+    ])
+    def test_exponent_one_kept_where_names_would_run_on(self, exps, text):
+        # "zab3" would read as the one variable zab3
+        assert mono(3, **exps).canonical_string() == "3" + text
+        assert parse_multipoly("3" + text) == mono(3, **exps)
 
     def test_equal_keys_cancel_in_the_constructor(self):
         # (q1, s1^0) normalizes to q1, so the two terms meet and cancel
@@ -167,6 +178,40 @@ class TestRoundTrip:
         with pytest.raises(ParseError) as exc:
             parse_multipoly("2q1 + ^3")
         assert str(exc.value) == "bad polynomial term '^3'"
+
+    @pytest.mark.parametrize("parse,bad", [
+        (parse_nestedpoly, "z^{{s1}}"), (parse_multipoly, "{{z}}"),
+        (parse_nestedpoly, "z^{s1} + 2z^{t1{t2}}"),
+    ])
+    def test_nested_braces(self, parse, bad):
+        # an exponent is a multipoly, so braces never nest
+        with pytest.raises(ParseError) as exc:
+            parse(bad)
+        assert str(exc.value) == f"unbalanced braces in {bad!r}"
+
+
+VARIABLES = ["q1", "q2", "q10", "s1", "s2", "t1", "t2", "z", "ab3"]
+
+
+def random_multipoly(rng, terms=6):
+    """Up to terms monomials over VARIABLES: exponents 0..12, coefficients
+    of either sign and up to 10^4."""
+    return sum((mono(rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(1, 4)),
+                     **{v: rng.randint(0, 12) for v in rng.sample(VARIABLES, rng.randint(0, 4))})
+                for _ in range(rng.randint(0, terms))), MultiPoly.zero())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_seeded_round_trip(seed):
+    rng = random.Random(seed)
+    for _ in range(10):
+        p = random_multipoly(rng)
+        n = sum((NestedPoly.single(random_multipoly(rng, 3), rng.randint(-30, 30))
+                 for _ in range(rng.randint(0, 5))), NestedPoly.zero())
+        for parse, value in ((parse_multipoly, p), (parse_nestedpoly, n)):
+            text = value.canonical_string()
+            assert parse(text) == value
+            assert parse(text).canonical_string() == text
 
 
 class TestNestedPoly:

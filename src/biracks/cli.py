@@ -30,6 +30,12 @@ and Cayley tables the same with n entries per row; map files list n
 per line; '#' lines are comments in all of them.  A file's tables go
 through the public constructors that check any caller's: verify_axioms,
 FiniteBirack, CayleyGroup and tau_sigma_rho_birack.
+
+An invariant --labelings dump, in text and in --json, is rendered by
+one helper, _dump_rows.  Per framing it builds one table of label texts
+per row position, separators attached, and renders all of the
+framing's rows with one "".join over a C-level map: a label costs one
+table lookup, and no Python code runs per row or per label.
 """
 
 from __future__ import annotations
@@ -38,8 +44,9 @@ import argparse
 import json
 import sys
 from functools import cache
-from itertools import chain
+from itertools import chain, cycle, repeat
 from math import log10
+from operator import add, getitem
 
 from . import __version__
 from .core import (
@@ -206,9 +213,10 @@ def _cmd_poly(args) -> int:
 def _invariant_json(name, kind, birack_file, code, value, labelings, text) -> str:
     """One result as json.dumps(payload, sort_keys=True) renders it.  The
     labelings rows, when given, are rendered from text, the label strings,
-    as the text dump renders them, and spliced in at the "labelings" key,
-    which sorts between the payload's other keys: json's per-number chunks
-    of every label would take several times the output's memory."""
+    by _dump_rows, as the text dump's are, and spliced in at the
+    "labelings" key, which sorts between the payload's other keys: json's
+    per-number chunks of every label would take several times the
+    output's memory."""
     payload = {
         "invariant": kind + ("-normalized" if value.normalized else ""),
         "birack_file": birack_file,
@@ -222,11 +230,35 @@ def _invariant_json(name, kind, birack_file, code, value, labelings, text) -> st
         return json.dumps(payload, sort_keys=True)
     head = json.dumps({k: v for k, v in payload.items() if k < "labelings"}, sort_keys=True)
     tail = json.dumps({k: v for k, v in payload.items() if k > "labelings"}, sort_keys=True)
-    framings = ", ".join(
-        f"[[{', '.join(map(str, w))}], ["
-        + ", ".join(f"[{', '.join(map(text.__getitem__, r))}]" for r in rows) + "]]"
-        for w, rows in labelings)
+    framings = ", ".join(f"[[{', '.join(map(str, w))}], [{rows}]]" for w, rows in
+                         _dump_rows(labelings, text, lambda w: "[", ", ", "]", between=", "))
     return f'{head[:-1]}, "labelings": [{framings}], {tail[1:]}'
+
+
+def _dump_rows(labelings, text, opener, sep, closer, between=""):
+    """(w, the text of its rows) for each (w, rows) of a --labelings dump.
+
+    A row renders as opener(w), the text of its labels (text[v] for label
+    v) joined by sep, then closer, and every row after a framing's first
+    is preceded by between.  Each position k of a row has a table,
+    tables[k][v] being text[v] with sep attached (closer at the last
+    position) and, at the first position, between + opener(w) before it;
+    only the first table changes from framing to framing.  One "".join
+    then renders all of a framing's rows, so no Python code runs per row
+    or per label, and the first row's between is cut off.  Every row holds
+    at least one label, as every component has a semiarc.
+    """
+    middle = list(map(add, text, repeat(sep)))
+    last = list(map(add, text, repeat(closer)))
+    for w, rows in labelings:
+        if not rows:
+            yield w, ""
+            continue
+        width = len(rows[0])
+        head = between + opener(w)
+        first = list(map(add, repeat(head), middle if width > 1 else last))
+        tables = [first, *[middle] * (width - 2), last][:width]
+        yield w, "".join(map(getitem, cycle(tables), chain.from_iterable(rows)))[len(between):]
 
 
 def _check_digits(value, d, b) -> None:
@@ -287,10 +319,10 @@ def _cmd_invariant(args) -> int:
                 _emit(value.value_string())
             else:
                 _emit(f"{name}\t{args.type}\t{value.value_string()}")
-            for w, rows in labelings or ():
-                framing = f"  w=({','.join(map(str, w))}): "
-                sys.stdout.write("".join(
-                    f"{framing}{' '.join(map(text.__getitem__, r))}\n" for r in rows))
+            if labelings is not None:
+                for _, rows in _dump_rows(labelings, text,
+                                          lambda w: f"  w=({','.join(map(str, w))}): ", " ", "\n"):
+                    sys.stdout.write(rows)
     return 0
 
 

@@ -32,7 +32,8 @@ then by exponent vector, both descending, so the canonical string is
 deterministic across runs and platforms.  A leading negative term is
 rendered with a bare "-" prefix.  An exponent 1 is left out, except
 after a name ending in a letter that another name follows: z times ab3
-is "z^1ab3", as "zab3" would read as one name.
+is "z^1ab3", as "zab3" would read as one name.  A name outside var
+raises ValueError.
 
 Both parsers read terms through one reader, _read_terms, which splits on
 " + " / " - " outside braces.  Braces pair up one level deep (an exponent
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from operator import itemgetter
 
 from .errors import ParseError
 
@@ -52,27 +54,34 @@ ExponentKey = tuple[tuple[str, int], ...]
 
 _FAMILY_ORDER = {"q": 0, "s": 1, "t": 2, "z": 3}
 
-_VAR_RE = re.compile(r"^([A-Za-z]+)(\d*)$")
+_VAR_RE = re.compile(r"([A-Za-z]+)(\d*)")
 
 
 def _var_key(name: str) -> tuple:
-    """Sort key realizing q1 < q2 < ... < s1 < s2 < t1 < t2 < z < rest."""
-    m = _VAR_RE.match(name)
-    if m:
-        letters, digits = m.group(1), m.group(2)
-        if letters in _FAMILY_ORDER:
-            return (_FAMILY_ORDER[letters], int(digits) if digits else 0, "")
+    """Sort key realizing q1 < q2 < ... < s1 < s2 < t1 < t2 < z < rest.
+    ValueError for a name outside the grammar's letter+ digits*, whose
+    text would not read back as that one variable."""
+    m = _VAR_RE.fullmatch(name) if isinstance(name, str) else None
+    if not m:
+        raise ValueError(f"variable name {name!r} is not letters followed by digits")
+    letters, digits = m.groups()
+    if letters in _FAMILY_ORDER:
+        return (_FAMILY_ORDER[letters], int(digits) if digits else 0, "")
     return (4, 0, name)
 
 
 def _normalize_key(exponents) -> ExponentKey:
-    items = dict(exponents).items()
-    for v, e in items:
+    keyed = []  # (_var_key(v), v, e) per variable of nonzero exponent
+    for v, e in dict(exponents).items():
+        order = _var_key(v)
         if not isinstance(e, int):
             raise ValueError(f"exponent {e!r} for variable {v} is not an integer")
         if e < 0:
             raise ValueError(f"negative exponent {e} for variable {v}")
-    return tuple(sorted(((v, e) for v, e in items if e), key=lambda ve: _var_key(ve[0])))
+        if e:
+            keyed.append((order, v, e))
+    keyed.sort(key=itemgetter(0))
+    return tuple((v, e) for _, v, e in keyed)
 
 
 class _Combination:

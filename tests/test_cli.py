@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from biracks import (
     read_matrix_file,
     tsr_birack,
 )
-from biracks.invariants import KINDS, labelings_by_framing
+from biracks.invariants import KINDS, _framed_rows, labelings_by_framing
 from conftest import (
     CONSTANT_ACTION_4_MATRIX,
     TWO_ELEMENT_MATRIX,
@@ -23,6 +24,7 @@ from conftest import (
     HOPF,
     TREFOIL,
     kink_chain,
+    random_gauss_code,
 )
 from test_invariants import AROUND, DATA_BIRACKS, _framings_counted, _sample_links
 
@@ -542,6 +544,68 @@ class TestLabelingsJson:
         assert _run(["invariant", "--birack", path, "--batch", str(batch), "--type", kind,
                      "--labelings", "--json"], capsys) == (0, expected + "\n", "")
         assert json.loads(expected)[1]["link"] == "nœud ∞"
+
+
+class TestDumpRenderer:
+    """The one --labelings renderer writes, in text and in --json, the bytes
+    the earlier per-row formatting wrote, kept here as the oracle: every
+    data birack over unlink(1..4), the Hopf link, Hopf union a circle, an
+    interleaved link and seeded random codes, by --gauss and by --batch."""
+
+    CODES = ["", ";", ";;", ";;;", HOPF, HOPF + ";", "O1+,U2+;;U1+,O2+"] + [
+        random_gauss_code(random.Random(seed)) for seed in range(100, 120)]
+
+    @staticmethod
+    def text_rows(labelings, text) -> str:
+        return "".join(
+            f"  w=({','.join(map(str, w))}): {' '.join(map(text.__getitem__, r))}\n"
+            for w, rows in labelings for r in rows)
+
+    @staticmethod
+    def json_result(name, path, code, kind, value, labelings, text) -> str:
+        payload = {
+            "invariant": kind, "birack_file": path, "gauss_code": code, "link": name,
+            "value_canonical_string": value.value_string(),
+            "multiset": value.multiset, "per_framing_counts": value.per_framing,
+        }
+        head = json.dumps({k: v for k, v in payload.items() if k < "labelings"}, sort_keys=True)
+        tail = json.dumps({k: v for k, v in payload.items() if k > "labelings"}, sort_keys=True)
+        framings = ", ".join(
+            f"[[{', '.join(map(str, w))}], ["
+            + ", ".join(f"[{', '.join(map(text.__getitem__, r))}]" for r in rows) + "]]"
+            for w, rows in labelings)
+        return f'{head[:-1]}, "labelings": [{framings}], {tail[1:]}'
+
+    @pytest.mark.parametrize("birack", DATA_BIRACKS)
+    def test_matches_row_formatting(self, birack, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        path, kind = f"data/{birack}.txt", "integral"
+        b = read_matrix_file(path)
+        text = [str(v + 1) for v in range(b.n)]
+        framed = {code: _framed_rows(parse_gauss(code), b)[0] for code in self.CODES}
+        values = {code: compute_invariant(parse_gauss(code), b, kind) for code in self.CODES}
+        shapes = {(len(rows[0]) if rows else 0) for lab in framed.values() for _, rows in lab}
+        # one-label rows (the unknot) and wider; over two_element the Hopf
+        # link's framings (0, 1) and (1, 0) have no labelings
+        assert 1 in shapes and max(shapes) > 2 and (0 in shapes or birack != "two_element")
+        for code, labelings in framed.items():
+            args = ["invariant", "--birack", path, "--gauss", code, "--type", kind, "--labelings"]
+            value = values[code].value_string()
+            assert _run(args, capsys) == (0, f"{value}\n{self.text_rows(labelings, text)}", "")
+            expected = self.json_result("-", path, code, kind, values[code], labelings, text)
+            assert _run([*args, "--json"], capsys) == (0, expected + "\n", ""), code
+        jobs = [(f"link {i}", code) for i, code in enumerate(self.CODES[:12])]
+        batch = tmp_path / "links.txt"
+        batch.write_text("".join(f"{name}\t{code}\n" for name, code in jobs), encoding="utf-8")
+        args = ["invariant", "--birack", path, "--batch", str(batch), "--type", kind,
+                "--labelings"]
+        expected = "".join(
+            f"{name}\t{kind}\t{values[code].value_string()}\n" + self.text_rows(framed[code], text)
+            for name, code in jobs)
+        assert _run(args, capsys) == (0, expected, "")
+        expected = ", ".join(self.json_result(name, path, code, kind, values[code], framed[code],
+                                              text) for name, code in jobs)
+        assert _run([*args, "--json"], capsys) == (0, f"[{expected}]\n", "")
 
 
 class TestDigitLimit:

@@ -80,6 +80,22 @@ class TestMultiPoly:
             MultiPoly(terms)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("name", ["x1y", "", "q-1", "q1\n", "a b", 1])
+    @pytest.mark.parametrize("exponent", [0, 1, 2])
+    def test_variable_name_outside_grammar_rejected(self, name, exponent):
+        # each would render text that does not read back as that one variable
+        message = f"variable name {name!r} is not letters followed by digits"
+        for build in (lambda: MultiPoly.monomial({name: exponent}, 2),
+                      lambda: MultiPoly.constant(1).coefficient({name: exponent})):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name", ["z", "q1", "ab3", "Zz10", "t002"])
+    def test_variable_names_in_grammar_read_back(self, name):
+        p = MultiPoly.monomial({name: 2, "q1": 1}, 3) + MultiPoly.monomial({name: 1})
+        assert parse_multipoly(p.canonical_string()) == p
+
     def test_zero_coefficients_skipped_before_normalizing(self):
         assert MultiPoly({(("z", -1),): 0}).is_zero()
         assert NestedPoly({"not a poly": 0}).is_zero()

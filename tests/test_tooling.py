@@ -203,6 +203,19 @@ def test_one_group_search_helper():
     assert (ids, renumbering) == ([], [])
 
 
+def test_one_dump_renderer():
+    """cli.py turns labels into --labelings dump text in one function,
+    _dump_rows: only it looks a label up in a text table (getitem or
+    __getitem__), and both dump paths, the text dump in _cmd_invariant and
+    the JSON dump in _invariant_json, call it."""
+    tree = ast.parse((ROOT / "src" / "biracks" / "cli.py").read_text(encoding="utf-8"))
+    lookups = {getattr(stmt, "name", stmt.lineno) for stmt in tree.body for node in ast.walk(stmt)
+               if isinstance(node, ast.Name) and node.id == "getitem"
+               or isinstance(node, ast.Attribute) and node.attr == "__getitem__"}
+    callers = {name for name, callees in _call_graph("cli.py").items() if "_dump_rows" in callees}
+    assert (lookups, callers) == ({"_dump_rows"}, {"_cmd_invariant", "_invariant_json"})
+
+
 def test_one_checked_constructor():
     """FiniteBirack and CayleyGroup are built only through their checked
     __init__: neither defines a second constructor that skips the checks,
